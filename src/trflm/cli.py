@@ -8,8 +8,8 @@ error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -296,28 +296,21 @@ def cmd_oracle_check(args):
     report("phi-gradient", rel < 1e-4, "max rel err=%.2e" % rel)
 
     data = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(20)]
-    from collections import Counter
-
-    counts = Counter(data)
-    data_probs = {k: c / len(data) for k, c in counts.items()}
-    from .trainer import posterior_c0  # noqa: F401  (fixed-point check below)
-
+    data_probs = {k: c / len(data) for k, c in Counter(data).items()}
     g_lam, g_theta, g_zeta = oracle_mod.exact_dnce_gradient(
         model, noise, data_probs, 0.5, 1.0, space
     )
-    vecJ, shapesJ = neural.pack_params(
-        {"lam": model.lam, "zeta": model.zeta, **{"phi." + k: v for k, v in model.phi_params.items()}}
-    )
+    params = model.params()
+    vecJ, shapesJ = neural.pack_params(params)
 
     def j_of(v):
-        p = neural.unpack_params(v, shapesJ)
-        m2 = _clone_with(model, p)
-        return oracle_mod.exact_dnce_objective(m2, noise, data_probs, 0.5, 1.0, space)
+        # perturb the model in place through its named arrays
+        for k, value in neural.unpack_params(v, shapesJ).items():
+            params[k][...] = value
+        return oracle_mod.exact_dnce_objective(model, noise, data_probs, 0.5, 1.0, space)
 
     gJ_num = oracle_mod.finite_diff(j_of, vecJ, epsilon=1e-5)
-    gJ_ana, _ = neural.pack_params(
-        {"lam": g_lam, "zeta": g_zeta, **{"phi." + k: v for k, v in g_theta.items()}}
-    )
+    gJ_ana, _ = neural.pack_params(model.named(g_zeta, g_lam, g_theta))
     relJ = np.max(np.abs(gJ_ana - gJ_num) / np.maximum(1e-5, np.abs(gJ_ana) + np.abs(gJ_num)))
     report("dnce-gradient", relJ < 1e-4, "max rel err=%.2e" % relJ)
 
@@ -325,12 +318,10 @@ def cmd_oracle_check(args):
 
 
 def _random_tiny_model(V, L, d, rng):
-    from .corpus import LengthPrior, Vocabulary
-
     words = ["<unk>"] + ["w%d" % i for i in range(1, V)]
-    vocab = Vocabulary(words)
+    vocab = corpus_mod.Vocabulary(words)
     pi = rng.random(L) + 0.1
-    prior = LengthPrior(pi / pi.sum())
+    prior = corpus_mod.LengthPrior(pi / pi.sum())
     tset = feats.compile_templates("w:2")
     corpus = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(30)]
     index = feats.build_feature_index(corpus, tset, "00")
@@ -339,20 +330,6 @@ def _random_tiny_model(V, L, d, rng):
     model = TrfModel(vocab, prior, zeta_init(V, L), feature_index=index, lam=lam, phi_params=phi_params)
     noise = noise_mod.init_noise_model(V, d, prior, seed=int(rng.integers(1 << 31)))
     return model, noise
-
-
-def _clone_with(model, packed):
-    phi = {k[len("phi."):]: v for k, v in packed.items() if k.startswith("phi.")}
-    return TrfModel(
-        model.vocab,
-        model.prior,
-        packed["zeta"],
-        feature_index=model.feature_index,
-        lam=packed["lam"],
-        phi_params=phi,
-        class_map=model.class_map,
-        template_spec=model.template_spec,
-    )
 
 
 def build_parser():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -23,20 +24,24 @@ class ContainerError(ValueError):
 
 
 def write_container(path, manifest: dict, arrays: dict):
+    """Write to a temporary file beside path, hashing blob by blob, then
+    rename it onto path: a failed write leaves any file at path intact."""
     manifest = dict(manifest)
     manifest["format_version"] = FORMAT_VERSION
-    descriptors = []
-    blobs = []
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        descriptors.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
-    manifest["arrays"] = descriptors
-    head = MAGIC + json.dumps(manifest).encode("utf-8") + b"\n"
-    payload = head + b"".join(blobs)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(payload + _CHK_TAG + digest)
+    converted = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
+    manifest["arrays"] = [{"name": k, "shape": list(a.shape)} for k, a in converted.items()]
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for blob in [MAGIC + json.dumps(manifest).encode("utf-8") + b"\n", *converted.values()]:
+                digest.update(blob)
+                fh.write(blob)
+            fh.write(_CHK_TAG + digest.hexdigest().encode("ascii"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_container(path):

@@ -20,6 +20,9 @@ from .container import read_container, write_container
 from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 
 
+_PHI = "phi."  # name prefix of the neural potential's arrays in params()
+
+
 class ModelError(ValueError):
     pass
 
@@ -56,6 +59,24 @@ class TrfModel:
         if feature_index is not None and lam is not None:
             if len(self.lam) != feature_index.n_features:
                 raise ModelError("lambda dimension != feature count")
+
+    def params(self) -> dict:
+        """The trained arrays under one flat naming: "zeta", "lam" (discrete
+        models) and "phi.<k>" (neural models). The values are the model's
+        own arrays, not copies: writing into them changes the model."""
+        return self.named(self.zeta, self.lam, self.phi_params)
+
+    def named(self, zeta, lam, theta) -> dict:
+        """Lay per-group values (gradients, learning rates) out under the
+        names of params(). theta is a dict keyed like phi_params, or one
+        value for every phi array; groups the model lacks are left out."""
+        out = {"zeta": zeta}
+        if self.has_discrete:
+            out["lam"] = lam
+        if self.has_neural:
+            for k in self.phi_params:
+                out[_PHI + k] = theta[k] if isinstance(theta, dict) else theta
+        return out
 
     @property
     def max_length(self):
@@ -125,13 +146,7 @@ class TrfModel:
             ),
             "n_classes": None if self.class_map is None else self.class_map.n_classes,
         }
-        arrays = {"zeta": self.zeta, "pi": self.prior.probs}
-        if self.has_discrete:
-            arrays["lam"] = self.lam
-        if self.has_neural:
-            for k, v in self.phi_params.items():
-                arrays["phi." + k] = v
-        write_container(path, manifest, arrays)
+        write_container(path, manifest, {"pi": self.prior.probs, **self.params()})
 
     @classmethod
     def load(cls, path) -> "TrfModel":
@@ -157,9 +172,7 @@ class TrfModel:
             lam = arrays["lam"]
         phi_params = None
         if manifest["has_neural"]:
-            phi_params = {
-                k[len("phi."):]: v for k, v in arrays.items() if k.startswith("phi.")
-            }
+            phi_params = {k[len(_PHI) :]: v for k, v in arrays.items() if k.startswith(_PHI)}
         return cls(
             vocab,
             prior,

@@ -74,6 +74,19 @@ def unpack_params(vec, shapes):
     return params
 
 
+def lstm_cell(x, h, c, W, U, b):
+    """One step of the gated cell over a batch, gates packed i|f|o|g:
+    returns the new hidden and cell states and the gate activations."""
+    d = h.shape[1]
+    a = x @ W + h @ U + b
+    i = _sigmoid(a[:, :d])
+    f = _sigmoid(a[:, d : 2 * d])
+    o = _sigmoid(a[:, 2 * d : 3 * d])
+    g = np.tanh(a[:, 3 * d :])
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new, (i, f, o, g)
+
+
 def lstm_forward(x, mask, W, U, b):
     """Run a gated recurrent layer over x (T, B, d) with mask (T, B, 1).
 
@@ -100,13 +113,7 @@ def lstm_forward(x, mask, W, U, b):
     }
     for t in range(T):
         m = mask[t]
-        a = x[t] @ W + h @ U + b
-        i = _sigmoid(a[:, :d])
-        f = _sigmoid(a[:, d : 2 * d])
-        o = _sigmoid(a[:, 2 * d : 3 * d])
-        g = np.tanh(a[:, 3 * d :])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
+        h_new, c_new, (i, f, o, g) = lstm_cell(x[t], h, c, W, U, b)
         cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t] = i, f, o, g
         cache["c_new"][t] = c_new
         cache["c_prev"][t] = c

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CorpusError, LengthPrior
-from .neural import _pad, _sigmoid, lstm_backward, lstm_forward
+from .neural import _pad, lstm_backward, lstm_cell, lstm_forward
 
 GRAD_CLIP_NORM = 5.0
 
@@ -106,16 +106,8 @@ def sample(model: NoiseModel, count, rng) -> list:
     W, U, b = model.params["W"], model.params["U"], model.params["b"]
     tokens = np.zeros((T, count), dtype=np.int64)
     prev = np.full(count, model.bos_id, dtype=np.int64)
-    dd = d
     for t in range(T):
-        x = model.params["emb"][prev]
-        a = x @ W + h @ U + b
-        i = _sigmoid(a[:, :dd])
-        f = _sigmoid(a[:, dd : 2 * dd])
-        o = _sigmoid(a[:, 2 * dd : 3 * dd])
-        g = np.tanh(a[:, 3 * dd :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        h, c, _ = lstm_cell(model.params["emb"][prev], h, c, W, U, b)
         logits = h @ model.params["Wo"] + model.params["bo"]
         logp = _log_softmax(logits)
         cdf = np.cumsum(np.exp(logp), axis=1)

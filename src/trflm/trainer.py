@@ -6,15 +6,15 @@ updates."""
 from __future__ import annotations
 
 import math
-import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import features as feats
 from . import neural
 from . import noise as noise_mod
+from .container import read_container, write_container
 
 
 class TrainerError(ValueError):
@@ -77,15 +77,9 @@ def posterior_c0(score_m, log_p_ar, nu):
     return e / (1.0 + e)
 
 
-@dataclass
-class GradientBundle:
-    g_lambda: np.ndarray | None
-    g_theta: dict | None
-    g_zeta: np.ndarray
-
-
-def grad_estimate(model, noise, D, B1, B2, alpha, nu) -> GradientBundle:
-    """Stochastic ascent gradient on the discrimination objective.
+def grad_estimate(model, noise, D, B1, B2, alpha, nu) -> dict:
+    """Stochastic ascent gradient on the discrimination objective, keyed
+    like model.params().
 
     Sentences in D u B1 contribute +P(C=1) * g, sentences in B2
     contribute -P(C=0) * g, everything scaled by alpha/|D|, where g is
@@ -122,11 +116,11 @@ def grad_estimate(model, noise, D, B1, B2, alpha, nu) -> GradientBundle:
         g_theta = neural.phi_backward_batch(cache, weights)
     g_zeta = np.zeros(model.max_length)
     np.subtract.at(g_zeta, lengths - 1, weights)
-    return GradientBundle(g_lambda, g_theta, g_zeta)
+    return model.named(g_zeta, g_lambda, g_theta)
 
 
 class AdamState:
-    """Per-group first/second moment estimates; ascent on the objective."""
+    """Per-array first/second moment estimates; ascent on the objective."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -135,26 +129,24 @@ class AdamState:
         self.v = {}
         self.t = 0
 
-    def step(self, params: dict, grads: dict, lr):
+    def step(self, params: dict, grads: dict, lrs: dict):
+        """One ascent step on every array in grads, each at its own rate in lrs."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         for k, g in grads.items():
-            if k not in self.m:
-                self.m[k] = np.zeros_like(params[k])
-                self.v[k] = np.zeros_like(params[k])
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
+            self.m[k] = b1 * self.m.get(k, 0.0) + (1.0 - b1) * g
+            self.v[k] = b2 * self.v.get(k, 0.0) + (1.0 - b2) * g * g
             mhat = self.m[k] / corr1
             vhat = self.v[k] / corr2
-            params[k] += lr * mhat / (np.sqrt(vhat) + self.EPS)
+            params[k] += lrs[k] * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, lr, state: AdamState):
     """Single-array convenience wrapper around AdamState.step."""
     holder = {"p": param}
-    state.step(holder, {"p": grad}, lr)
+    state.step(holder, {"p": grad}, {"p": lr})
     return holder["p"]
 
 
@@ -175,31 +167,56 @@ class TrainState:
     dev_history: list = field(default_factory=list)
 
 
-def _checkpoint(path, model, noise, adam_states, state, rng):
-    payload = {
-        "model_arrays": {
-            "zeta": model.zeta,
-            "lam": model.lam,
-            "phi": model.phi_params,
-        },
-        "noise_params": noise.params,
-        "adam": adam_states,
-        "state": state,
+def _checkpoint_arrays(model, noise, adam, avg_sums):
+    """Every array of the training state, under its name in a checkpoint."""
+    groups = {
+        "model": model.params(),
+        "noise": noise.params,
+        "adam.m": adam.m,
+        "adam.v": adam.v,
+        "avg": avg_sums,
+    }
+    return {"%s.%s" % (g, k): v for g, arrays in groups.items() for k, v in arrays.items()}
+
+
+def _checkpoint(path, model, noise, adam, avg_sums, avg_n, state, rng):
+    manifest = {
+        "kind": "dnce-checkpoint",
+        "state": asdict(state),
+        "adam_t": adam.t,
+        "avg_n": avg_n,
         "rng_state": rng.bit_generator.state,
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    write_container(path, manifest, _checkpoint_arrays(model, noise, adam, avg_sums))
 
 
-def _restore(path, model, noise, rng):
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    model.zeta = payload["model_arrays"]["zeta"]
-    model.lam = payload["model_arrays"]["lam"]
-    model.phi_params = payload["model_arrays"]["phi"]
-    noise.params = payload["noise_params"]
-    rng.bit_generator.state = payload["rng_state"]
-    return payload["adam"], payload["state"]
+def _restore(path, model, noise, adam, rng):
+    """Load a checkpoint into the run's own arrays, in place, once the file
+    is seen to hold exactly this run's arrays with their shapes."""
+    manifest, arrays = read_container(path)
+    if manifest.get("kind") != "dnce-checkpoint":
+        raise TrainerError("%s is not a DNCE checkpoint (kind=%r)" % (path, manifest.get("kind")))
+    params = model.params()
+    adam.m = {k: np.empty_like(v) for k, v in params.items()}
+    adam.v = {k: np.empty_like(v) for k, v in params.items()}
+    avg_sums = {k: np.empty_like(v) for k, v in params.items()} if manifest["avg_n"] else {}
+    live = _checkpoint_arrays(model, noise, adam, avg_sums)
+    for name, value in live.items():
+        if name not in arrays:
+            raise TrainerError("checkpoint %s lacks array %r of this run" % (path, name))
+        if arrays[name].shape != value.shape:
+            raise TrainerError(
+                "checkpoint %s: array %r has shape %s, this run's has %s"
+                % (path, name, arrays[name].shape, value.shape)
+            )
+    extra = sorted(arrays.keys() - live.keys())
+    if extra:
+        raise TrainerError("checkpoint %s has arrays this run lacks: %s" % (path, ", ".join(extra)))
+    for name, value in live.items():
+        value[...] = arrays[name]
+    adam.t = manifest["adam_t"]
+    rng.bit_generator.state = manifest["rng_state"]
+    return TrainState(**manifest["state"]), avg_sums, manifest["avg_n"]
 
 
 def train(
@@ -224,10 +241,11 @@ def train(
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
     rng = np.random.default_rng(config.seed)
-    adam_states = {"lambda": AdamState(), "theta": AdamState(), "zeta": AdamState()}
-    state = TrainState()
+    adam = AdamState()
+    state, avg_sums, avg_n = TrainState(), {}, 0
     if resume:
-        adam_states, state = _restore(checkpoint_path, model, noise, rng)
+        state, avg_sums, avg_n = _restore(checkpoint_path, model, noise, adam, rng)
+    params = model.params()
 
     n = len(train_sentences)
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -239,46 +257,32 @@ def train(
     # average_tail iterates shrinks that radius without freezing the run.
     budget = max_steps if max_steps is not None else config.max_epochs * steps_per_epoch
     avg_start = budget - config.average_tail
-    avg_sums = {}
-    avg_n = 0
+    averaged = max(0, step_count - max(avg_start, 0)) if config.average_tail > 0 else 0
+    if avg_n != averaged:
+        raise TrainerError(
+            "checkpoint holds the average of %d steps; this run's averaging window "
+            "covers %d of the %d steps done" % (avg_n, averaged, step_count)
+        )
 
     while state.epoch < config.max_epochs:
         if state.lr_factor * lr0 < config.stop_ratio * lr0:
             break
         t0 = time.time()
+        factor = state.lr_factor
+        lrs = model.named(config.lr_zeta, config.lr_lambda * factor, config.lr_theta * factor)
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
             b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
             drawn = noise_mod.sample(noise, b1 + b2, rng)
             B1, B2 = drawn[:b1], drawn[b1:]
-            bundle = grad_estimate(model, noise, D, B1, B2, config.alpha, config.nu)
-            if bundle.g_lambda is not None:
-                adam_states["lambda"].step(
-                    {"lam": model.lam},
-                    {"lam": bundle.g_lambda},
-                    config.lr_lambda * state.lr_factor,
-                )
-            if bundle.g_theta is not None:
-                adam_states["theta"].step(
-                    model.phi_params, bundle.g_theta, config.lr_theta * state.lr_factor
-                )
-            adam_states["zeta"].step(
-                {"zeta": model.zeta}, {"zeta": bundle.g_zeta}, config.lr_zeta
-            )
+            grads = grad_estimate(model, noise, D, B1, B2, config.alpha, config.nu)
+            adam.step(params, grads, lrs)
             noise_mod.noise_train_step(noise, D, config.lr_noise)
             step_count += 1
             if config.average_tail > 0 and step_count > avg_start:
-                groups = {"zeta": model.zeta}
-                if model.has_discrete:
-                    groups["lam"] = model.lam
-                if model.has_neural:
-                    groups.update({"phi." + k: v for k, v in model.phi_params.items()})
-                for key, value in groups.items():
-                    if key in avg_sums:
-                        avg_sums[key] += value
-                    else:
-                        avg_sums[key] = value.copy()
+                for key, value in params.items():
+                    avg_sums[key] = avg_sums[key] + value if avg_n else value.copy()
                 avg_n += 1
             if max_steps is not None and step_count >= max_steps:
                 break
@@ -308,14 +312,10 @@ def train(
             )
             log_sink.flush()
         if checkpoint_path is not None:
-            _checkpoint(checkpoint_path, model, noise, adam_states, state, rng)
+            _checkpoint(checkpoint_path, model, noise, adam, avg_sums, avg_n, state, rng)
         if max_steps is not None and step_count >= max_steps:
             break
     if avg_n > 0:
-        model.zeta[:] = avg_sums["zeta"] / avg_n
-        if model.has_discrete:
-            model.lam[:] = avg_sums["lam"] / avg_n
-        if model.has_neural:
-            for k in model.phi_params:
-                model.phi_params[k][:] = avg_sums["phi." + k] / avg_n
+        for key, value in params.items():
+            value[:] = avg_sums[key] / avg_n
     return model, state

@@ -142,6 +142,32 @@ def test_train_with_class_map(tmp_path, tiny_corpus):
     assert TrfModel.load(model_out).class_map is not None
 
 
+@pytest.mark.parametrize(
+    "damage, resume_set, messages",
+    [
+        ("truncate", [], ["truncated"]),
+        (None, ["hidden_dim=5"], ["'model.phi.emb' has shape"]),
+        (None, ["mode=discrete"], ["arrays this run lacks", "model.phi.emb"]),
+    ],
+    ids=["truncated", "hidden-dim-changed", "mode-changed"],
+)
+def test_train_resume_refuses_bad_checkpoint(
+    tmp_path, tiny_corpus, capsys, damage, resume_set, messages
+):
+    train, dev = tiny_corpus
+    ckpt = tmp_path / "ckpt"
+    argv, _ = _train_args(tmp_path, train, dev, "mixed", ["checkpoint=%s" % ckpt])
+    assert _run(argv) == 0
+    if damage == "truncate":
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    capsys.readouterr()
+    for item in resume_set + ["resume=1"]:
+        argv += ["--set", item]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages)
+
+
 def test_ppl_command(tmp_path, tiny_corpus, capsys):
     train, dev = tiny_corpus
     argv, model_out = _train_args(tmp_path, train, dev, "discrete")

@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ def test_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ContainerError):
         TrfModel.load(path)
+
+
+def test_failed_write_leaves_existing_file_intact(tmp_path):
+    path = tmp_path / "model.trf"
+    _mixed_model(seed=8).save(path)
+    before = path.read_bytes()
+    # a file-size limit below the new file's size makes its write fail partway
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(before), hard))
+    try:
+        with pytest.raises(OSError):
+            write_container(path, {"kind": "trf-model"}, {"zeta": np.zeros(len(before))})
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.trf"]
 
 
 def test_noise_sidecar_roundtrip(tmp_path):

@@ -77,19 +77,19 @@ def _tiny_setup(seed=0):
 def test_grad_estimate_zeta_direction():
     model, noise = _tiny_setup()
     D = [(1, 2)]
-    bundle = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
+    grads = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
     # a length-2 sentence only touches zeta_2, and the component is -delta
-    assert bundle.g_zeta[0] == 0.0
-    assert bundle.g_zeta[2] == 0.0
-    assert bundle.g_zeta[1] < 0.0
+    assert grads["zeta"][0] == 0.0
+    assert grads["zeta"][2] == 0.0
+    assert grads["zeta"][1] < 0.0
 
 
 def test_grad_estimate_zeta_only_lengths_present():
     model, noise = _tiny_setup()
     D = [(1,), (0, 1)]
     B2 = [(2, 2)]
-    bundle = trainer.grad_estimate(model, noise, D, [], B2, 0.5, 1.0)
-    assert bundle.g_zeta[2] == 0.0  # no length-3 sentences in the batch
+    grads = trainer.grad_estimate(model, noise, D, [], B2, 0.5, 1.0)
+    assert grads["zeta"][2] == 0.0  # no length-3 sentences in the batch
 
 
 def test_grad_estimate_extreme_posteriors_zero_bundle():
@@ -98,9 +98,9 @@ def test_grad_estimate_extreme_posteriors_zero_bundle():
     # P(C=0) ~ 1 on B2 -- wrong direction; flip for the zero case
     model.lam[:] = 60.0
     D = [(1, 2)]
-    bundle = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
-    assert np.abs(bundle.g_lambda).max() == pytest.approx(0.0, abs=1e-12)
-    assert np.abs(bundle.g_zeta).max() == pytest.approx(0.0, abs=1e-12)
+    grads = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
+    assert np.abs(grads["lam"]).max() == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(grads["zeta"]).max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grad_estimate_matches_exact_enumeration_in_expectation():
@@ -223,14 +223,33 @@ def test_train_epoch_step_count_and_log(tmp_path):
     float(fields[1])  # dev ll parses
 
 
-def test_train_resume_reproduces_uninterrupted(tmp_path):
+class _Interrupt(Exception):
+    pass
+
+
+class _InterruptAtEpoch:
+    """Log sink that stops a run while it logs the given epoch, before
+    that epoch's checkpoint is written: a crash with the full config."""
+
+    def __init__(self, epoch):
+        self.prefix = "%d\t" % epoch
+
+    def write(self, line):
+        if line.startswith(self.prefix):
+            raise _Interrupt
+
+    def flush(self):
+        pass
+
+
+def _resume_setup(average_tail):
     rng = np.random.default_rng(9)
     V, L = 3, 3
     data = _small_corpus(rng, V, L, 30)
     prior = length_prior(data, L)
     cfg = trainer.DnceConfig(
         alpha=0.5, nu=1.0, batch_size=10, lr_noise=0.3, max_epochs=4,
-        seed=21, schedule="per-epoch-halving", halve_every=2,
+        seed=21, schedule="per-epoch-halving", halve_every=2, average_tail=average_tail,
     )
 
     def fresh():
@@ -239,16 +258,27 @@ def test_train_resume_reproduces_uninterrupted(tmp_path):
             noise_mod.init_noise_model(V, 3, prior, seed=2),
         )
 
+    return data, cfg, fresh
+
+
+@pytest.mark.parametrize("average_tail", [0, 9])
+def test_train_resume_reproduces_uninterrupted(tmp_path, average_tail):
+    # with average_tail=9 the averaging window (steps 4-12) straddles the
+    # epoch-2 checkpoint (step 6)
+    data, cfg, fresh = _resume_setup(average_tail)
+
     # uninterrupted run
     m_full, n_full = fresh()
     trainer.train(copy.deepcopy(cfg), data, data[:10], m_full, n_full)
 
-    # interrupted after 2 epochs, then resumed
-    ckpt = tmp_path / "ckpt.pkl"
+    # interrupted during epoch 3, then resumed from the epoch-2 checkpoint
+    ckpt = tmp_path / "ckpt"
     m_half, n_half = fresh()
-    cfg_half = copy.deepcopy(cfg)
-    cfg_half.max_epochs = 2
-    trainer.train(cfg_half, data, data[:10], m_half, n_half, checkpoint_path=ckpt)
+    with pytest.raises(_Interrupt):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], m_half, n_half,
+            log_sink=_InterruptAtEpoch(3), checkpoint_path=ckpt,
+        )
     cfg_rest = copy.deepcopy(cfg)
     trainer.train(
         cfg_rest, data, data[:10], m_half, n_half, checkpoint_path=ckpt, resume=True
@@ -257,6 +287,21 @@ def test_train_resume_reproduces_uninterrupted(tmp_path):
     assert (m_half.zeta == m_full.zeta).all()
     for k in n_full.params:
         assert (n_half.params[k] == n_full.params[k]).all()
+
+
+def test_train_resume_refuses_changed_averaging_window(tmp_path):
+    # a 2-epoch run averages its own last 9 steps (1-6); the 4-epoch run
+    # resumed from it would need the average of steps 4-6
+    data, cfg, fresh = _resume_setup(9)
+    ckpt = tmp_path / "ckpt"
+    model, noise = fresh()
+    cfg_half = copy.deepcopy(cfg)
+    cfg_half.max_epochs = 2
+    trainer.train(cfg_half, data, data[:10], model, noise, checkpoint_path=ckpt)
+    with pytest.raises(trainer.TrainerError, match="average of 6 steps"):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], model, noise, checkpoint_path=ckpt, resume=True
+        )
 
 
 def test_train_stops_when_lr_floor_reached():
