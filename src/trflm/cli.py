@@ -257,7 +257,7 @@ def cmd_rescore(args):
 def cmd_sample(args):
     noise, vocab = load_noise_model(args.noise)
     rng = np.random.default_rng(args.seed)
-    for s in noise_mod.sample(noise, args.count, rng):
+    for s in noise_mod.sample(noise, args.count, rng)[0]:
         print(" ".join(vocab.words[i] for i in s))
     return 0
 
@@ -287,7 +287,7 @@ def cmd_oracle_check(args):
     s = tuple(rng.integers(0, V, size=L))
 
     def phi_of(v):
-        return neural.phi_forward(s, neural.unpack_params(v, shapes))[0]
+        return float(neural.phi_forward_batch([s], neural.unpack_params(v, shapes))[0][0])
 
     g_num = oracle_mod.finite_diff(phi_of, vec)
     _, cache = neural.phi_forward_batch([s], model.phi_params)

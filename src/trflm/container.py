@@ -28,7 +28,7 @@ def write_container(path, manifest: dict, arrays: dict):
     rename it onto path: a failed write leaves any file at path intact."""
     manifest = dict(manifest)
     manifest["format_version"] = FORMAT_VERSION
-    converted = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
+    converted = {name: np.asarray(arrays[name], dtype="<f8", order="C") for name in sorted(arrays)}
     manifest["arrays"] = [{"name": k, "shape": list(a.shape)} for k, a in converted.items()]
     tmp = "%s.%d.tmp" % (path, os.getpid())
     digest = hashlib.sha256()
@@ -45,33 +45,38 @@ def write_container(path, manifest: dict, arrays: dict):
 
 
 def read_container(path):
+    """Read a container, copying each array's bytes once out of the file
+    buffer; any damage to the file raises ContainerError."""
     with open(path, "rb") as fh:
         data = fh.read()
     tail_len = len(_CHK_TAG) + 64
     if len(data) < len(MAGIC) + tail_len or not data.startswith(MAGIC):
         raise ContainerError("not a trflm container: %s" % path)
-    payload, tail = data[:-tail_len], data[-tail_len:]
-    if not tail.startswith(_CHK_TAG):
+    end = len(data) - tail_len
+    if not data.startswith(_CHK_TAG, end):
         raise ContainerError("truncated file (checksum trailer missing): %s" % path)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    if tail[len(_CHK_TAG):] != digest:
+    view = memoryview(data)
+    digest = hashlib.sha256(view[:end]).hexdigest().encode("ascii")
+    if view[end + len(_CHK_TAG) :] != digest:
         raise ContainerError("checksum mismatch: %s" % path)
-    body = payload[len(MAGIC):]
-    nl = body.index(b"\n")
-    manifest = json.loads(body[:nl].decode("utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
+    try:
+        nl = data.index(b"\n", len(MAGIC), end)
+        manifest = json.loads(data[len(MAGIC) : nl].decode("utf-8"))
+        version = manifest.get("format_version")
+    except (ValueError, AttributeError) as exc:
+        raise ContainerError("unreadable manifest in %s: %s" % (path, exc)) from None
+    if version != FORMAT_VERSION:
         raise ContainerError(
-            "unsupported format version %r (expected %d)"
-            % (manifest.get("format_version"), FORMAT_VERSION)
+            "unsupported format version %r (expected %d)" % (version, FORMAT_VERSION)
         )
     arrays = {}
     pos = nl + 1
     for desc in manifest["arrays"]:
         shape = tuple(desc["shape"])
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = body[pos : pos + 8 * n]
-        if len(raw) != 8 * n:
+        if pos + 8 * n > end:
             raise ContainerError("truncated array payload for %r" % desc["name"])
+        raw = view[pos : pos + 8 * n]
         arrays[desc["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         pos += 8 * n
     return manifest, arrays

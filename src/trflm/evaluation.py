@@ -97,11 +97,6 @@ def model_scorer(model):
     return score
 
 
-def interpolate(scorers, sentence) -> float:
-    """Equal-weight log-linear interpolation: the mean of the log-scores."""
-    return ScorerSet.equal_weights(scorers).score(sentence)
-
-
 def score_nbest(nbest: NBestList, scorers: ScorerSet, lm_weight=1.0):
     """combined = aux + lm_weight * weighted LM scores; sorted descending.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -98,16 +99,16 @@ class FeatureIndex:
     def n_features(self):
         return len(self.keys)
 
-    def _values(self, sentence, template: Template):
-        """Yield the value tuple of each in-bounds placement."""
-        if template.source == "class":
-            seq = [self.class_of(w) for w in sentence]
-        else:
-            seq = sentence
-        span = template.span
-        offs = template.offsets
-        for start in range(len(seq) - span + 1):
-            yield tuple(seq[start + o] for o in offs)
+    def _placements(self, sentence):
+        """Per template, an iterator over the value tuple of each in-bounds
+        placement; the class sequence is computed once per sentence."""
+        seqs = {"word": sentence}
+        for template in self.template_set.templates:
+            if template.source not in seqs:
+                seqs["class"] = [self.class_of(w) for w in sentence]
+            seq = seqs[template.source]
+            n = max(len(seq) - template.span + 1, 0)
+            yield zip(*(seq[o : o + n] for o in template.offsets))
 
     def class_of(self, word_id):
         if self.class_map is None:
@@ -132,9 +133,8 @@ def build_feature_index(
     scratch = FeatureIndex(template_set, [], class_map)
     counts = Counter()
     for s in sentences:
-        for tid, template in enumerate(template_set.templates):
-            for values in scratch._values(s, template):
-                counts[(tid, values)] += 1
+        for tid, values in enumerate(scratch._placements(s)):
+            counts.update(zip(repeat(tid), values))
     keys = [
         key
         for key, c in counts.items()
@@ -146,20 +146,32 @@ def build_feature_index(
 
 def extract(sentence, index: FeatureIndex):
     """Sparse feature vector f(x^l) as (feature id, count) pairs, ids increasing."""
-    counts = Counter()
-    for tid, template in enumerate(index.template_set.templates):
-        for values in index._values(sentence, template):
-            fid = index.key_to_id.get((tid, values))
-            if fid is not None:
-                counts[fid] += 1
-    return sorted(counts.items())
+    keys = (zip(repeat(tid), values) for tid, values in enumerate(index._placements(sentence)))
+    ids = [f for k in keys for f in map(index.key_to_id.get, k) if f is not None]
+    return sorted(Counter(ids).items())
 
 
-def feature_counts_dense(sentence, index: FeatureIndex) -> np.ndarray:
-    out = np.zeros(index.n_features, dtype=np.float64)
-    for fid, c in extract(sentence, index):
-        out[fid] = c
-    return out
+def extract_batch(sentences, index: FeatureIndex):
+    """The sparse feature vectors of a batch as flat arrays (row, fid, count):
+    row j lists extract(sentences[j]), one extract call per sentence."""
+    pairs = [extract(s, index) for s in sentences]
+    row = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), np.int64, 2 * len(row))
+    fid, counts = flat.reshape(-1, 2).T
+    return row, fid, counts
+
+
+def batch_potential(occurrences, lam, n_rows) -> np.ndarray:
+    """lambda^T f(x) for each row of an extract_batch result, summed in the
+    same order as linear_potential."""
+    row, fid, counts = occurrences
+    return np.bincount(row, weights=lam[fid] * counts, minlength=n_rows)
+
+
+def batch_gradient(occurrences, weights, n_features) -> np.ndarray:
+    """sum_j weights[j] f(x_j) over the rows of an extract_batch result."""
+    row, fid, counts = occurrences
+    return np.bincount(fid, weights=weights[row] * counts, minlength=n_features)
 
 
 def linear_potential(sentence, index: FeatureIndex, lam: np.ndarray) -> float:

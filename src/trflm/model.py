@@ -95,15 +95,21 @@ class TrfModel:
         return float(self.log_weight_batch([tuple(sentence)])[0])
 
     def log_weight_batch(self, sentences) -> np.ndarray:
+        return self.potential_batch(sentences)[0]
+
+    def potential_batch(self, sentences):
+        """Unnormalized potentials of a batch with what their gradients need:
+        (values, feature occurrences as extract_batch gives them, phi cache);
+        the parts the model lacks are None."""
         vals = np.zeros(len(sentences))
+        occurrences = cache = None
         if self.has_discrete:
-            vals += np.array(
-                [feats.linear_potential(s, self.feature_index, self.lam) for s in sentences]
-            )
+            occurrences = feats.extract_batch(sentences, self.feature_index)
+            vals += feats.batch_potential(occurrences, self.lam, len(sentences))
         if self.has_neural:
-            phis, _ = neural.phi_forward_batch(sentences, self.phi_params)
+            phis, cache = neural.phi_forward_batch(sentences, self.phi_params)
             vals += phis
-        return vals
+        return vals, occurrences, cache
 
     def log_prob(self, sentence) -> float:
         l = len(sentence)
@@ -129,7 +135,7 @@ class TrfModel:
             "has_neural": self.has_neural,
             "n_layers": neural.n_layers_of(self.phi_params) if self.has_neural else 0,
             "feature_keys": (
-                [[tid, list(vals)] for tid, vals in self.feature_index.keys]
+                [[int(tid), [int(v) for v in vals]] for tid, vals in self.feature_index.keys]
                 if self.has_discrete
                 else None
             ),

@@ -19,12 +19,9 @@ class NeuralError(ValueError):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def init_phi_params(V, d, n_layers=1, seed=0):
@@ -262,19 +259,3 @@ def phi_backward_batch(cache, weights):
     np.add.at(demb, ids.ravel(), de.reshape(-1, e.shape[2]))
     grads["emb"] = demb
     return grads
-
-
-def phi_forward(sentence, params):
-    """Single-sentence potential; returns (value, cache)."""
-    vals, cache = phi_forward_batch([tuple(sentence)], params)
-    return float(vals[0]), cache
-
-
-def phi_backward(cache, scale, grad_acc):
-    """Accumulate scale * dphi/dtheta into grad_acc (dict of arrays)."""
-    grads = phi_backward_batch(cache, np.array([scale]))
-    for k, g in grads.items():
-        if grad_acc[k].shape != g.shape:
-            raise NeuralError("gradient shape mismatch for %r" % k)
-        grad_acc[k] += g
-    return grad_acc

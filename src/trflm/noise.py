@@ -89,35 +89,46 @@ def noise_log_prob(model: NoiseModel, sentence) -> float:
     return lp_len + float(seq_log_prob_batch(model, [tuple(sentence)])[0])
 
 
-def sample(model: NoiseModel, count, rng) -> list:
+def sample(model: NoiseModel, count, rng):
     """Draw `count` sentences: length from pi, then words autoregressively.
 
-    Deterministic given the rng state: lengths first, then one uniform
-    per chain per step in fixed chain order.
+    Returns (sentences, log_p), where log_p[j] is draw j's word-sequence
+    log-probability (length-prior factor excluded) read off the same
+    log-softmax the draw used, so it agrees with seq_log_prob_batch on
+    the draws to rounding. Deterministic given the rng state: lengths first, then one
+    uniform per chain per step in fixed chain order.
     """
     if count <= 0:
-        return []
+        return [], np.zeros(0)
     L = model.prior.max_length
     lengths = rng.choice(np.arange(1, L + 1), size=count, p=model.prior.probs)
     T = int(lengths.max())
-    d = model.params["emb"].shape[1]
+    p = model.params
+    d = p["emb"].shape[1]
     h = np.zeros((count, d))
     c = np.zeros((count, d))
-    W, U, b = model.params["W"], model.params["U"], model.params["b"]
     tokens = np.zeros((T, count), dtype=np.int64)
+    log_p = np.zeros(count)
     prev = np.full(count, model.bos_id, dtype=np.int64)
+    rows = np.arange(count)
+    # (count, V) work buffers, filled in place at every step
+    logp = np.empty((count, model.V))
+    cdf = np.empty((count, model.V))
+    below = np.empty((count, model.V), dtype=bool)
     for t in range(T):
-        h, c, _ = lstm_cell(model.params["emb"][prev], h, c, W, U, b)
-        logits = h @ model.params["Wo"] + model.params["bo"]
-        logp = _log_softmax(logits)
-        cdf = np.cumsum(np.exp(logp), axis=1)
+        h, c, _ = lstm_cell(p["emb"][prev], h, c, p["W"], p["U"], p["b"])
+        np.matmul(h, p["Wo"], out=logp)
+        logp += p["bo"]
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp, out=cdf).sum(axis=1, keepdims=True))
+        np.cumsum(np.exp(logp, out=cdf), axis=1, out=cdf)
         u = rng.random(count)
-        idx = np.minimum(
-            (cdf < u[:, None]).sum(axis=1), model.V - 1
-        )
+        np.less(cdf, u[:, None], out=below)
+        idx = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
         tokens[t] = idx
+        log_p += logp[rows, idx] * (t < lengths)
         prev = idx
-    return [tuple(tokens[: lengths[j], j]) for j in range(count)]
+    return [tuple(row[:l]) for row, l in zip(tokens.T.tolist(), lengths)], log_p
 
 
 def nll_and_grads(model: NoiseModel, sentences):

@@ -64,55 +64,44 @@ def minibatch_sizes(alpha, nu, d_size):
 
 
 def posterior_c0(score_m, log_p_ar, nu):
-    """P(C = 0 | x): model vs scaled noise, in the log domain.
+    """P(C = 0 | x): model vs scaled noise, in the log domain, elementwise.
 
     score_m is (potential - zeta_l); log_p_ar the noise word-sequence
     log-probability. The length prior cancels in the ratio, so neither
     input includes it.
     """
     delta = score_m - log_p_ar - math.log(nu)
-    if delta >= 0:
-        return 1.0 / (1.0 + math.exp(-delta))
-    e = math.exp(delta)
-    return e / (1.0 + e)
+    return np.exp(-np.logaddexp(0.0, -delta))
 
 
-def grad_estimate(model, noise, D, B1, B2, alpha, nu) -> dict:
+def grad_estimate(model, noise, D, B1, B2, log_p_b, alpha, nu) -> dict:
     """Stochastic ascent gradient on the discrimination objective, keyed
     like model.params().
 
+    log_p_b holds the noise word-sequence log-probabilities of B1 + B2,
+    as noise.sample returns them with the draws; only D is scored here.
     Sentences in D u B1 contribute +P(C=1) * g, sentences in B2
     contribute -P(C=0) * g, everything scaled by alpha/|D|, where g is
     (f(x^l), dphi/dtheta, -delta(l = k)).
     """
     if not D:
         raise TrainerError("empty data minibatch")
-    mixture = list(D) + list(B1)
-    sents = mixture + list(B2)
+    if len(log_p_b) != len(B1) + len(B2):
+        raise TrainerError("need one noise log-probability per sentence of B1 and B2")
+    n_mix = len(D) + len(B1)
+    sents = list(D) + list(B1) + list(B2)
     lengths = np.array([len(s) for s in sents], dtype=np.int64)
-    score_m = model.log_weight_batch(sents) - model.zeta[lengths - 1]
-    log_ar = noise_mod.seq_log_prob_batch(noise, sents)
+    potential, occurrences, cache = model.potential_batch(sents)
+    log_ar = np.concatenate([noise_mod.seq_log_prob_batch(noise, D), log_p_b])
+    p0 = posterior_c0(potential - model.zeta[lengths - 1], log_ar, nu)
     scale = alpha / len(D)
-    weights = np.empty(len(sents))
-    for j in range(len(sents)):
-        p0 = posterior_c0(score_m[j], log_ar[j], nu)
-        if j < len(mixture):
-            weights[j] = scale * (1.0 - p0)
-        else:
-            weights[j] = -scale * p0
+    weights = np.concatenate([scale * (1.0 - p0[:n_mix]), -scale * p0[n_mix:]])
 
     g_lambda = None
     if model.has_discrete:
-        g_lambda = np.zeros(model.feature_index.n_features)
-        for j, s in enumerate(sents):
-            wj = weights[j]
-            if wj == 0.0:
-                continue
-            for fid, c in feats.extract(s, model.feature_index):
-                g_lambda[fid] += wj * c
+        g_lambda = feats.batch_gradient(occurrences, weights, model.feature_index.n_features)
     g_theta = None
     if model.has_neural:
-        _, cache = neural.phi_forward_batch(sents, model.phi_params)
         g_theta = neural.phi_backward_batch(cache, weights)
     g_zeta = np.zeros(model.max_length)
     np.subtract.at(g_zeta, lengths - 1, weights)
@@ -141,13 +130,6 @@ class AdamState:
             mhat = self.m[k] / corr1
             vhat = self.v[k] / corr2
             params[k] += lrs[k] * mhat / (np.sqrt(vhat) + self.EPS)
-
-
-def adam_step(param: np.ndarray, grad: np.ndarray, lr, state: AdamState):
-    """Single-array convenience wrapper around AdamState.step."""
-    holder = {"p": param}
-    state.step(holder, {"p": grad}, {"p": lr})
-    return holder["p"]
 
 
 def dev_log_likelihood(model, dev_sentences) -> float:
@@ -274,9 +256,10 @@ def train(
         for b in range(steps_per_epoch):
             D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
             b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
-            drawn = noise_mod.sample(noise, b1 + b2, rng)
-            B1, B2 = drawn[:b1], drawn[b1:]
-            grads = grad_estimate(model, noise, D, B1, B2, config.alpha, config.nu)
+            drawn, log_p_drawn = noise_mod.sample(noise, b1 + b2, rng)
+            grads = grad_estimate(
+                model, noise, D, drawn[:b1], drawn[b1:], log_p_drawn, config.alpha, config.nu
+            )
             adam.step(params, grads, lrs)
             noise_mod.noise_train_step(noise, D, config.lr_noise)
             step_count += 1

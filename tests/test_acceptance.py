@@ -24,6 +24,8 @@ from trflm import trainer
 from trflm.corpus import LengthPrior, Vocabulary
 from trflm.model import TrfModel, zeta_init
 
+import helpers
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -89,7 +91,7 @@ def test_criterion_02_gradient_suite():
     s = (1, 0)
     vec, shapes = neural.pack_params(phi)
     num = oracle.finite_diff(
-        lambda v: neural.phi_forward(s, neural.unpack_params(v, shapes))[0], vec
+        lambda v: helpers.phi_forward(s, neural.unpack_params(v, shapes))[0], vec
     )
     _, cache = neural.phi_forward_batch([s], phi)
     ana, _ = neural.pack_params(neural.phi_backward_batch(cache, np.ones(1)))

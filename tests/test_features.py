@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trflm import features as feats
+from trflm import corpus as corpus_mod
 from trflm.corpus import ClassMap
+
+import helpers
 
 
 def test_compile_word_templates_order_3():
@@ -126,7 +131,7 @@ def test_linear_potential_matches_dense_dot():
     index = feats.build_feature_index(corpus, tset, "000")
     lam = rng.normal(size=index.n_features)
     for s in corpus[:10]:
-        dense = feats.feature_counts_dense(s, index)
+        dense = helpers.feature_counts_dense(s, index)
         assert feats.linear_potential(s, index, lam) == pytest.approx(float(dense @ lam))
 
 
@@ -162,3 +167,37 @@ def test_extract_independent_of_insertion_history():
     assert index_a.keys == index_b.keys
     for s in corpus_a:
         assert feats.extract(s, index_a) == feats.extract(s, index_b)
+
+
+def test_extract_batch_equals_per_sentence_extract_on_bundled_sentences():
+    path = Path(__file__).resolve().parent.parent / "data" / "train.txt"
+    with open(path, encoding="utf-8") as fh:
+        lines = [next(fh) for _ in range(400)]
+    vocab = corpus_mod.build_vocab(lines, 500)
+    sents = [corpus_mod.encode(line, vocab) for line in lines]
+    class_map = ClassMap(np.arange(vocab.size) % 17, 17)
+    tset = feats.compile_templates("w+c+ws+cs:3", class_map_present=True)
+    index = feats.build_feature_index(sents[:300], tset, "001", class_map=class_map)
+    batch = sents[250:] + [(1,), (2, 3)]  # half unseen, and shorter than most spans
+    row, fid, counts = feats.extract_batch(batch, index)
+    assert len(row) > 1000
+    for j, s in enumerate(batch):
+        on_row = row == j
+        assert list(zip(fid[on_row].tolist(), counts[on_row].tolist())) == feats.extract(s, index)
+    lam = np.random.default_rng(0).normal(size=index.n_features)
+    potential = feats.batch_potential((row, fid, counts), lam, len(batch))
+    assert potential.tolist() == [feats.linear_potential(s, index, lam) for s in batch]
+    weights = np.random.default_rng(1).normal(size=len(batch))
+    want = np.zeros(index.n_features)
+    for j, s in enumerate(batch):
+        for f, c in feats.extract(s, index):
+            want[f] += weights[j] * c
+    assert feats.batch_gradient((row, fid, counts), weights, index.n_features).tolist() == want.tolist()
+
+
+def test_extract_batch_empty():
+    tset = feats.TemplateSet([feats.Template("word", (0, 1))], 2)
+    index = feats.build_feature_index([(1, 2)], tset, [0, 0])
+    row, fid, counts = feats.extract_batch([], index)
+    assert len(row) == len(fid) == len(counts) == 0
+    assert feats.batch_potential((row, fid, counts), np.ones(1), 0).shape == (0,)

@@ -15,6 +15,8 @@ from trflm.model import (
     zeta_init,
 )
 
+import helpers
+
 
 def _vocab(V):
     return Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)])
@@ -73,7 +75,7 @@ def test_log_weight_discrete_only_equals_linear_potential():
 def test_log_weight_is_component_sum():
     m = _mixed_model(seed=2)
     s = (0, 2, 1)
-    expected = feats.linear_potential(s, m.feature_index, m.lam) + neural.phi_forward(
+    expected = feats.linear_potential(s, m.feature_index, m.lam) + helpers.phi_forward(
         s, m.phi_params
     )[0]
     assert m.log_weight(s) == pytest.approx(expected, rel=1e-12)
@@ -93,7 +95,7 @@ def test_log_prob_decomposes():
     expected = (
         math.log(m.prior.prob(2))
         + feats.linear_potential(s, m.feature_index, m.lam)
-        + neural.phi_forward(s, m.phi_params)[0]
+        + helpers.phi_forward(s, m.phi_params)[0]
         - m.zeta[1]
     )
     assert m.log_prob(s) == pytest.approx(expected, rel=1e-12)
@@ -116,6 +118,23 @@ def test_save_load_bit_identical_scores(tmp_path):
         l = int(rng.integers(1, 4))
         s = tuple(rng.integers(0, 3, size=l))
         assert loaded.log_prob(s) == m.log_prob(s)  # bit-exact
+
+
+def test_save_load_index_built_from_numpy_integers(tmp_path):
+    rng = np.random.default_rng(7)
+    V, L = 6, 4
+    corpus = [tuple(rng.integers(0, V, size=l)) for l in rng.integers(1, L + 1, size=40)]
+    index = feats.build_feature_index(corpus, feats.compile_templates("w:2"), "00")
+    prior = LengthPrior(np.full(L, 1.0 / L))
+    m = TrfModel(
+        _vocab(V), prior, zeta_init(V, L), feature_index=index,
+        lam=rng.normal(size=index.n_features), template_spec="w:2",
+    )
+    path = tmp_path / "np-keys.trf"
+    m.save(path)
+    loaded = TrfModel.load(path)
+    assert loaded.feature_index.keys == index.keys
+    assert np.array_equal(loaded.log_prob_batch(corpus), m.log_prob_batch(corpus))
 
 
 def test_save_load_discrete_only(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from trflm import neural, oracle
 
+import helpers
+
 
 def _random_params(V, d, n_layers=1, seed=0, scale=0.5):
     rng = np.random.default_rng(seed)
@@ -33,9 +35,28 @@ def test_paper_scale_config_shapes():
     assert p["fwd0_U"].shape == (200, 800)
 
 
+def _masked_sigmoid(x):
+    """The gate activation as first written, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.normal(0.0, 5.0, 10000), rng.normal(0.0, 400.0, 1000),
+        [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2, np.inf, -np.inf],
+    ])
+    assert neural._sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+
 def test_phi_length_one_is_zero():
     params = _random_params(4, 3, seed=1)
-    value, _ = neural.phi_forward((2,), params)
+    value, _ = helpers.phi_forward((2,), params)
     assert value == 0.0
 
 
@@ -44,7 +65,7 @@ def test_phi_zero_weights_is_zero():
     for k in params:
         if k != "emb":
             params[k] = np.zeros_like(params[k])
-    value, _ = neural.phi_forward((1, 2, 3), params)
+    value, _ = helpers.phi_forward((1, 2, 3), params)
     assert value == 0.0
 
 
@@ -67,15 +88,15 @@ def test_phi_matches_scalar_unroll():
     hf1, _ = cell_step(e[0], 0.0, 0.0, params["fwd0_W"], params["fwd0_U"], params["fwd0_b"])
     hb2, _ = cell_step(e[1], 0.0, 0.0, params["bwd0_W"], params["bwd0_U"], params["bwd0_b"])
     expected = hf1 * e[1] + hb2 * e[0]
-    value, _ = neural.phi_forward(s, params)
+    value, _ = helpers.phi_forward(s, params)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_phi_deterministic():
     params = _random_params(5, 4, seed=3)
     s = (0, 3, 2, 4)
-    v1, _ = neural.phi_forward(s, params)
-    v2, _ = neural.phi_forward(s, params)
+    v1, _ = helpers.phi_forward(s, params)
+    v2, _ = helpers.phi_forward(s, params)
     assert v1 == v2
 
 
@@ -83,7 +104,7 @@ def test_phi_independent_of_batch_grouping():
     params = _random_params(5, 3, seed=9)
     sents = [(0, 1, 2, 3, 4), (2, 2), (1,), (4, 0, 1)]
     batched, _ = neural.phi_forward_batch(sents, params)
-    singles = [neural.phi_forward(s, params)[0] for s in sents]
+    singles = [helpers.phi_forward(s, params)[0] for s in sents]
     assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
 
@@ -128,30 +149,30 @@ def test_gradient_check_random_configs():
 
 def test_backward_scale_zero_leaves_accumulator():
     params = _random_params(3, 2, seed=4)
-    _, cache = neural.phi_forward((0, 1, 2), params)
+    _, cache = helpers.phi_forward((0, 1, 2), params)
     acc = neural.zero_grads(params)
-    neural.phi_backward(cache, 0.0, acc)
+    helpers.phi_backward(cache, 0.0, acc)
     assert all((v == 0).all() for v in acc.values())
 
 
 def test_backward_accumulation_linearity():
     params = _random_params(3, 2, seed=6)
-    _, cache = neural.phi_forward((0, 1, 2), params)
+    _, cache = helpers.phi_forward((0, 1, 2), params)
     acc_ab = neural.zero_grads(params)
-    neural.phi_backward(cache, 0.3, acc_ab)
-    neural.phi_backward(cache, 0.9, acc_ab)
+    helpers.phi_backward(cache, 0.3, acc_ab)
+    helpers.phi_backward(cache, 0.9, acc_ab)
     acc_sum = neural.zero_grads(params)
-    neural.phi_backward(cache, 1.2, acc_sum)
+    helpers.phi_backward(cache, 1.2, acc_sum)
     for k in acc_ab:
         assert np.allclose(acc_ab[k], acc_sum[k], atol=1e-12)
 
 
 def test_backward_shape_mismatch():
     params = _random_params(3, 2, seed=4)
-    _, cache = neural.phi_forward((0, 1), params)
+    _, cache = helpers.phi_forward((0, 1), params)
     bad_acc = {k: np.zeros((1,)) for k in params}
     with pytest.raises(neural.NeuralError):
-        neural.phi_backward(cache, 1.0, bad_acc)
+        helpers.phi_backward(cache, 1.0, bad_acc)
 
 
 def test_doubled_embeddings_change_phi_smoothly():
@@ -159,16 +180,16 @@ def test_doubled_embeddings_change_phi_smoothly():
     # and the gradient check still passes at the new point
     params = _random_params(3, 3, seed=10)
     s = (0, 1, 2)
-    v1, _ = neural.phi_forward(s, params)
+    v1, _ = helpers.phi_forward(s, params)
     params2 = {k: (2.0 * v if k == "emb" else v.copy()) for k, v in params.items()}
-    v2, _ = neural.phi_forward(s, params2)
+    v2, _ = helpers.phi_forward(s, params2)
     assert v1 != v2
     _, cache = neural.phi_forward_batch([s], params2)
     ana = neural.phi_backward_batch(cache, np.ones(1))
     vec, shapes = neural.pack_params(params2)
 
     def fn(v):
-        return neural.phi_forward(s, neural.unpack_params(v, shapes))[0]
+        return helpers.phi_forward(s, neural.unpack_params(v, shapes))[0]
 
     num = oracle.finite_diff(fn, vec, epsilon=1e-5)
     got, _ = neural.pack_params(ana)

@@ -83,22 +83,47 @@ def test_conditionals_sum_to_one():
 def test_sample_count_zero():
     prior = LengthPrior(np.array([1.0]))
     m = _random_noise(2, 2, prior, seed=6)
-    assert noise.sample(m, 0, np.random.default_rng(0)) == []
+    sents, log_p = noise.sample(m, 0, np.random.default_rng(0))
+    assert sents == [] and log_p.shape == (0,)
 
 
 def test_sample_length_prior_concentrated():
     prior = LengthPrior(np.array([0.0, 1.0, 0.0]))
     m = _random_noise(3, 3, prior, seed=7)
-    samples = noise.sample(m, 50, np.random.default_rng(1))
+    samples, _ = noise.sample(m, 50, np.random.default_rng(1))
     assert all(len(s) == 2 for s in samples)
 
 
 def test_sample_deterministic_given_rng():
     prior = LengthPrior(np.array([0.4, 0.6]))
     m = _random_noise(3, 3, prior, seed=8)
-    a = noise.sample(m, 20, np.random.default_rng(5))
-    b = noise.sample(m, 20, np.random.default_rng(5))
+    a, lp_a = noise.sample(m, 20, np.random.default_rng(5))
+    b, lp_b = noise.sample(m, 20, np.random.default_rng(5))
     assert a == b
+    assert np.array_equal(lp_a, lp_b)
+
+
+# the draws of this model and seed, fixed: a change to the sampler's
+# arithmetic that alters any draw fails here
+GOLDEN_DRAWS = [
+    (6, 1, 1, 4), (1, 3, 1, 0), (5, 5, 4, 4), (4,), (1, 2, 0, 4), (1, 1, 1, 0),
+    (6, 5, 6), (2, 1), (2, 5, 3, 6), (4, 3, 2, 0), (2, 3), (0, 2, 1, 0),
+]
+
+
+def test_sample_golden_draws():
+    prior = LengthPrior(np.array([0.1, 0.2, 0.3, 0.4]))
+    m = noise.init_noise_model(7, 4, prior, seed=3)
+    sents, _ = noise.sample(m, 12, np.random.default_rng(21))
+    assert sents == GOLDEN_DRAWS
+
+
+def test_sample_log_p_equals_scoring():
+    prior = LengthPrior(np.array([0.1, 0.15, 0.2, 0.25, 0.2, 0.1]))
+    m = _random_noise(50, 8, prior, seed=12, scale=1.0)
+    sents, log_p = noise.sample(m, 40, np.random.default_rng(13))
+    assert len({len(s) for s in sents}) > 1  # padding and masking are exercised
+    np.testing.assert_allclose(log_p, noise.seq_log_prob_batch(m, sents), rtol=0, atol=1e-12)
 
 
 def test_sampling_matches_scoring():
@@ -107,7 +132,7 @@ def test_sampling_matches_scoring():
     prior = LengthPrior(np.array([0.35, 0.65]))
     m = _random_noise(2, 3, prior, seed=9)
     n = 50000
-    counts = Counter(noise.sample(m, n, np.random.default_rng(11)))
+    counts = Counter(noise.sample(m, n, np.random.default_rng(11))[0])
     space = oracle.EnumSpace(2, 2)
     for s in space.all_sentences():
         p = math.exp(noise.noise_log_prob(m, s))

@@ -6,9 +6,11 @@ import pytest
 
 from trflm import features as feats
 from trflm import noise as noise_mod
-from trflm import oracle, trainer
-from trflm.corpus import LengthPrior, Vocabulary, length_prior
+from trflm import neural, oracle, trainer
+from trflm.corpus import ClassMap, LengthPrior, Vocabulary, length_prior
 from trflm.model import TrfModel, zeta_init
+
+import helpers
 
 
 def _vocab(V):
@@ -77,7 +79,7 @@ def _tiny_setup(seed=0):
 def test_grad_estimate_zeta_direction():
     model, noise = _tiny_setup()
     D = [(1, 2)]
-    grads = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
+    grads = trainer.grad_estimate(model, noise, D, [], [], np.zeros(0), 0.5, 1.0)
     # a length-2 sentence only touches zeta_2, and the component is -delta
     assert grads["zeta"][0] == 0.0
     assert grads["zeta"][2] == 0.0
@@ -88,7 +90,8 @@ def test_grad_estimate_zeta_only_lengths_present():
     model, noise = _tiny_setup()
     D = [(1,), (0, 1)]
     B2 = [(2, 2)]
-    grads = trainer.grad_estimate(model, noise, D, [], B2, 0.5, 1.0)
+    log_p_b2 = noise_mod.seq_log_prob_batch(noise, B2)
+    grads = trainer.grad_estimate(model, noise, D, [], B2, log_p_b2, 0.5, 1.0)
     assert grads["zeta"][2] == 0.0  # no length-3 sentences in the batch
 
 
@@ -98,7 +101,7 @@ def test_grad_estimate_extreme_posteriors_zero_bundle():
     # P(C=0) ~ 1 on B2 -- wrong direction; flip for the zero case
     model.lam[:] = 60.0
     D = [(1, 2)]
-    grads = trainer.grad_estimate(model, noise, D, [], [], 0.5, 1.0)
+    grads = trainer.grad_estimate(model, noise, D, [], [], np.zeros(0), 0.5, 1.0)
     assert np.abs(grads["lam"]).max() == pytest.approx(0.0, abs=1e-12)
     assert np.abs(grads["zeta"]).max() == pytest.approx(0.0, abs=1e-12)
 
@@ -145,10 +148,73 @@ def test_grad_estimate_matches_exact_enumeration_in_expectation():
     assert np.abs(g_zeta).max() < 1e-8
 
 
+def _two_pass_grad_estimate(model, noise, D, B1, B2, alpha, nu):
+    """The DNCE gradient as computed before the one-pass step, kept as a
+    reference: per-sentence features extracted twice, the potential's
+    recurrent pass run twice, every sentence rescored by the noise LM, and
+    a scalar posterior per sentence."""
+    mixture = list(D) + list(B1)
+    sents = mixture + list(B2)
+    lengths = np.array([len(s) for s in sents], dtype=np.int64)
+    lin = np.array([feats.linear_potential(s, model.feature_index, model.lam) for s in sents])
+    phis, _ = neural.phi_forward_batch(sents, model.phi_params)
+    score_m = lin + phis - model.zeta[lengths - 1]
+    log_ar = noise_mod.seq_log_prob_batch(noise, sents)
+    scale = alpha / len(D)
+    weights = np.empty(len(sents))
+    for j in range(len(sents)):
+        delta = score_m[j] - log_ar[j] - math.log(nu)
+        if delta >= 0:
+            p0 = 1.0 / (1.0 + math.exp(-delta))
+        else:
+            p0 = math.exp(delta) / (1.0 + math.exp(delta))
+        weights[j] = scale * (1.0 - p0) if j < len(mixture) else -scale * p0
+    g_lambda = np.zeros(model.feature_index.n_features)
+    for j, s in enumerate(sents):
+        for fid, c in feats.extract(s, model.feature_index):
+            g_lambda[fid] += weights[j] * c
+    _, cache = neural.phi_forward_batch(sents, model.phi_params)
+    g_theta = neural.phi_backward_batch(cache, weights)
+    g_zeta = np.zeros(model.max_length)
+    np.subtract.at(g_zeta, lengths - 1, weights)
+    return model.named(g_zeta, g_lambda, g_theta)
+
+
+def test_grad_estimate_matches_two_pass_reference():
+    rng = np.random.default_rng(21)
+    V, L, d = 30, 8, 6
+    class_map = ClassMap(rng.integers(0, 5, size=V), 5)
+    corpus = _small_corpus(rng, V, L, 200)
+    tset = feats.compile_templates("w+c+ws+cs:3", class_map_present=True)
+    index = feats.build_feature_index(corpus, tset, "011", class_map=class_map)
+    prior = length_prior(corpus, L)
+    model = TrfModel(
+        _vocab(V), prior, zeta_init(V, L) + rng.normal(0.0, 2.0, L), feature_index=index,
+        lam=rng.normal(0.0, 0.3, index.n_features), phi_params=neural.init_phi_params(V, d, seed=4),
+        class_map=class_map, template_spec="w+c+ws+cs:3",
+    )
+    noise = noise_mod.init_noise_model(V, d, prior, seed=5)
+    D = corpus[:20]
+    drawn, log_p = noise_mod.sample(noise, 50, np.random.default_rng(6))
+    B1, B2 = drawn[:20], drawn[20:]
+    got = trainer.grad_estimate(model, noise, D, B1, B2, log_p, 0.4, 1.5)
+    want = _two_pass_grad_estimate(model, noise, D, B1, B2, 0.4, 1.5)
+    assert got.keys() == want.keys()
+    assert np.abs(got["lam"]).max() > 1e-3  # the check is not vacuous
+    for k in want:
+        np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_grad_estimate_needs_one_log_prob_per_draw():
+    model, noise = _tiny_setup()
+    with pytest.raises(trainer.TrainerError):
+        trainer.grad_estimate(model, noise, [(1, 2)], [(0,)], [(2, 2)], np.zeros(1), 0.5, 1.0)
+
+
 def test_adam_zero_gradient_no_move():
     state = trainer.AdamState()
     p = np.array([1.0, -2.0])
-    out = trainer.adam_step(p.copy(), np.zeros(2), 0.1, state)
+    out = helpers.adam_step(p.copy(), np.zeros(2), 0.1, state)
     assert (out == p).all()
     assert state.t == 1
 
@@ -157,7 +223,7 @@ def test_adam_first_step_magnitude():
     state = trainer.AdamState()
     p = np.zeros(3)
     g = np.array([0.5, -2.0, 1e-3])
-    out = trainer.adam_step(p, g, 0.1, state)
+    out = helpers.adam_step(p, g, 0.1, state)
     # bias-corrected first step moves ~lr in the gradient sign direction
     assert np.allclose(np.abs(out), 0.1, rtol=1e-4)
     assert np.sign(out).tolist() == np.sign(g).tolist()
@@ -171,7 +237,7 @@ def test_adam_converges_on_quadratic():
     d0 = np.linalg.norm(p - target)
     for _ in range(100):
         g = -2.0 * (p - target)
-        p = trainer.adam_step(p, g, 0.1, state)
+        p = helpers.adam_step(p, g, 0.1, state)
     assert np.linalg.norm(p - target) < d0
 
 
