@@ -17,7 +17,7 @@ from .corpus import (
 )
 from .features import build_feature_index, compile_templates, extract, linear_potential
 from .model import TrfModel, zeta_init
-from .noise import NoiseModel, init_noise_model, noise_log_prob, noise_train_step, sample
+from .noise import NoiseModel, init_noise_model, noise_train_step, sample
 from .trainer import DnceConfig, grad_estimate, minibatch_sizes, posterior_c0, train
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "length_prior",
     "linear_potential",
     "minibatch_sizes",
-    "noise_log_prob",
     "noise_train_step",
     "posterior_c0",
     "sample",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import neural
 from . import noise as noise_mod
 from . import oracle as oracle_mod
 from .model import TrfModel, load_noise_model, save_noise_model, zeta_init
-from .trainer import DnceConfig, train
+from .trainer import DnceConfig, TrainerError, train
 
 
 class ConfigError(ValueError):
@@ -58,14 +58,8 @@ CONFIG_DEFAULTS = {
     "resume": 0,
 }
 
-_INT_KEYS = {
-    "vocab_size", "max_train_length", "hidden_dim", "n_layers", "noise_dim",
-    "batch_size", "max_epochs", "seed", "resume",
-}
-_FLOAT_KEYS = {
-    "alpha", "nu", "lr_lambda", "lr_theta", "lr_zeta", "lr_noise",
-    "halving_threshold", "stop_ratio",
-}
+_INT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is int}
+_FLOAT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is float}
 
 
 def load_config(path=None, overrides=()):
@@ -126,7 +120,9 @@ def cmd_cluster(args):
     return 0
 
 
-def _validate_train_config(cfg):
+def _validate_train_config(cfg) -> DnceConfig:
+    """Check the train config and build the trainer's part of it, before
+    any file is read."""
     problems = []
     for key in ("train_corpus", "dev_corpus", "model_out"):
         if not cfg.get(key):
@@ -144,11 +140,15 @@ def _validate_train_config(cfg):
             problems.append("class features requested but no class_map configured")
     if problems:
         raise ConfigError("; ".join(problems))
+    try:
+        return DnceConfig(**{f.name: cfg[f.name] for f in fields(DnceConfig) if f.name in cfg})
+    except TrainerError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_train(args):
     cfg = load_config(args.config, args.set or [])
-    _validate_train_config(cfg)
+    dcfg = _validate_train_config(cfg)
     lines = _read_lines(cfg["train_corpus"])
     vocab = corpus_mod.build_vocab(lines, cfg["vocab_size"])
     train_sents = corpus_mod.read_corpus(
@@ -193,20 +193,6 @@ def cmd_train(args):
     )
     noise = noise_mod.init_noise_model(vocab.size, cfg["noise_dim"], prior, seed=cfg["seed"])
 
-    dcfg = DnceConfig(
-        alpha=cfg["alpha"],
-        nu=cfg["nu"],
-        batch_size=cfg["batch_size"],
-        lr_lambda=cfg["lr_lambda"],
-        lr_theta=cfg["lr_theta"],
-        lr_zeta=cfg["lr_zeta"],
-        lr_noise=cfg["lr_noise"],
-        halving_threshold=cfg["halving_threshold"],
-        stop_ratio=cfg["stop_ratio"],
-        max_epochs=cfg["max_epochs"],
-        seed=cfg["seed"],
-        schedule=cfg["schedule"],
-    )
     log_sink = open(cfg["log_out"], "a") if cfg.get("log_out") else sys.stderr
     try:
         train(
@@ -258,78 +244,19 @@ def cmd_sample(args):
     noise, vocab = load_noise_model(args.noise)
     rng = np.random.default_rng(args.seed)
     for s in noise_mod.sample(noise, args.count, rng)[0]:
-        print(" ".join(vocab.words[i] for i in s))
+        print(corpus_mod.decode(s, vocab))
     return 0
 
 
 def cmd_oracle_check(args):
-    V, L, d = args.vocab, args.max_length, args.dim
-    if V**L > oracle_mod.ENUM_GUARD:
-        print("refused: V^L = %d exceeds enumeration guard" % V**L, file=sys.stderr)
+    try:
+        rows = oracle_mod.self_check(args.vocab, args.max_length, args.dim, args.seed)
+    except oracle_mod.OracleError as exc:
+        print("refused: %s" % exc, file=sys.stderr)
         return 2
-    space = oracle_mod.EnumSpace(V, L)
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def report(name, ok, detail):
-        nonlocal failures
+    for name, ok, detail in rows:
         print("%s\t%s\t%s" % ("PASS" if ok else "FAIL", name, detail))
-        if not ok:
-            failures += 1
-
-    model, noise = _random_tiny_model(V, L, d, rng)
-    zeta_star = oracle_mod.exact_log_z(model, space)
-    model.zeta = zeta_star
-    total = sum(oracle_mod.exact_sentence_probs(model, space, zeta_star).values())
-    report("normalization", abs(total - 1.0) < 1e-9, "sum=%.12f" % total)
-
-    vec, shapes = neural.pack_params(model.phi_params)
-    s = tuple(rng.integers(0, V, size=L))
-
-    def phi_of(v):
-        return float(neural.phi_forward_batch([s], neural.unpack_params(v, shapes))[0][0])
-
-    g_num = oracle_mod.finite_diff(phi_of, vec)
-    _, cache = neural.phi_forward_batch([s], model.phi_params)
-    g_ana, _ = neural.pack_params(neural.phi_backward_batch(cache, np.ones(1)))
-    rel = np.max(np.abs(g_ana - g_num) / np.maximum(1e-6, np.abs(g_ana) + np.abs(g_num)))
-    report("phi-gradient", rel < 1e-4, "max rel err=%.2e" % rel)
-
-    data = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(20)]
-    data_probs = {k: c / len(data) for k, c in Counter(data).items()}
-    g_lam, g_theta, g_zeta = oracle_mod.exact_dnce_gradient(
-        model, noise, data_probs, 0.5, 1.0, space
-    )
-    params = model.params()
-    vecJ, shapesJ = neural.pack_params(params)
-
-    def j_of(v):
-        # perturb the model in place through its named arrays
-        for k, value in neural.unpack_params(v, shapesJ).items():
-            params[k][...] = value
-        return oracle_mod.exact_dnce_objective(model, noise, data_probs, 0.5, 1.0, space)
-
-    gJ_num = oracle_mod.finite_diff(j_of, vecJ, epsilon=1e-5)
-    gJ_ana, _ = neural.pack_params(model.named(g_zeta, g_lam, g_theta))
-    relJ = np.max(np.abs(gJ_ana - gJ_num) / np.maximum(1e-5, np.abs(gJ_ana) + np.abs(gJ_num)))
-    report("dnce-gradient", relJ < 1e-4, "max rel err=%.2e" % relJ)
-
-    return 0 if failures == 0 else 1
-
-
-def _random_tiny_model(V, L, d, rng):
-    words = ["<unk>"] + ["w%d" % i for i in range(1, V)]
-    vocab = corpus_mod.Vocabulary(words)
-    pi = rng.random(L) + 0.1
-    prior = corpus_mod.LengthPrior(pi / pi.sum())
-    tset = feats.compile_templates("w:2")
-    corpus = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(30)]
-    index = feats.build_feature_index(corpus, tset, "00")
-    lam = rng.uniform(-0.3, 0.3, index.n_features)
-    phi_params = neural.init_phi_params(V, d, seed=int(rng.integers(1 << 31)))
-    model = TrfModel(vocab, prior, zeta_init(V, L), feature_index=index, lam=lam, phi_params=phi_params)
-    noise = noise_mod.init_noise_model(V, d, prior, seed=int(rng.integers(1 << 31)))
-    return model, noise
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 def build_parser():

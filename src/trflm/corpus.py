@@ -158,11 +158,16 @@ class ClassMap:
         mapping = np.full(vocab.size, -1, dtype=np.int64)
         n_classes = 0
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 word, cid = line.rstrip("\n").split("\t")
-                mapping[vocab.id_of(word)] = int(cid)
+                if word not in vocab.ids:
+                    # mapping it to <unk> would overwrite <unk>'s own class
+                    raise CorpusError(
+                        "%s:%d: word %r is not in the vocabulary" % (path, lineno, word)
+                    )
+                mapping[vocab.ids[word]] = int(cid)
                 n_classes = max(n_classes, int(cid) + 1)
         if (mapping < 0).any():
             raise CorpusError("class map file does not cover the vocabulary")
@@ -175,24 +180,6 @@ def _xlogx(v):
     pos = v > 0
     out[pos] = v[pos] * np.log(v[pos])
     return out
-
-
-def class_bigram_log_likelihood(M, right_word_counts):
-    """Class-bigram ML log-likelihood of the corpus bigrams.
-
-    M is the class-to-class bigram count matrix. The per-word emission
-    term only involves word counts and is constant under reassignment,
-    but it is included so the n_classes = V case equals the plain bigram
-    log-likelihood.
-    """
-    l = M.sum(axis=1)
-    r = M.sum(axis=0)
-    return float(
-        _xlogx(M).sum()
-        - _xlogx(l).sum()
-        - _xlogx(r).sum()
-        + _xlogx(right_word_counts).sum()
-    )
 
 
 def cluster_words(
@@ -214,13 +201,11 @@ def cluster_words(
 
     word_counts = np.zeros(V, dtype=np.int64)
     succ = defaultdict(Counter)  # succ[w][v] = count of bigram (w, v)
-    right_counts = np.zeros(V, dtype=np.int64)
     for s in sentences:
         for w in s:
             word_counts[w] += 1
         for u, v in zip(s, s[1:]):
             succ[u][v] += 1
-            right_counts[v] += 1
     pred = defaultdict(Counter)
     for u, cnt in succ.items():
         for v, c in cnt.items():
@@ -236,8 +221,6 @@ def cluster_words(
     for u, cnt in succ.items():
         for v, c in cnt.items():
             M[cls[u], cls[v]] += c
-
-    right_const = _xlogx(right_counts).sum()
 
     def word_vectors(w):
         s_vec = np.zeros(n_classes)
@@ -333,15 +316,3 @@ def cluster_words(
         cls = np.array([remap[int(c)] for c in cls], dtype=np.int64)
         n_classes = len(used)
     return ClassMap(cls, n_classes)
-
-
-def clustering_objective(sentences, cls, n_classes):
-    """Recompute the exchange objective from scratch (test hook)."""
-    M = np.zeros((n_classes, n_classes), dtype=np.float64)
-    V = len(cls)
-    right_counts = np.zeros(V, dtype=np.int64)
-    for s in sentences:
-        for u, v in zip(s, s[1:]):
-            M[cls[u], cls[v]] += 1
-            right_counts[v] += 1
-    return class_bigram_log_likelihood(M, right_counts)

@@ -133,7 +133,6 @@ class TrfModel:
             "template_spec": self.template_spec,
             "has_discrete": self.has_discrete,
             "has_neural": self.has_neural,
-            "n_layers": neural.n_layers_of(self.phi_params) if self.has_neural else 0,
             "feature_keys": (
                 [[int(tid), [int(v) for v in vals]] for tid, vals in self.feature_index.keys]
                 if self.has_discrete

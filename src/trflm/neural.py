@@ -54,23 +54,6 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def pack_params(params):
-    keys = sorted(params)
-    vec = np.concatenate([params[k].ravel() for k in keys])
-    shapes = [(k, params[k].shape) for k in keys]
-    return vec, shapes
-
-
-def unpack_params(vec, shapes):
-    params = {}
-    pos = 0
-    for k, shape in shapes:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        params[k] = vec[pos : pos + n].reshape(shape)
-        pos += n
-    return params
-
-
 def lstm_cell(x, h, c, W, U, b):
     """One step of the gated cell over a batch, gates packed i|f|o|g:
     returns the new hidden and cell states and the gate activations."""

@@ -83,12 +83,6 @@ def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
     return (tok * mask[:, :, 0]).sum(axis=0)
 
 
-def noise_log_prob(model: NoiseModel, sentence) -> float:
-    """log pi_l + autoregressive word-sequence log-probability."""
-    lp_len = model.prior.log_prob(len(sentence))
-    return lp_len + float(seq_log_prob_batch(model, [tuple(sentence)])[0])
-
-
 def sample(model: NoiseModel, count, rng):
     """Draw `count` sentences: length from pi, then words autoregressively.
 

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as feats
-from .noise import seq_log_prob_batch
+from . import neural
+from .corpus import LengthPrior, Vocabulary
+from .model import TrfModel, zeta_init
+from .noise import init_noise_model, seq_log_prob_batch
+from .trainer import posterior_c0
 
 ENUM_GUARD = 10**7
 
@@ -95,19 +100,42 @@ def empirical_expectations(sentences, feature_index) -> np.ndarray:
     return out / max(1, len(sentences))
 
 
-def finite_diff(fn, params: np.ndarray, epsilon=1e-5) -> np.ndarray:
-    """Central differences of a scalar function, coordinate by coordinate."""
+def finite_diff(fn, arrays, epsilon=1e-5) -> dict:
+    """Central differences of the scalar fn() with respect to every element
+    of the named float64 arrays, perturbed in place: each element is set to
+    x + epsilon, then x - epsilon, then restored to the saved x, so the
+    arrays end exactly as they began. Returns gradients under the same names."""
     if epsilon <= 0:
         raise OracleError("epsilon must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        plus = params.copy()
-        minus = params.copy()
-        plus.flat[i] += epsilon
-        minus.flat[i] -= epsilon
-        grad.flat[i] = (fn(plus) - fn(minus)) / (2.0 * epsilon)
-    return grad
+    grads = {}
+    for name, a in arrays.items():
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+            raise OracleError("%r is not a float64 array" % name)
+        g = np.empty(a.shape)
+        for i in range(a.size):
+            x = a.flat[i]
+            a.flat[i] = x + epsilon
+            f_plus = fn()
+            a.flat[i] = x - epsilon
+            f_minus = fn()
+            a.flat[i] = x
+            g.flat[i] = (f_plus - f_minus) / (2.0 * epsilon)
+        grads[name] = g
+    return grads
+
+
+def gradient_error(fn, arrays, grads, floor) -> float:
+    """Max relative error |a - n| / max(floor, |a| + |n|) of the analytic
+    gradients `grads` against finite_diff(fn, arrays); both dicts must name
+    the same arrays with the same shapes."""
+    shapes = {k: a.shape for k, a in arrays.items()}
+    got = {k: np.shape(g) for k, g in grads.items()}
+    if got != shapes:
+        raise OracleError("gradients %s do not match the arrays %s" % (got, shapes))
+    numeric = finite_diff(fn, arrays)
+    a = np.concatenate([np.ravel(grads[k]) for k in arrays])
+    n = np.concatenate([numeric[k].ravel() for k in arrays])
+    return float(np.max(np.abs(a - n) / np.maximum(floor, np.abs(a) + np.abs(n))))
 
 
 def noise_sentence_probs(noise_model, space: EnumSpace):
@@ -149,17 +177,12 @@ def exact_dnce_objective(model, noise_model, data_probs, alpha, nu, space: EnumS
 
 
 def exact_dnce_gradient(model, noise_model, data_probs, alpha, nu, space: EnumSpace):
-    """Exact ascent gradient of the objective w.r.t. (lambda, theta, zeta).
-
-    Returns (g_lambda, g_theta, g_zeta); entries for absent potentials
-    are None. Per-sentence weights:
+    """Exact ascent gradient of the objective w.r.t. (lambda, theta, zeta),
+    keyed like model.params(). Per-sentence weights:
         + q(x) P(C=1|x)   for the mixture term
         - nu p_n(x) P(C=0|x) for the noise term
     applied to (f(x), dphi/dtheta, -delta(l)).
     """
-    from . import neural
-    from .trainer import posterior_c0
-
     pn = noise_sentence_probs(noise_model, space)
     g_lam = np.zeros(model.feature_index.n_features) if model.has_discrete else None
     g_theta = neural.zero_grads(model.phi_params) if model.has_neural else None
@@ -185,4 +208,51 @@ def exact_dnce_gradient(model, noise_model, data_probs, alpha, nu, space: EnumSp
             for k, g in neural.phi_backward_batch(cache, weights).items():
                 g_theta[k] += g
         g_zeta[l - 1] -= weights.sum()
-    return g_lam, g_theta, g_zeta
+    return model.named(g_zeta, g_lam, g_theta)
+
+
+def self_check(V, L, d, seed):
+    """Exact checks on a random tiny mixed model (w:2 features, BiLSTM of
+    width d) and noise LM: normalization under the exact zeta, the phi
+    gradient on one sentence and the exact DNCE gradient over (lambda,
+    theta, zeta), both against finite differences. Returns rows
+    (name, passed, detail); raises OracleError past the enumeration guard."""
+    space = EnumSpace(V, L)
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)])
+    pi = rng.random(L) + 0.1
+    prior = LengthPrior(pi / pi.sum())
+    corpus = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(30)]
+    index = feats.build_feature_index(corpus, feats.compile_templates("w:2"), "00")
+    lam = rng.uniform(-0.3, 0.3, index.n_features)
+    phi_params = neural.init_phi_params(V, d, seed=int(rng.integers(1 << 31)))
+    model = TrfModel(
+        vocab, prior, zeta_init(V, L), feature_index=index, lam=lam, phi_params=phi_params
+    )
+    noise = init_noise_model(V, d, prior, seed=int(rng.integers(1 << 31)))
+
+    model.zeta = exact_log_z(model, space)
+    total = sum(exact_sentence_probs(model, space, model.zeta).values())
+
+    s = tuple(rng.integers(0, V, size=L))
+    _, cache = neural.phi_forward_batch([s], model.phi_params)
+    rel_phi = gradient_error(
+        lambda: float(neural.phi_forward_batch([s], model.phi_params)[0][0]),
+        model.phi_params,
+        neural.phi_backward_batch(cache, np.ones(1)),
+        floor=1e-6,
+    )
+
+    data = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(20)]
+    data_probs = {k: c / len(data) for k, c in Counter(data).items()}
+    rel_dnce = gradient_error(
+        lambda: exact_dnce_objective(model, noise, data_probs, 0.5, 1.0, space),
+        model.params(),
+        exact_dnce_gradient(model, noise, data_probs, 0.5, 1.0, space),
+        floor=1e-5,
+    )
+    return [
+        ("normalization", abs(total - 1.0) < 1e-9, "sum=%.12f" % total),
+        ("phi-gradient", rel_phi < 1e-4, "max rel err=%.2e" % rel_phi),
+        ("dnce-gradient", rel_dnce < 1e-4, "max rel err=%.2e" % rel_dnce),
+    ]

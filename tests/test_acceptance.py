@@ -73,10 +73,6 @@ def test_criterion_01_exact_normalization():
     assert elapsed < 10.0
 
 
-def _rel_err(a, b, floor):
-    return float(np.max(np.abs(a - b) / np.maximum(floor, np.abs(a) + np.abs(b))))
-
-
 def test_criterion_02_gradient_suite():
     t0 = time.time()
     rng = np.random.default_rng(202)
@@ -89,13 +85,13 @@ def test_criterion_02_gradient_suite():
         for k, v in neural.init_phi_params(V, d, seed=7).items()
     }
     s = (1, 0)
-    vec, shapes = neural.pack_params(phi)
-    num = oracle.finite_diff(
-        lambda v: helpers.phi_forward(s, neural.unpack_params(v, shapes))[0], vec
-    )
     _, cache = neural.phi_forward_batch([s], phi)
-    ana, _ = neural.pack_params(neural.phi_backward_batch(cache, np.ones(1)))
-    rel_phi = _rel_err(ana, num, 1e-6)
+    rel_phi = oracle.gradient_error(
+        lambda: helpers.phi_forward(s, phi)[0],
+        phi,
+        neural.phi_backward_batch(cache, np.ones(1)),
+        floor=1e-6,
+    )
 
     # (b) noise NLL gradient wrt mu
     prior = LengthPrior(np.array([0.4, 0.6]))
@@ -103,42 +99,21 @@ def test_criterion_02_gradient_suite():
     for k in nm.params:
         nm.params[k] = rng.uniform(-0.4, 0.4, nm.params[k].shape)
     batch = [(1,), (0, 2), (2, 2)]
-    nvec, nshapes = neural.pack_params(nm.params)
-
-    def nll_of(v):
-        m2 = noise_mod.NoiseModel(neural.unpack_params(v, nshapes), prior, V)
-        return noise_mod.nll_and_grads(m2, batch)[0]
-
-    nnum = oracle.finite_diff(nll_of, nvec)
     _, ngrads = noise_mod.nll_and_grads(nm, batch)
-    nana, _ = neural.pack_params(ngrads)
-    rel_noise = _rel_err(nana, nnum, 1e-6)
+    rel_noise = oracle.gradient_error(
+        lambda: noise_mod.nll_and_grads(nm, batch)[0], nm.params, ngrads, floor=1e-6
+    )
 
     # (c) exact DNCE objective gradient wrt (lambda, theta, zeta)
     model = _random_mixed(V, L, d, rng)
     data = [tuple(rng.integers(0, V, size=rng.integers(1, L + 1))) for _ in range(20)]
     data_probs = {k: c / len(data) for k, c in Counter(data).items()}
-    g_lam, g_theta, g_zeta = oracle.exact_dnce_gradient(
-        model, nm, data_probs, 0.5, 1.0, space
+    rel_j = oracle.gradient_error(
+        lambda: oracle.exact_dnce_objective(model, nm, data_probs, 0.5, 1.0, space),
+        model.params(),
+        oracle.exact_dnce_gradient(model, nm, data_probs, 0.5, 1.0, space),
+        floor=1e-5,
     )
-    packed = {"lam": model.lam, "zeta": model.zeta}
-    packed.update({"phi." + k: v for k, v in model.phi_params.items()})
-    jvec, jshapes = neural.pack_params(packed)
-
-    def j_of(v):
-        p = neural.unpack_params(v, jshapes)
-        m2 = TrfModel(
-            model.vocab, model.prior, p["zeta"],
-            feature_index=model.feature_index, lam=p["lam"],
-            phi_params={k[4:]: w for k, w in p.items() if k.startswith("phi.")},
-        )
-        return oracle.exact_dnce_objective(m2, nm, data_probs, 0.5, 1.0, space)
-
-    jnum = oracle.finite_diff(j_of, jvec, epsilon=1e-5)
-    ganalytic = {"lam": g_lam, "zeta": g_zeta}
-    ganalytic.update({"phi." + k: v for k, v in g_theta.items()})
-    jana, _ = neural.pack_params(ganalytic)
-    rel_j = _rel_err(jana, jnum, 1e-5)
 
     elapsed = time.time() - t0
     ok = max(rel_phi, rel_noise, rel_j) < 1e-4 and elapsed < 60.0
@@ -183,8 +158,8 @@ def test_criterion_03_dnce_fixed_point():
                 math.log(q[(a, b)]) - math.log(pi[1]) - lam[uni[a]] - lam[uni[b]]
             )
     model = TrfModel(_vocab(V), prior, np.zeros(L), feature_index=index, lam=lam)
-    g_lam, _, g_zeta = oracle.exact_dnce_gradient(model, nm, data_probs, alpha, nu, space)
-    norm = max(np.abs(g_lam).max(), np.abs(g_zeta).max())
+    grads = oracle.exact_dnce_gradient(model, nm, data_probs, alpha, nu, space)
+    norm = max(np.abs(grads["lam"]).max(), np.abs(grads["zeta"]).max())
     ok = norm < 1e-8
     _report("criterion-3 dnce fixed point", ok, "grad max-norm=%.2e" % norm)
     assert norm < 1e-8

@@ -122,6 +122,28 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
     assert _run(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("schedule=bogus", "unknown schedule 'bogus'"),
+        ("alpha=1.5", "alpha must be in (0, 1)"),
+        ("lr_noise=-1", "lr_noise must be positive"),
+    ],
+    ids=["schedule", "alpha", "lr_noise"],
+)
+def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, setting, message):
+    argv = ["train"]
+    for item in (
+        "train_corpus=%s" % (tmp_path / "missing.txt"),
+        "dev_corpus=%s" % (tmp_path / "missing-dev.txt"),
+        "model_out=%s" % (tmp_path / "m.trf"),
+        setting,
+    ):
+        argv += ["--set", item]
+    assert _run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_class_features_without_map_exit_2(tmp_path, tiny_corpus):
     train, dev = tiny_corpus
     argv, _ = _train_args(
@@ -236,6 +258,16 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_oracle_check_default_output_is_golden(capsys):
+    # the lines printed before the check ran in place over named arrays
+    assert _run(["oracle-check"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS\tnormalization\tsum=1.000000000000",
+        "PASS\tphi-gradient\tmax rel err=2.50e-08",
+        "PASS\tdnce-gradient\tmax rel err=6.76e-06",
+    ]
 
 
 def test_oracle_check_guard(capsys):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from trflm import corpus
 
+import helpers
+
 
 def test_build_vocab_frequency_and_ties():
     # counts: a:2, b:2, c:1 -> keep a, b; ties by lexicographic order
@@ -82,8 +84,8 @@ def test_cluster_singleton_classes_equal_bigram_ll():
     cmap = corpus.cluster_words(sents, vocab, n_classes=vocab.size, seed=0)
     assert cmap.n_classes == vocab.size
     assert len(set(cmap.word_to_class.tolist())) == vocab.size
-    obj = corpus.clustering_objective(sents, cmap.word_to_class, cmap.n_classes)
-    ident = corpus.clustering_objective(sents, np.arange(vocab.size), vocab.size)
+    obj = helpers.clustering_objective(sents, cmap.word_to_class, cmap.n_classes)
+    ident = helpers.clustering_objective(sents, np.arange(vocab.size), vocab.size)
     assert obj == pytest.approx(ident, abs=1e-9)
 
 
@@ -119,9 +121,9 @@ def test_cluster_recovers_interchangeable_words():
 
     best = -np.inf
     for assignment in itertools.product([0, 1], repeat=vocab.size):
-        obj = corpus.clustering_objective(sents, np.array(assignment), 2)
+        obj = helpers.clustering_objective(sents, np.array(assignment), 2)
         best = max(best, obj)
-    got = corpus.clustering_objective(sents, cls, cmap.n_classes)
+    got = helpers.clustering_objective(sents, cls, cmap.n_classes)
     assert got == pytest.approx(best, abs=1e-9)
 
 
@@ -144,9 +146,9 @@ def test_cluster_objective_non_decreasing_vs_init():
     init = np.empty(vocab.size, dtype=np.int64)
     for rank, w in enumerate(order):
         init[w] = rank % 2
-    init_obj = corpus.clustering_objective(sents, init, 2)
+    init_obj = helpers.clustering_objective(sents, init, 2)
     cmap = corpus.cluster_words(sents, vocab, n_classes=2, seed=0)
-    final_obj = corpus.clustering_objective(sents, cmap.word_to_class, cmap.n_classes)
+    final_obj = helpers.clustering_objective(sents, cmap.word_to_class, cmap.n_classes)
     assert final_obj >= init_obj - 1e-9
 
 
@@ -158,6 +160,15 @@ def test_class_map_file_roundtrip(tmp_path):
     loaded = corpus.ClassMap.load(path, vocab)
     assert (loaded.word_to_class == cmap.word_to_class).all()
     assert loaded.n_classes == 2
+
+
+def test_class_map_rejects_word_outside_vocabulary(tmp_path):
+    # mapped onto <unk>, "zzz" would silently give <unk> class 1
+    vocab = corpus.Vocabulary(["<unk>", "a", "b"])
+    path = tmp_path / "classes.txt"
+    path.write_text("<unk>\t0\na\t1\nzzz\t1\nb\t0\n")
+    with pytest.raises(corpus.CorpusError, match=r"classes\.txt:3: word 'zzz'"):
+        corpus.ClassMap.load(path, vocab)
 
 
 def test_read_corpus_skips_long_sentences(tmp_path):

@@ -120,6 +120,19 @@ def test_save_load_bit_identical_scores(tmp_path):
         assert loaded.log_prob(s) == m.log_prob(s)  # bit-exact
 
 
+def test_save_omits_layer_count_and_loads_files_that_have_one(tmp_path):
+    m = _mixed_model(seed=5)
+    path = tmp_path / "model.trf"
+    m.save(path)
+    manifest, arrays = read_container(path)
+    assert "n_layers" not in manifest
+    manifest["n_layers"] = 1  # as earlier versions wrote it
+    write_container(path, manifest, arrays)
+    loaded = TrfModel.load(path)
+    for k, v in m.params().items():
+        assert loaded.params()[k].tobytes() == v.tobytes()
+
+
 def test_save_load_index_built_from_numpy_integers(tmp_path):
     rng = np.random.default_rng(7)
     V, L = 6, 4
@@ -209,4 +222,4 @@ def test_noise_sidecar_roundtrip(tmp_path):
     loaded, loaded_vocab = load_noise_model(path)
     assert loaded_vocab == vocab
     s = (1, 2)
-    assert noise.noise_log_prob(loaded, s) == noise.noise_log_prob(m, s)
+    assert helpers.noise_log_prob(loaded, s) == helpers.noise_log_prob(m, s)

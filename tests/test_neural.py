@@ -111,17 +111,12 @@ def test_phi_independent_of_batch_grouping():
 def _gradient_check(V, d, n_layers, sents, weights, seed):
     params = _random_params(V, d, n_layers=n_layers, seed=seed)
     _, cache = neural.phi_forward_batch(sents, params)
-    analytic = neural.phi_backward_batch(cache, weights)
-    vec, shapes = neural.pack_params(params)
-
-    def fn(v):
-        p = neural.unpack_params(v, shapes)
-        return float(np.dot(weights, neural.phi_forward_batch(sents, p)[0]))
-
-    numeric = oracle.finite_diff(fn, vec, epsilon=1e-5)
-    ana, _ = neural.pack_params(analytic)
-    denom = np.maximum(1e-6, np.abs(ana) + np.abs(numeric))
-    return np.max(np.abs(ana - numeric) / denom)
+    return oracle.gradient_error(
+        lambda: float(np.dot(weights, neural.phi_forward_batch(sents, params)[0])),
+        params,
+        neural.phi_backward_batch(cache, weights),
+        floor=1e-6,
+    )
 
 
 def test_gradient_matches_finite_differences():
@@ -186,19 +181,7 @@ def test_doubled_embeddings_change_phi_smoothly():
     assert v1 != v2
     _, cache = neural.phi_forward_batch([s], params2)
     ana = neural.phi_backward_batch(cache, np.ones(1))
-    vec, shapes = neural.pack_params(params2)
-
-    def fn(v):
-        return helpers.phi_forward(s, neural.unpack_params(v, shapes))[0]
-
-    num = oracle.finite_diff(fn, vec, epsilon=1e-5)
-    got, _ = neural.pack_params(ana)
-    assert np.max(np.abs(got - num) / np.maximum(1e-6, np.abs(got) + np.abs(num))) < 1e-4
-
-
-def test_pack_unpack_roundtrip():
-    params = _random_params(4, 3, seed=12)
-    vec, shapes = neural.pack_params(params)
-    back = neural.unpack_params(vec, shapes)
-    for k in params:
-        assert (params[k] == back[k]).all()
+    err = oracle.gradient_error(
+        lambda: helpers.phi_forward(s, params2)[0], params2, ana, floor=1e-6
+    )
+    assert err < 1e-4

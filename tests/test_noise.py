@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trflm import neural, noise, oracle
+from trflm import noise, oracle
 from trflm.corpus import CorpusError, LengthPrior
+
+import helpers
 
 
 def _random_noise(V, d, prior, seed, scale=0.5):
@@ -20,7 +22,7 @@ def test_uniform_conditionals():
     m = noise.init_noise_model(2, 3, prior, seed=1)
     m.params["Wo"][:] = 0.0
     m.params["bo"][:] = 0.0
-    got = noise.noise_log_prob(m, (0, 1, 0))
+    got = helpers.noise_log_prob(m, (0, 1, 0))
     assert got == pytest.approx(math.log(0.5) + 3 * math.log(0.5))
 
 
@@ -28,14 +30,14 @@ def test_log_prob_bounded_by_length_prior():
     prior = LengthPrior(np.array([0.3, 0.7]))
     m = _random_noise(3, 4, prior, seed=2)
     for s in [(0,), (1, 2), (2, 2)]:
-        assert noise.noise_log_prob(m, s) <= math.log(prior.prob(len(s))) + 1e-12
+        assert helpers.noise_log_prob(m, s) <= math.log(prior.prob(len(s))) + 1e-12
 
 
 def test_log_prob_zero_prior_length_errors():
     prior = LengthPrior(np.array([1.0, 0.0]))
     m = _random_noise(2, 2, prior, seed=3)
     with pytest.raises(CorpusError):
-        noise.noise_log_prob(m, (0, 1))
+        helpers.noise_log_prob(m, (0, 1))
 
 
 def test_log_prob_matches_scalar_unroll():
@@ -65,7 +67,7 @@ def test_log_prob_matches_scalar_unroll():
         total += logits[target] - z
         prev = target
     expected = math.log(0.5) + total
-    assert noise.noise_log_prob(m, s) == pytest.approx(expected, rel=1e-12)
+    assert helpers.noise_log_prob(m, s) == pytest.approx(expected, rel=1e-12)
 
 
 def test_conditionals_sum_to_one():
@@ -128,14 +130,14 @@ def test_sample_log_p_equals_scoring():
 
 def test_sampling_matches_scoring():
     # empirical frequencies of every enumerable sentence stay within
-    # three standard errors of exp(noise_log_prob)
+    # three standard errors of exp(helpers.noise_log_prob)
     prior = LengthPrior(np.array([0.35, 0.65]))
     m = _random_noise(2, 3, prior, seed=9)
     n = 50000
     counts = Counter(noise.sample(m, n, np.random.default_rng(11))[0])
     space = oracle.EnumSpace(2, 2)
     for s in space.all_sentences():
-        p = math.exp(noise.noise_log_prob(m, s))
+        p = math.exp(helpers.noise_log_prob(m, s))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(counts[s] / n - p) <= 3 * se + 1e-9
 
@@ -154,16 +156,10 @@ def test_nll_gradient_matches_finite_differences():
     m = _random_noise(4, 3, prior, seed=12)
     batch = [(0, 2, 1), (3,), (1, 1)]
     _, grads = noise.nll_and_grads(m, batch)
-    vec, shapes = neural.pack_params(m.params)
-
-    def fn(v):
-        m2 = noise.NoiseModel(neural.unpack_params(v, shapes), prior, 4)
-        return noise.nll_and_grads(m2, batch)[0]
-
-    num = oracle.finite_diff(fn, vec, epsilon=1e-5)
-    ana, _ = neural.pack_params(grads)
-    denom = np.maximum(1e-6, np.abs(ana) + np.abs(num))
-    assert np.max(np.abs(ana - num) / denom) < 1e-4
+    err = oracle.gradient_error(
+        lambda: noise.nll_and_grads(m, batch)[0], m.params, grads, floor=1e-6
+    )
+    assert err < 1e-4
 
 
 def test_repeated_steps_decrease_nll():

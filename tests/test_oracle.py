@@ -126,16 +126,52 @@ def test_exact_expectations_empty_index():
 
 def test_finite_diff_linear_function():
     c = np.array([1.5, -2.0, 0.25])
-    grad = oracle.finite_diff(lambda p: float(c @ p), np.zeros(3))
-    assert np.allclose(grad, c, atol=1e-10)
+    p = {"p": np.zeros(3)}
+    grad = oracle.finite_diff(lambda: float(c @ p["p"]), p)
+    assert np.allclose(grad["p"], c, atol=1e-10)
 
 
 def test_finite_diff_quadratic():
-    p = np.array([0.3, -1.2])
-    grad = oracle.finite_diff(lambda v: float(v @ v), p, epsilon=1e-6)
-    assert np.allclose(grad, 2 * p, atol=1e-8)
+    p = {"v": np.array([0.3, -1.2])}
+    grad = oracle.finite_diff(lambda: float(p["v"] @ p["v"]), p, epsilon=1e-6)
+    assert np.allclose(grad["v"], 2 * p["v"], atol=1e-8)
 
 
 def test_finite_diff_bad_epsilon():
     with pytest.raises(oracle.OracleError):
-        oracle.finite_diff(lambda p: 0.0, np.zeros(1), epsilon=0.0)
+        oracle.finite_diff(lambda: 0.0, {"p": np.zeros(1)}, epsilon=0.0)
+
+
+def test_finite_diff_leaves_arrays_bit_identical():
+    # values for which x + eps - 2 eps + eps != x: only restoring the
+    # saved element gives the array back
+    rng = np.random.default_rng(3)
+    arrays = {
+        "a": rng.standard_normal((3, 4)),
+        "b": 1e3 * rng.standard_normal(5),
+        "c": np.array(0.1),
+    }
+    before = {k: v.copy() for k, v in arrays.items()}
+    grads = oracle.finite_diff(
+        lambda: float(sum(np.sin(v).sum() for v in arrays.values())), arrays
+    )
+    for k, v in arrays.items():
+        assert v.tobytes() == before[k].tobytes()
+        assert grads[k].shape == v.shape
+
+
+def test_gradient_error_refuses_mismatched_gradients():
+    arrays = {"a": np.array([0.5, -1.0]), "b": np.array([2.0, 0.3])}
+
+    def fn():
+        return float(arrays["a"] @ arrays["a"] + arrays["b"].sum())
+
+    right = {"a": 2 * arrays["a"], "b": np.ones(2)}
+    assert oracle.gradient_error(fn, arrays, right, floor=1e-6) < 1e-8
+    for wrong in (
+        {"a": right["a"]},  # a group missing
+        {"a": right["a"], "c": right["b"]},  # misnamed, same length
+        {"a": right["a"], "b": right["b"][:, None]},  # same size, other shape
+    ):
+        with pytest.raises(oracle.OracleError):
+            oracle.gradient_error(fn, arrays, wrong, floor=1e-6)
