@@ -161,14 +161,24 @@ class ClassMap:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                word, cid = line.rstrip("\n").split("\t")
+                fields = line.rstrip("\n").split("\t")
+                where = "%s:%d: " % (path, lineno)
+                if len(fields) != 2:
+                    raise CorpusError(where + "expected 'word<TAB>class id', got %r" % line)
+                word, cid = fields
+                try:
+                    c = int(cid)
+                except ValueError:
+                    c = -1
+                if c < 0:
+                    raise CorpusError(where + "class id %r is not an integer >= 0" % cid)
                 if word not in vocab.ids:
                     # mapping it to <unk> would overwrite <unk>'s own class
-                    raise CorpusError(
-                        "%s:%d: word %r is not in the vocabulary" % (path, lineno, word)
-                    )
-                mapping[vocab.ids[word]] = int(cid)
-                n_classes = max(n_classes, int(cid) + 1)
+                    raise CorpusError(where + "word %r is not in the vocabulary" % word)
+                if mapping[vocab.ids[word]] >= 0:
+                    raise CorpusError(where + "word %r is listed twice" % word)
+                mapping[vocab.ids[word]] = c
+                n_classes = max(n_classes, c + 1)
         if (mapping < 0).any():
             raise CorpusError("class map file does not cover the vocabulary")
         return cls(mapping, n_classes)

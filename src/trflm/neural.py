@@ -4,9 +4,12 @@ The potential of a sentence is
     sum_{i=1}^{l-1} h_fwd[i] . e[i+1]  +  sum_{i=2}^{l} h_bwd[i] . e[i-1]
 where e are word embeddings and h_fwd/h_bwd the final-layer hidden vectors
 of the forward and backward recurrences. Forward evaluation and exact
-reverse-mode gradients are implemented directly in numpy; everything runs
-batched over padded sentences with masks, so per-sentence results are
-independent of how sentences are grouped.
+reverse-mode gradients are implemented directly in numpy. A batch is laid
+out padded and sorted by length, longest first, so the rows still inside
+their sentence at any step are a prefix of the batch and every recurrent
+step computes on that prefix only. Results come back in input order, and
+per-sentence results do not depend on how sentences are grouped beyond
+rounding.
 """
 
 from __future__ import annotations
@@ -54,112 +57,108 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def lstm_cell(x, h, c, W, U, b):
-    """One step of the gated cell over a batch, gates packed i|f|o|g:
-    returns the new hidden and cell states and the gate activations."""
-    d = h.shape[1]
-    a = x @ W + h @ U + b
-    i = _sigmoid(a[:, :d])
-    f = _sigmoid(a[:, d : 2 * d])
-    o = _sigmoid(a[:, 2 * d : 3 * d])
-    g = np.tanh(a[:, 3 * d :])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new, (i, f, o, g)
+def lstm_cell(a, h, c, U, b):
+    """One step of the gated cell over a batch, gates packed i|f|o|g.
 
-
-def lstm_forward(x, mask, W, U, b):
-    """Run a gated recurrent layer over x (T, B, d) with mask (T, B, 1).
-
-    Masked steps pass state through unchanged, so zero-init state first
-    updates at each sentence's own first in-range step. Returns the
-    post-mask hidden states (T, B, d) and the cache for reverse mode.
+    a holds x @ W for the batch and is overwritten with the gate
+    activations; returns the new hidden and cell states.
     """
-    T, B, d = x.shape
-    h = np.zeros((B, d))
-    c = np.zeros((B, d))
-    hs = np.empty((T, B, d))
-    cache = {
-        "i": np.empty((T, B, d)),
-        "f": np.empty((T, B, d)),
-        "o": np.empty((T, B, d)),
-        "g": np.empty((T, B, d)),
-        "c_new": np.empty((T, B, d)),
-        "c_prev": np.empty((T, B, d)),
-        "h_prev": np.empty((T, B, d)),
-        "x": x,
-        "mask": mask,
-        "W": W,
-        "U": U,
-    }
+    d = h.shape[1]
+    a += h @ U
+    a += b
+    a[:, : 3 * d] = _sigmoid(a[:, : 3 * d])
+    np.tanh(a[:, 3 * d :], out=a[:, 3 * d :])
+    i, f, o, g = a[:, :d], a[:, d : 2 * d], a[:, 2 * d : 3 * d], a[:, 3 * d :]
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+def lstm_forward(x, n, W, U, b):
+    """Run a gated recurrent layer over x (T, B, d_in) where only the rows
+    [:n[t]] are alive at step t.
+
+    Each row must be alive on one unbroken run of steps, so n is
+    non-increasing for sentences sorted longest first and non-decreasing
+    for the same batch read backwards. A row keeps its state (zero before
+    its first step) while it is not alive. Returns the hidden states
+    (T, B, d), zero wherever a row is not alive, and the reverse-mode cache.
+    """
+    T, B, _ = x.shape
+    d = U.shape[0]
+    real = real_tokens(n, B)
+    # x @ W at every live position as one GEMM, in step order, so the rows
+    # of step t are gates[off[t]:off[t + 1]]; each step adds h @ U, then b
+    gates = x[real] @ W
+    off = np.concatenate([[0], np.cumsum(n)])
+    hs = np.zeros((T, B, d))
+    cs = np.zeros((T, B, d))
+    zero = np.zeros((B, d))
     for t in range(T):
-        m = mask[t]
-        h_new, c_new, (i, f, o, g) = lstm_cell(x[t], h, c, W, U, b)
-        cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t] = i, f, o, g
-        cache["c_new"][t] = c_new
-        cache["c_prev"][t] = c
-        cache["h_prev"][t] = h
-        c = m * c_new + (1.0 - m) * c
-        h = m * h_new + (1.0 - m) * h
-        hs[t] = h
+        k = n[t]
+        h, c = (hs[t - 1, :k], cs[t - 1, :k]) if t else (zero[:k], zero[:k])
+        hs[t, :k], cs[t, :k] = lstm_cell(gates[off[t] : off[t + 1]], h, c, U, b)
+    cache = {"x": x, "n": n, "real": real, "off": off, "W": W, "U": U}
+    cache.update(gates=gates, hs=hs, cs=cs)
     return hs, cache
 
 
 def lstm_backward(cache, dhs):
-    """Reverse-mode pass for lstm_forward; dhs is the gradient w.r.t. hs."""
-    x, mask = cache["x"], cache["mask"]
-    W, U = cache["W"], cache["U"]
-    T, B, d = x.shape
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * d)
-    dx = np.zeros_like(x)
+    """Reverse-mode pass for lstm_forward; dhs is the gradient w.r.t. hs,
+    read only where a row is alive."""
+    x, n, real, off = cache["x"], cache["n"], cache["real"], cache["off"]
+    W, U, gates, hs, cs = cache["W"], cache["U"], cache["gates"], cache["hs"], cache["cs"]
+    T, B, d = hs.shape
+    da = np.empty_like(gates)
     dh_next = np.zeros((B, d))
     dc_next = np.zeros((B, d))
+    zero = np.zeros((B, d))
     for t in range(T - 1, -1, -1):
-        m = mask[t]
-        dh = dhs[t] + dh_next
-        dc = dc_next
-        dh_new = m * dh
-        dh_prev = (1.0 - m) * dh
-        dc_new = m * dc
-        dc_prev = (1.0 - m) * dc
-        i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
-        tc = np.tanh(cache["c_new"][t])
-        do = dh_new * tc
-        dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
-        di = dc_new * g
-        dg = dc_new * i
-        df = dc_new * cache["c_prev"][t]
-        dc_prev = dc_prev + dc_new * f
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ],
-            axis=1,
-        )
-        dW += x[t].T @ da
-        dU += cache["h_prev"][t].T @ da
-        db += da.sum(axis=0)
-        dx[t] = da @ W.T
-        dh_prev = dh_prev + da @ U.T
-        dh_next = dh_prev
-        dc_next = dc_prev
-    return dW, dU, db, dx
+        k = n[t]
+        a = gates[off[t] : off[t + 1]]
+        i, f, o, g = a[:, :d], a[:, d : 2 * d], a[:, 2 * d : 3 * d], a[:, 3 * d :]
+        c_prev = cs[t - 1, :k] if t else zero[:k]
+        dh = dhs[t, :k] + dh_next[:k]
+        tc = np.tanh(cs[t, :k])
+        dc = dc_next[:k] + dh * o * (1.0 - tc * tc)
+        da_t = da[off[t] : off[t + 1]]
+        da_t[:, :d] = dc * g * i * (1.0 - i)
+        da_t[:, d : 2 * d] = dc * c_prev * f * (1.0 - f)
+        da_t[:, 2 * d : 3 * d] = dh * tc * o * (1.0 - o)
+        da_t[:, 3 * d :] = dc * i * (1.0 - g * g)
+        dh_next[:k] = da_t @ U.T
+        dc_next[:k] = dc * f
+    # the weight and input gradients over all live positions at once
+    h_prev = np.concatenate([zero[: n[0]], hs[:-1][real[1:]]])
+    dx = np.zeros(x.shape)
+    dx[real] = da @ W.T
+    return x[real].T @ da, h_prev.T @ da, da.sum(axis=0), dx
 
 
-def _pad(sentences):
-    B = len(sentences)
+def sort_by_length(lengths):
+    """(order, n): the stable longest-first order of a batch and, for each
+    step t below the longest length, the number n[t] of rows still alive."""
+    order = np.argsort(-lengths, kind="stable")
+    n = (lengths[:, None] > np.arange(lengths[order[0]])).sum(axis=0)
+    return order, n
+
+
+def pack(sentences):
+    """Padded (T, B) ids with the sentences sorted by length, longest
+    first (stable), so the real tokens at step t are the columns [:n[t]].
+
+    Returns (ids, n, order): column j holds sentences[order[j]].
+    """
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    T = int(lengths.max())
-    ids = np.zeros((T, B), dtype=np.int64)
-    mask = np.zeros((T, B, 1))
-    for j, s in enumerate(sentences):
-        ids[: len(s), j] = s
-        mask[: len(s), j, 0] = 1.0
-    return ids, mask, lengths
+    order, n = sort_by_length(lengths)
+    ids = np.zeros((len(n), len(sentences)), dtype=np.int64)
+    for col, j in enumerate(order):
+        ids[: lengths[j], col] = sentences[j]
+    return ids, n, order
+
+
+def real_tokens(n, B):
+    """(T, B) boolean mask of the real token positions of a packed batch."""
+    return np.arange(B) < n[:, None]
 
 
 def phi_forward_batch(sentences, params):
@@ -167,62 +166,61 @@ def phi_forward_batch(sentences, params):
     if not sentences:
         return np.zeros(0), None
     n_layers = n_layers_of(params)
-    ids, mask, lengths = _pad(sentences)
+    ids, n, order = pack(sentences)
     T, B = ids.shape
-    e = params["emb"][ids] * mask
+    real = real_tokens(n, B)
+    e = params["emb"][ids] * real[:, :, None]
     caches = {"fwd": [], "bwd": []}
     x = e
     for layer in range(n_layers):
         pre = "fwd%d_" % layer
-        x, c = lstm_forward(x, mask, params[pre + "W"], params[pre + "U"], params[pre + "b"])
+        x, c = lstm_forward(x, n, params[pre + "W"], params[pre + "U"], params[pre + "b"])
         caches["fwd"].append(c)
     hf = x
+    # read backwards, the rows still to start are the ones not alive
     x = e[::-1]
-    rmask = mask[::-1]
     for layer in range(n_layers):
         pre = "bwd%d_" % layer
-        x, c = lstm_forward(x, rmask, params[pre + "W"], params[pre + "U"], params[pre + "b"])
+        x, c = lstm_forward(x, n[::-1], params[pre + "W"], params[pre + "U"], params[pre + "b"])
         caches["bwd"].append(c)
     hb = x[::-1]
 
-    t_idx = np.arange(T)[:, None]
-    pair_f = (t_idx + 1 < lengths[None, :]).astype(np.float64)[:, :, None]  # t in 0..l-2
-    pair_b = ((t_idx >= 1) & (t_idx < lengths[None, :])).astype(np.float64)[:, :, None]
+    # hf and hb are zero off their sentence and e is zero on padding, so
+    # only the pairs inside each sentence contribute
     vals = np.zeros(B)
     if T > 1:
-        vals += np.einsum("tbd,tbd->b", hf[:-1] * pair_f[:-1], e[1:])
-        vals += np.einsum("tbd,tbd->b", hb[1:] * pair_b[1:], e[:-1])
+        vals += np.einsum("tbd,tbd->b", hf[:-1], e[1:])
+        vals += np.einsum("tbd,tbd->b", hb[1:], e[:-1])
+    out = np.empty(B)
+    out[order] = vals
     cache = {
         "ids": ids,
-        "mask": mask,
+        "real": real,
+        "order": order,
         "e": e,
         "hf": hf,
         "hb": hb,
-        "pair_f": pair_f,
-        "pair_b": pair_b,
         "caches": caches,
         "V": params["emb"].shape[0],
         "n_layers": n_layers,
     }
-    return vals, cache
+    return out, cache
 
 
 def phi_backward_batch(cache, weights):
     """Gradient of sum_j weights[j] * phi_j w.r.t. all parameters."""
-    ids, mask, e = cache["ids"], cache["mask"], cache["e"]
-    hf, hb = cache["hf"], cache["hb"]
-    pair_f, pair_b = cache["pair_f"], cache["pair_b"]
-    T, B = ids.shape
-    w = np.asarray(weights, dtype=np.float64)[None, :, None]
+    e, hf, hb = cache["e"], cache["hf"], cache["hb"]
+    T = e.shape[0]
+    w = np.asarray(weights, dtype=np.float64)[cache["order"]][None, :, None]
     grads = {}
     de = np.zeros_like(e)
     dhf = np.zeros_like(hf)
     dhb = np.zeros_like(hb)
     if T > 1:
-        dhf[:-1] = w * pair_f[:-1] * e[1:]
-        de[1:] += w * pair_f[:-1] * hf[:-1]
-        dhb[1:] = w * pair_b[1:] * e[:-1]
-        de[:-1] += w * pair_b[1:] * hb[1:]
+        dhf[:-1] = w * e[1:]
+        de[1:] += w * hf[:-1]
+        dhb[1:] = w * e[:-1]
+        de[:-1] += w * hb[1:]
 
     dx = dhf
     for layer in range(cache["n_layers"] - 1, -1, -1):
@@ -237,8 +235,8 @@ def phi_backward_batch(cache, weights):
         grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
     de += dx[::-1]
 
-    de = de * mask
+    real = cache["real"]
     demb = np.zeros((cache["V"], e.shape[2]))
-    np.add.at(demb, ids.ravel(), de.reshape(-1, e.shape[2]))
+    np.add.at(demb, cache["ids"][real], de[real])
     grads["emb"] = demb
     return grads

@@ -4,7 +4,7 @@ p_noise(l, x^l) = pi_l * prod_i p(x_i | BOS, x_1..x_{i-1}). The recurrent
 LM consumes an internal BOS symbol to condition the first word; no
 end-of-sentence factor exists because length is priced entirely by pi.
 Scoring, sampling, and the KL training step all run batched over padded
-sentences.
+sentences sorted by length, computing only on the real tokens.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CorpusError, LengthPrior
-from .neural import _pad, lstm_backward, lstm_cell, lstm_forward
+from .neural import lstm_backward, lstm_cell, lstm_forward, pack, real_tokens, sort_by_length
 
 GRAD_CLIP_NORM = 5.0
 
@@ -57,30 +57,34 @@ def _log_softmax(logits):
 
 
 def _forward(model: NoiseModel, sentences):
-    """Shared forward pass: hidden states over [BOS, x_1..x_{l-1}]."""
-    ids, mask, lengths = _pad(sentences)
-    T, B = ids.shape
+    """Shared forward pass over [BOS, x_1..x_{l-1}] in the packed layout:
+    the logits exist only at the real token positions, in (t, column) order."""
+    ids, n, order = pack(sentences)
+    real = real_tokens(n, ids.shape[1])
     inputs = np.empty_like(ids)
     inputs[0] = model.bos_id
     inputs[1:] = ids[:-1]
-    x = model.params["emb"][inputs] * mask
-    hs, cache = lstm_forward(x, mask, model.params["W"], model.params["U"], model.params["b"])
-    logits = hs @ model.params["Wo"] + model.params["bo"]
-    return ids, inputs, mask, lengths, hs, cache, logits
+    p = model.params
+    hs, cache = lstm_forward(p["emb"][inputs], n, p["W"], p["U"], p["b"])
+    h = hs[real]
+    return ids, inputs, real, order, h, cache, h @ p["Wo"] + p["bo"]
 
 
 def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
     """Word-sequence log-probabilities, without the length-prior factor."""
     if not sentences:
         return np.zeros(0)
-    ids, _, mask, _, _, _, logits = _forward(model, sentences)
+    ids, _, real, order, _, _, logits = _forward(model, sentences)
     # gather the target logit first; elementwise normalization commutes
     # with the gather, so this matches the full log-softmax bit for bit
-    # while only materializing (T, B) arrays
+    # while only materializing one value per token
     m = logits.max(axis=-1)
-    lse = np.log(np.exp(logits - m[:, :, None]).sum(axis=-1))
-    tok = np.take_along_axis(logits, ids[:, :, None], axis=2)[:, :, 0] - m - lse
-    return (tok * mask[:, :, 0]).sum(axis=0)
+    lse = np.log(np.exp(logits - m[:, None]).sum(axis=-1))
+    tok = np.zeros(real.shape)
+    tok[real] = logits[np.arange(len(m)), ids[real]] - m - lse
+    out = np.empty(len(sentences))
+    out[order] = tok.sum(axis=0)
+    return out
 
 
 def sample(model: NoiseModel, count, rng):
@@ -89,14 +93,17 @@ def sample(model: NoiseModel, count, rng):
     Returns (sentences, log_p), where log_p[j] is draw j's word-sequence
     log-probability (length-prior factor excluded) read off the same
     log-softmax the draw used, so it agrees with seq_log_prob_batch on
-    the draws to rounding. Deterministic given the rng state: lengths first, then one
-    uniform per chain per step in fixed chain order.
+    the draws to rounding. Deterministic given the rng state: lengths
+    first, then one uniform per chain per step in fixed chain order. The
+    chains are stepped longest first, so only the prefix of chains that
+    have not reached their length computes at each step.
     """
     if count <= 0:
         return [], np.zeros(0)
     L = model.prior.max_length
     lengths = rng.choice(np.arange(1, L + 1), size=count, p=model.prior.probs)
-    T = int(lengths.max())
+    order, n = sort_by_length(lengths)
+    T = len(n)
     p = model.params
     d = p["emb"].shape[1]
     h = np.zeros((count, d))
@@ -104,25 +111,31 @@ def sample(model: NoiseModel, count, rng):
     tokens = np.zeros((T, count), dtype=np.int64)
     log_p = np.zeros(count)
     prev = np.full(count, model.bos_id, dtype=np.int64)
-    rows = np.arange(count)
-    # (count, V) work buffers, filled in place at every step
-    logp = np.empty((count, model.V))
-    cdf = np.empty((count, model.V))
-    below = np.empty((count, model.V), dtype=bool)
+    # (count, V) work buffers, the live rows filled in place at every step
+    logp_buf = np.empty((count, model.V))
+    cdf_buf = np.empty((count, model.V))
+    below_buf = np.empty((count, model.V), dtype=bool)
     for t in range(T):
-        h, c, _ = lstm_cell(p["emb"][prev], h, c, p["W"], p["U"], p["b"])
+        k = n[t]
+        u = rng.random(count)[order[:k]]
+        h, c = lstm_cell(p["emb"][prev[:k]] @ p["W"], h[:k], c[:k], p["U"], p["b"])
+        logp, cdf, below = logp_buf[:k], cdf_buf[:k], below_buf[:k]
         np.matmul(h, p["Wo"], out=logp)
         logp += p["bo"]
         logp -= logp.max(axis=1, keepdims=True)
         logp -= np.log(np.exp(logp, out=cdf).sum(axis=1, keepdims=True))
         np.cumsum(np.exp(logp, out=cdf), axis=1, out=cdf)
-        u = rng.random(count)
         np.less(cdf, u[:, None], out=below)
-        idx = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
-        tokens[t] = idx
-        log_p += logp[rows, idx] * (t < lengths)
-        prev = idx
-    return [tuple(row[:l]) for row, l in zip(tokens.T.tolist(), lengths)], log_p
+        prev = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
+        tokens[t, :k] = prev
+        log_p[:k] += logp[np.arange(k), prev]
+    # back to draw order
+    sents = [None] * count
+    for j, row in zip(order.tolist(), tokens.T.tolist()):
+        sents[j] = tuple(row[: lengths[j]])
+    out = np.empty(count)
+    out[order] = log_p
+    return sents, out
 
 
 def nll_and_grads(model: NoiseModel, sentences):
@@ -132,26 +145,22 @@ def nll_and_grads(model: NoiseModel, sentences):
     if not sentences:
         raise CorpusError("empty minibatch")
     B = len(sentences)
-    ids, inputs, mask, _, hs, cache, logits = _forward(model, sentences)
-    T = ids.shape[0]
+    ids, inputs, real, _, h, cache, logits = _forward(model, sentences)
     logp = _log_softmax(logits)
-    tok = np.take_along_axis(logp, ids[:, :, None], axis=2)[:, :, 0]
-    nll = -float((tok * mask[:, :, 0]).sum()) / B
+    rows = np.arange(len(logp))
+    targets = ids[real]
+    nll = -float(logp[rows, targets].sum()) / B
 
     dlogits = np.exp(logp)  # softmax, to become softmax - onehot(target)
-    flat = dlogits.reshape(-1, model.V)
-    flat[np.arange(T * B), ids.ravel()] -= 1.0
-    dlogits *= mask / B
-    grads = {
-        "Wo": np.einsum("tbd,tbv->dv", hs, dlogits),
-        "bo": dlogits.sum(axis=(0, 1)),
-    }
-    dhs = dlogits @ model.params["Wo"].T
+    dlogits[rows, targets] -= 1.0
+    dlogits *= 1.0 / B
+    grads = {"Wo": h.T @ dlogits, "bo": dlogits.sum(axis=0)}
+    dhs = np.zeros(cache["hs"].shape)
+    dhs[real] = dlogits @ model.params["Wo"].T
     dW, dU, db, dx = lstm_backward(cache, dhs)
     grads["W"], grads["U"], grads["b"] = dW, dU, db
-    dx = dx * mask
     demb = np.zeros_like(model.params["emb"])
-    np.add.at(demb, inputs.ravel(), dx.reshape(-1, dx.shape[2]))
+    np.add.at(demb, inputs[real], dx[real])
     grads["emb"] = demb
     return nll, grads
 

@@ -74,3 +74,228 @@ def clustering_objective(sentences, cls, n_classes):
             M[cls[u], cls[v]] += 1
             right_counts[v] += 1
     return class_bigram_log_likelihood(M, right_counts)
+
+
+def shuffled_batch(rng, V, lengths):
+    """Random sentences of the given lengths over V words, in shuffled order."""
+    sents = [tuple(int(w) for w in rng.integers(0, V, size=l)) for l in lengths]
+    return [sents[j] for j in rng.permutation(len(sents))]
+
+
+# The masked reference for the packed recurrence: sentences padded in
+# input order, every recurrent step computed over the whole batch, and a
+# (T, B, 1) mask blending each row's old state back in past its end.
+
+
+def _masked_cell(x, h, c, W, U, b):
+    d = h.shape[1]
+    a = x @ W + h @ U + b
+    i = neural._sigmoid(a[:, :d])
+    f = neural._sigmoid(a[:, d : 2 * d])
+    o = neural._sigmoid(a[:, 2 * d : 3 * d])
+    g = np.tanh(a[:, 3 * d :])
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new, (i, f, o, g)
+
+
+def masked_lstm_forward(x, mask, W, U, b):
+    T, B, d = x.shape
+    h = np.zeros((B, d))
+    c = np.zeros((B, d))
+    hs = np.empty((T, B, d))
+    cache = {k: np.empty((T, B, d)) for k in ("i", "f", "o", "g", "c_new", "c_prev", "h_prev")}
+    cache.update(x=x, mask=mask, W=W, U=U)
+    for t in range(T):
+        m = mask[t]
+        h_new, c_new, (i, f, o, g) = _masked_cell(x[t], h, c, W, U, b)
+        cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t] = i, f, o, g
+        cache["c_new"][t] = c_new
+        cache["c_prev"][t] = c
+        cache["h_prev"][t] = h
+        c = m * c_new + (1.0 - m) * c
+        h = m * h_new + (1.0 - m) * h
+        hs[t] = h
+    return hs, cache
+
+
+def masked_lstm_backward(cache, dhs):
+    x, mask = cache["x"], cache["mask"]
+    W, U = cache["W"], cache["U"]
+    T, B, d = x.shape
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros(4 * d)
+    dx = np.zeros_like(x)
+    dh_next = np.zeros((B, d))
+    dc_next = np.zeros((B, d))
+    for t in range(T - 1, -1, -1):
+        m = mask[t]
+        dh = dhs[t] + dh_next
+        dc = dc_next
+        dh_new = m * dh
+        dh_prev = (1.0 - m) * dh
+        dc_new = m * dc
+        dc_prev = (1.0 - m) * dc
+        i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
+        tc = np.tanh(cache["c_new"][t])
+        do = dh_new * tc
+        dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
+        di = dc_new * g
+        dg = dc_new * i
+        df = dc_new * cache["c_prev"][t]
+        dc_prev = dc_prev + dc_new * f
+        da = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
+            axis=1,
+        )
+        dW += x[t].T @ da
+        dU += cache["h_prev"][t].T @ da
+        db += da.sum(axis=0)
+        dx[t] = da @ W.T
+        dh_next = dh_prev + da @ U.T
+        dc_next = dc_prev
+    return dW, dU, db, dx
+
+
+def _pad(sentences):
+    B = len(sentences)
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    T = int(lengths.max())
+    ids = np.zeros((T, B), dtype=np.int64)
+    mask = np.zeros((T, B, 1))
+    for j, s in enumerate(sentences):
+        ids[: len(s), j] = s
+        mask[: len(s), j, 0] = 1.0
+    return ids, mask, lengths
+
+
+def masked_phi_forward_batch(sentences, params):
+    n_layers = neural.n_layers_of(params)
+    ids, mask, lengths = _pad(sentences)
+    T, B = ids.shape
+    e = params["emb"][ids] * mask
+    caches = {"fwd": [], "bwd": []}
+    x = e
+    for layer in range(n_layers):
+        pre = "fwd%d_" % layer
+        x, c = masked_lstm_forward(x, mask, params[pre + "W"], params[pre + "U"], params[pre + "b"])
+        caches["fwd"].append(c)
+    hf = x
+    x = e[::-1]
+    for layer in range(n_layers):
+        pre = "bwd%d_" % layer
+        x, c = masked_lstm_forward(
+            x, mask[::-1], params[pre + "W"], params[pre + "U"], params[pre + "b"]
+        )
+        caches["bwd"].append(c)
+    hb = x[::-1]
+    t_idx = np.arange(T)[:, None]
+    pair_f = (t_idx + 1 < lengths[None, :]).astype(np.float64)[:, :, None]
+    pair_b = ((t_idx >= 1) & (t_idx < lengths[None, :])).astype(np.float64)[:, :, None]
+    vals = np.zeros(B)
+    if T > 1:
+        vals += np.einsum("tbd,tbd->b", hf[:-1] * pair_f[:-1], e[1:])
+        vals += np.einsum("tbd,tbd->b", hb[1:] * pair_b[1:], e[:-1])
+    cache = dict(ids=ids, mask=mask, e=e, hf=hf, hb=hb, pair_f=pair_f, pair_b=pair_b,
+                 caches=caches, V=params["emb"].shape[0], n_layers=n_layers)
+    return vals, cache
+
+
+def masked_phi_backward_batch(cache, weights):
+    ids, mask, e = cache["ids"], cache["mask"], cache["e"]
+    hf, hb = cache["hf"], cache["hb"]
+    pair_f, pair_b = cache["pair_f"], cache["pair_b"]
+    T = ids.shape[0]
+    w = np.asarray(weights, dtype=np.float64)[None, :, None]
+    grads = {}
+    de = np.zeros_like(e)
+    dhf = np.zeros_like(hf)
+    dhb = np.zeros_like(hb)
+    if T > 1:
+        dhf[:-1] = w * pair_f[:-1] * e[1:]
+        de[1:] += w * pair_f[:-1] * hf[:-1]
+        dhb[1:] = w * pair_b[1:] * e[:-1]
+        de[:-1] += w * pair_b[1:] * hb[1:]
+    dx = dhf
+    for layer in range(cache["n_layers"] - 1, -1, -1):
+        pre = "fwd%d_" % layer
+        dW, dU, db, dx = masked_lstm_backward(cache["caches"]["fwd"][layer], dx)
+        grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
+    de += dx
+    dx = dhb[::-1]
+    for layer in range(cache["n_layers"] - 1, -1, -1):
+        pre = "bwd%d_" % layer
+        dW, dU, db, dx = masked_lstm_backward(cache["caches"]["bwd"][layer], dx)
+        grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
+    de += dx[::-1]
+    de = de * mask
+    demb = np.zeros((cache["V"], e.shape[2]))
+    np.add.at(demb, ids.ravel(), de.reshape(-1, e.shape[2]))
+    grads["emb"] = demb
+    return grads
+
+
+def _masked_noise_forward(model, sentences):
+    ids, mask, _ = _pad(sentences)
+    inputs = np.empty_like(ids)
+    inputs[0] = model.bos_id
+    inputs[1:] = ids[:-1]
+    p = model.params
+    x = p["emb"][inputs] * mask
+    hs, cache = masked_lstm_forward(x, mask, p["W"], p["U"], p["b"])
+    return ids, inputs, mask, hs, cache, hs @ p["Wo"] + p["bo"]
+
+
+def masked_seq_log_prob_batch(model, sentences):
+    ids, _, mask, _, _, logits = _masked_noise_forward(model, sentences)
+    m = logits.max(axis=-1)
+    lse = np.log(np.exp(logits - m[:, :, None]).sum(axis=-1))
+    tok = np.take_along_axis(logits, ids[:, :, None], axis=2)[:, :, 0] - m - lse
+    return (tok * mask[:, :, 0]).sum(axis=0)
+
+
+def masked_nll_and_grads(model, sentences):
+    B = len(sentences)
+    ids, inputs, mask, hs, cache, logits = _masked_noise_forward(model, sentences)
+    T = ids.shape[0]
+    logp = noise._log_softmax(logits)
+    tok = np.take_along_axis(logp, ids[:, :, None], axis=2)[:, :, 0]
+    nll = -float((tok * mask[:, :, 0]).sum()) / B
+    dlogits = np.exp(logp)
+    dlogits.reshape(-1, model.V)[np.arange(T * B), ids.ravel()] -= 1.0
+    dlogits *= mask / B
+    grads = {"Wo": np.einsum("tbd,tbv->dv", hs, dlogits), "bo": dlogits.sum(axis=(0, 1))}
+    dW, dU, db, dx = masked_lstm_backward(cache, dlogits @ model.params["Wo"].T)
+    grads["W"], grads["U"], grads["b"] = dW, dU, db
+    dx = dx * mask
+    demb = np.zeros_like(model.params["emb"])
+    np.add.at(demb, inputs.ravel(), dx.reshape(-1, dx.shape[2]))
+    grads["emb"] = demb
+    return nll, grads
+
+
+def masked_sample(model, count, rng):
+    """The sampler stepping every chain at every step, draws in chain order."""
+    L = model.prior.max_length
+    lengths = rng.choice(np.arange(1, L + 1), size=count, p=model.prior.probs)
+    T = int(lengths.max())
+    p = model.params
+    d = p["emb"].shape[1]
+    h = np.zeros((count, d))
+    c = np.zeros((count, d))
+    tokens = np.zeros((T, count), dtype=np.int64)
+    log_p = np.zeros(count)
+    prev = np.full(count, model.bos_id, dtype=np.int64)
+    rows = np.arange(count)
+    for t in range(T):
+        h, c, _ = _masked_cell(p["emb"][prev], h, c, p["W"], p["U"], p["b"])
+        logp = h @ p["Wo"] + p["bo"]
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        cdf = np.cumsum(np.exp(logp), axis=1)
+        u = rng.random(count)
+        idx = np.minimum(np.count_nonzero(cdf < u[:, None], axis=1), model.V - 1)
+        tokens[t] = idx
+        log_p += logp[rows, idx] * (t < lengths)
+        prev = idx
+    return [tuple(row[:l]) for row, l in zip(tokens.T.tolist(), lengths)], log_p

@@ -164,6 +164,46 @@ def test_train_with_class_map(tmp_path, tiny_corpus):
     assert TrfModel.load(model_out).class_map is not None
 
 
+def _no_tab(lines):
+    lines[0] = lines[0].replace("\t", " ")
+    return 1
+
+
+def _non_integer_class(lines):
+    lines[1] = lines[1].split("\t")[0] + "\tx"
+    return 2
+
+
+def _word_listed_twice(lines):
+    lines.append(lines[1])
+    return len(lines)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_no_tab, "expected 'word<TAB>class id'"),
+        (_non_integer_class, "class id 'x'"),
+        (_word_listed_twice, "is listed twice"),
+    ],
+    ids=["no-tab", "non-integer-class", "word-listed-twice"],
+)
+def test_train_bad_class_map_exit_1(tmp_path, tiny_corpus, capsys, damage, message):
+    train, dev = tiny_corpus
+    cmap = tmp_path / "classes.txt"
+    assert _run(["cluster", train, cmap, "--n-classes", 3]) == 0
+    lines = cmap.read_text().splitlines()
+    lineno = damage(lines)
+    cmap.write_text("\n".join(lines) + "\n")
+    argv, _ = _train_args(
+        tmp_path, train, dev, "discrete", ["templates=w+c:2", "class_map=%s" % cmap]
+    )
+    capsys.readouterr()
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "classes.txt:%d: " % lineno in err and message in err
+
+
 @pytest.mark.parametrize(
     "damage, resume_set, messages",
     [

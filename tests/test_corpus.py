@@ -171,6 +171,25 @@ def test_class_map_rejects_word_outside_vocabulary(tmp_path):
         corpus.ClassMap.load(path, vocab)
 
 
+BAD_CLASS_MAPS = {
+    "no-tab": ("<unk>\t0\na 1\nb\t0\n", r"classes\.txt:2: expected 'word<TAB>class id'"),
+    "two-tabs": ("<unk>\t0\na\t1\t1\nb\t0\n", r"classes\.txt:2: expected"),
+    "non-integer-class": ("<unk>\t0\na\tx\nb\t0\n", r"classes\.txt:2: class id 'x'"),
+    "negative-class": ("<unk>\t0\na\t-1\nb\t0\n", r"classes\.txt:2: class id '-1'"),
+    "word-listed-twice": ("<unk>\t0\na\t1\nb\t0\na\t3\n", r"classes\.txt:4: word 'a' is listed twice"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLASS_MAPS, ids=list(BAD_CLASS_MAPS))
+def test_class_map_rejects_bad_line(tmp_path, case):
+    text, message = BAD_CLASS_MAPS[case]
+    vocab = corpus.Vocabulary(["<unk>", "a", "b"])
+    path = tmp_path / "classes.txt"
+    path.write_text(text)
+    with pytest.raises(corpus.CorpusError, match=message):
+        corpus.ClassMap.load(path, vocab)
+
+
 def test_read_corpus_skips_long_sentences(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\na b c d\na\n")

@@ -185,3 +185,45 @@ def test_doubled_embeddings_change_phi_smoothly():
         lambda: helpers.phi_forward(s, params2)[0], params2, ana, floor=1e-6
     )
     assert err < 1e-4
+
+
+PACKING_CASES = {
+    "mixed-lengths": dict(lengths=[1, 2, 3, 4, 5, 6, 7, 8] * 5, n_layers=1),
+    "equal-lengths": dict(lengths=[5] * 12, n_layers=1),
+    "length-one": dict(lengths=[1] * 6, n_layers=1),
+    "two-layers": dict(lengths=[1, 2, 3, 4, 5, 6, 7, 8] * 3, n_layers=2),
+}
+
+
+@pytest.mark.parametrize("case", PACKING_CASES, ids=list(PACKING_CASES))
+def test_packed_phi_matches_masked_reference(case):
+    spec = PACKING_CASES[case]
+    rng = np.random.default_rng(17)
+    params = _random_params(20, 5, n_layers=spec["n_layers"], seed=17)
+    sents = helpers.shuffled_batch(rng, 20, spec["lengths"])
+    weights = rng.normal(size=len(sents))
+    vals, cache = neural.phi_forward_batch(sents, params)
+    ref_vals, ref_cache = helpers.masked_phi_forward_batch(sents, params)
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12)
+    grads = neural.phi_backward_batch(cache, weights)
+    ref = helpers.masked_phi_backward_batch(ref_cache, weights)
+    assert grads.keys() == ref.keys()
+    for k in ref:
+        np.testing.assert_allclose(grads[k], ref[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_packed_phi_reorders_with_its_batch():
+    rng = np.random.default_rng(18)
+    params = _random_params(20, 5, seed=18)
+    sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    perm = rng.permutation(len(sents))
+    vals, _ = neural.phi_forward_batch(sents, params)
+    permuted, _ = neural.phi_forward_batch([sents[j] for j in perm], params)
+    assert permuted.tobytes() == vals[perm].tobytes()
+
+
+def test_pack_sorts_longest_first_and_counts_live_rows():
+    ids, n, order = neural.pack([(1,), (2, 3, 4), (5, 6), (7, 8, 9)])
+    assert order.tolist() == [1, 3, 2, 0]  # stable among equal lengths
+    assert n.tolist() == [4, 3, 2]
+    assert ids.T.tolist() == [[2, 3, 4], [7, 8, 9], [5, 6, 0], [1, 0, 0]]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -187,3 +188,64 @@ def test_empty_minibatch_errors():
     m = _random_noise(2, 2, prior, seed=14)
     with pytest.raises(CorpusError):
         noise.nll_and_grads(m, [])
+
+
+PACKING_CASES = {
+    "mixed-lengths": [1, 2, 3, 4, 5, 6, 7, 8] * 5,
+    "equal-lengths": [5] * 12,
+    "length-one": [1] * 6,
+}
+
+
+@pytest.mark.parametrize("case", PACKING_CASES, ids=list(PACKING_CASES))
+def test_packed_scoring_and_gradients_match_masked_reference(case):
+    rng = np.random.default_rng(19)
+    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=19)
+    sents = helpers.shuffled_batch(rng, 20, PACKING_CASES[case])
+    np.testing.assert_allclose(
+        noise.seq_log_prob_batch(m, sents), helpers.masked_seq_log_prob_batch(m, sents),
+        rtol=0, atol=1e-12,
+    )
+    nll, grads = noise.nll_and_grads(m, sents)
+    ref_nll, ref = helpers.masked_nll_and_grads(m, sents)
+    assert nll == pytest.approx(ref_nll, rel=0, abs=1e-12)
+    assert grads.keys() == ref.keys()
+    for k in ref:
+        np.testing.assert_allclose(grads[k], ref[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_packed_scoring_reorders_with_its_batch():
+    rng = np.random.default_rng(20)
+    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=20)
+    sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    perm = rng.permutation(len(sents))
+    lp = noise.seq_log_prob_batch(m, sents)
+    permuted = noise.seq_log_prob_batch(m, [sents[j] for j in perm])
+    assert permuted.tobytes() == lp[perm].tobytes()
+
+
+def _realistic_noise():
+    # hundreds of words, lengths 1..14 shaped like the bundled corpus's,
+    # and weights far from uniform so that the conditionals are peaked
+    w = np.array([1, 1, 2, 3, 5, 8, 10, 12, 12, 10, 8, 6, 4, 3.0])
+    m = noise.init_noise_model(240, 40, LengthPrior(w / w.sum()), seed=31)
+    rng = np.random.default_rng(31)
+    m.params = {k: rng.uniform(-1.0, 1.0, v.shape) for k, v in m.params.items()}
+    return m
+
+
+def test_sample_golden_draws_realistic_size():
+    # 400 chains of lengths 1..14 over V=240: stepping only the live chains
+    # runs every GEMM on fewer rows, which must not move any draw
+    sents, _ = noise.sample(_realistic_noise(), 400, np.random.default_rng(5))
+    assert len({len(s) for s in sents}) == 14
+    digest = hashlib.sha256(repr(sents).encode()).hexdigest()
+    assert digest == "3bb055db9ae2f3ae72a6d2dc07e9d3590ca5464656c226b903672ec55e9f0f50"
+
+
+def test_sample_matches_stepping_every_chain():
+    m = _realistic_noise()
+    sents, log_p = noise.sample(m, 300, np.random.default_rng(6))
+    ref_sents, ref_log_p = helpers.masked_sample(m, 300, np.random.default_rng(6))
+    assert sents == ref_sents
+    assert log_p.tobytes() == ref_log_p.tobytes()
