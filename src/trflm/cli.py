@@ -20,7 +20,7 @@ from . import neural
 from . import noise as noise_mod
 from . import oracle as oracle_mod
 from .model import TrfModel, load_noise_model, save_noise_model, zeta_init
-from .trainer import DnceConfig, TrainerError, train
+from .trainer import DnceConfig, ResumeConfigError, TrainerError, train
 
 
 class ConfigError(ValueError):
@@ -131,11 +131,17 @@ def _validate_train_config(cfg) -> DnceConfig:
         problems.append("mode must be discrete, neural, or mixed")
     if cfg["mode"] in ("discrete", "mixed"):
         spec = cfg["templates"].split(":", 1)[0]
-        order = feats.compile_templates(cfg["templates"], class_map_present=True).max_order
-        if len(cfg["cutoffs"]) != order:
-            problems.append(
-                "cutoff string %r length != max order %d" % (cfg["cutoffs"], order)
-            )
+        try:
+            need = feats.compile_templates(cfg["templates"], class_map_present=True).n_cutoffs
+            feats.parse_cutoffs(cfg["cutoffs"])
+        except feats.FeatureError as exc:
+            problems.append(str(exc))
+        else:
+            if len(cfg["cutoffs"]) != need:
+                problems.append(
+                    "cutoff string %r length != %d, one digit per feature order"
+                    % (cfg["cutoffs"], need)
+                )
         if any(p in ("c", "cs") for p in spec.split("+")) and not cfg.get("class_map"):
             problems.append("class features requested but no class_map configured")
     if problems:
@@ -313,7 +319,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError,) as exc:
+    except (ConfigError, ResumeConfigError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures surface as exit code 1

@@ -40,31 +40,42 @@ class NBestList:
     hypotheses: list  # (aux_score, token strings)
 
 
+def _tab_fields(path, n, layout):
+    """(line number, fields) for each nonblank line split into its n tab
+    fields; a line with fewer raises EvalError naming path:line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t", n - 1)
+            if len(fields) < n:
+                raise EvalError("%s:%d: expected %s" % (path, lineno, layout))
+            yield lineno, fields
+
+
 def read_nbest(path):
     """Lines "utt_id<TAB>aux_score<TAB>w1 w2 ...", grouped by utt_id."""
     lists = []
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            utt, aux, text = line.rstrip("\n").split("\t", 2)
-            if current is None or current.utt_id != utt:
-                current = NBestList(utt, [])
-                lists.append(current)
-            current.hypotheses.append((float(aux), text.split()))
+    for lineno, (utt, aux, text) in _tab_fields(path, 3, "utt_id<TAB>aux_score<TAB>words"):
+        try:
+            score = float(aux)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise EvalError("%s:%d: aux score %r is not a finite number" % (path, lineno, aux))
+        if current is None or current.utt_id != utt:
+            current = NBestList(utt, [])
+            lists.append(current)
+        current.hypotheses.append((score, text.split()))
     return lists
 
 
 def read_refs(path):
-    refs = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            utt, text = line.rstrip("\n").split("\t", 1)
-            refs[utt] = text.split()
-    return refs
+    """Lines "utt_id<TAB>w1 w2 ...", keyed by utt_id."""
+    return {
+        utt: text.split() for _, (utt, text) in _tab_fields(path, 2, "utt_id<TAB>words")
+    }
 
 
 @dataclass

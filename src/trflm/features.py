@@ -8,6 +8,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import neural
 from .corpus import ClassMap
 
 
@@ -34,6 +35,12 @@ class TemplateSet:
     templates: list
     max_order: int
 
+    @property
+    def n_cutoffs(self):
+        """Number of cutoff digits needed, one per order up to the highest;
+        skip trigrams are of order 3 whatever the max order."""
+        return max([self.max_order] + [t.order for t in self.templates])
+
 
 _SKIP_BIGRAM_GAPS = (1, 2, 3)
 _SKIP_TRIGRAM_GAPS = (1, 2)
@@ -48,6 +55,8 @@ def compile_templates(spec: str, class_map_present=False, max_order=5) -> Templa
     """
     if ":" in spec:
         spec, order_str = spec.rsplit(":", 1)
+        if not order_str.isdigit():
+            raise FeatureError("max order must be an integer, got %r" % order_str)
         max_order = int(order_str)
     if max_order < 1:
         raise FeatureError("max order must be >= 1")
@@ -86,13 +95,24 @@ class FeatureIndex:
 
     Keys surviving the per-order count cutoffs are indexed in (template
     id, value tuple) order, so the layout is independent of corpus
-    traversal order.
+    traversal order. key_arrays holds them as one (n_t, order) integer
+    array per template, rows in increasing order.
     """
 
-    def __init__(self, template_set: TemplateSet, keys, class_map: ClassMap | None):
+    def __init__(self, template_set: TemplateSet, key_arrays, class_map: ClassMap | None):
         self.template_set = template_set
         self.class_map = class_map
-        self.keys = list(keys)  # list of (template_id, value_tuple)
+        self.key_arrays = [np.asarray(a, dtype=np.int64) for a in key_arrays]
+        if len(self.key_arrays) != len(template_set.templates) or any(
+            a.ndim != 2 or a.shape[1] != t.order
+            for a, t in zip(self.key_arrays, template_set.templates)
+        ):
+            raise FeatureError("need one (n, order) key array per template")
+        self.keys = [
+            (tid, values)
+            for tid, a in enumerate(self.key_arrays)
+            for values in zip(*a.T.tolist())
+        ]  # list of (template_id, value_tuple)
         self.key_to_id = {k: i for i, k in enumerate(self.keys)}
 
     @property
@@ -116,32 +136,49 @@ class FeatureIndex:
         return self.class_map.class_of(word_id)
 
 
+def _kept_keys(columns, cutoff):
+    """The distinct rows of the placement columns occurring more than
+    cutoff times, as an (n, order) array in increasing row order."""
+    order = np.lexsort(columns[::-1])  # lexsort's last key is the primary one
+    columns = [c[order] for c in columns]
+    changed = np.zeros(max(len(order) - 1, 0), dtype=bool)
+    for c in columns:
+        changed |= c[1:] != c[:-1]
+    first = np.flatnonzero(np.concatenate(([True], changed)))
+    counts = np.diff(first, append=len(order))
+    first = first[counts > cutoff]
+    return np.stack([c[first] for c in columns], axis=1)
+
+
 def build_feature_index(
     sentences, template_set: TemplateSet, cutoffs, class_map=None
 ) -> FeatureIndex:
     """Count every template placement over the corpus and keep keys with
-    count strictly greater than the cutoff for their order."""
+    count strictly greater than the cutoff for their order.
+
+    The corpus is laid out once as a padded (T, B) id matrix, longest
+    sentence first; the placements of a template are its offset columns
+    at every in-bounds position, and sorting them groups equal keys.
+    """
     if isinstance(cutoffs, str):
         cutoffs = parse_cutoffs(cutoffs)
-    if len(cutoffs) < template_set.max_order:
-        raise FeatureError(
-            "need %d cutoffs, got %d" % (template_set.max_order, len(cutoffs))
-        )
+    if len(cutoffs) < template_set.n_cutoffs:
+        raise FeatureError("need %d cutoffs, got %d" % (template_set.n_cutoffs, len(cutoffs)))
     needs_classes = any(t.source == "class" for t in template_set.templates)
     if needs_classes and class_map is None:
         raise FeatureError("templates use class features but no class map given")
-    scratch = FeatureIndex(template_set, [], class_map)
-    counts = Counter()
-    for s in sentences:
-        for tid, values in enumerate(scratch._placements(s)):
-            counts.update(zip(repeat(tid), values))
-    keys = [
-        key
-        for key, c in counts.items()
-        if c > cutoffs[template_set.templates[key[0]].order - 1]
-    ]
-    keys.sort()
-    return FeatureIndex(template_set, keys, class_map)
+    ids, n, _ = neural.pack(sentences or [()])  # an empty corpus as one empty sentence
+    seqs = {"word": ids}
+    if needs_classes:
+        seqs["class"] = class_map.word_to_class[ids]
+    in_bounds = neural.real_tokens(n, ids.shape[1])
+    key_arrays = []
+    for t in template_set.templates:
+        # a placement at position p is in bounds iff its last token p + span - 1 is
+        mask = in_bounds[t.span - 1 :]
+        columns = [seqs[t.source][o : o + len(mask)][mask] for o in t.offsets]
+        key_arrays.append(_kept_keys(columns, cutoffs[t.order - 1]))
+    return FeatureIndex(template_set, key_arrays, class_map)
 
 
 def extract(sentence, index: FeatureIndex):

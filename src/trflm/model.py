@@ -21,6 +21,7 @@ from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 
 
 _PHI = "phi."  # name prefix of the neural potential's arrays in params()
+_KEYS = "keys."  # "keys.<template id>": that template's feature keys, one row each
 
 
 class ModelError(ValueError):
@@ -133,11 +134,6 @@ class TrfModel:
             "template_spec": self.template_spec,
             "has_discrete": self.has_discrete,
             "has_neural": self.has_neural,
-            "feature_keys": (
-                [[int(tid), [int(v) for v in vals]] for tid, vals in self.feature_index.keys]
-                if self.has_discrete
-                else None
-            ),
             "templates": (
                 [[t.source, list(t.offsets)] for t in self.feature_index.template_set.templates]
                 if self.has_discrete
@@ -151,13 +147,22 @@ class TrfModel:
             ),
             "n_classes": None if self.class_map is None else self.class_map.n_classes,
         }
-        write_container(path, manifest, {"pi": self.prior.probs, **self.params()})
+        # integer keys are exact in the container's float64 below 2**53
+        keys = {}
+        if self.has_discrete:
+            keys = {_KEYS + str(t): a for t, a in enumerate(self.feature_index.key_arrays)}
+        write_container(path, manifest, {"pi": self.prior.probs, **self.params(), **keys})
 
     @classmethod
     def load(cls, path) -> "TrfModel":
         manifest, arrays = read_container(path)
         if manifest.get("kind") != "trf-model":
             raise ModelError("%s is not a model file (kind=%r)" % (path, manifest.get("kind")))
+        if "feature_keys" in manifest:
+            raise ModelError(
+                "%s stores its feature keys as a JSON list, which this version no longer "
+                "reads; retrain the model, or re-save it with keys.<template id> arrays" % path
+            )
         vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
         prior = LengthPrior(arrays["pi"])
         class_map = None
@@ -172,8 +177,11 @@ class TrfModel:
                 feats.Template(src, tuple(offs)) for src, offs in manifest["templates"]
             ]
             tset = feats.TemplateSet(templates, manifest["max_order"])
-            keys = [(tid, tuple(vals)) for tid, vals in manifest["feature_keys"]]
-            feature_index = feats.FeatureIndex(tset, keys, class_map)
+            names = [_KEYS + str(t) for t in range(len(templates))]
+            missing = [k for k in names if k not in arrays]
+            if missing:
+                raise ModelError("%s lacks the feature key arrays %s" % (path, ", ".join(missing)))
+            feature_index = feats.FeatureIndex(tset, [arrays[k] for k in names], class_map)
             lam = arrays["lam"]
         phi_params = None
         if manifest["has_neural"]:

@@ -21,6 +21,10 @@ class TrainerError(ValueError):
     pass
 
 
+class ResumeConfigError(TrainerError):
+    """A checkpoint was written under another trainer config, or under none."""
+
+
 @dataclass
 class DnceConfig:
     alpha: float = 0.25
@@ -161,9 +165,10 @@ def _checkpoint_arrays(model, noise, adam, avg_sums):
     return {"%s.%s" % (g, k): v for g, arrays in groups.items() for k, v in arrays.items()}
 
 
-def _checkpoint(path, model, noise, adam, avg_sums, avg_n, state, rng):
+def _checkpoint(path, config, model, noise, adam, avg_sums, avg_n, state, rng):
     manifest = {
         "kind": "dnce-checkpoint",
+        "config": asdict(config),
         "state": asdict(state),
         "adam_t": adam.t,
         "avg_n": avg_n,
@@ -172,12 +177,27 @@ def _checkpoint(path, model, noise, adam, avg_sums, avg_n, state, rng):
     write_container(path, manifest, _checkpoint_arrays(model, noise, adam, avg_sums))
 
 
-def _restore(path, model, noise, adam, rng):
+def _restore(path, config, model, noise, adam, rng):
     """Load a checkpoint into the run's own arrays, in place, once the file
-    is seen to hold exactly this run's arrays with their shapes."""
+    is seen to hold this run's config (max_epochs may differ) and exactly
+    this run's arrays with their shapes."""
     manifest, arrays = read_container(path)
     if manifest.get("kind") != "dnce-checkpoint":
         raise TrainerError("%s is not a DNCE checkpoint (kind=%r)" % (path, manifest.get("kind")))
+    stored = manifest.get("config")
+    if stored is None:
+        raise ResumeConfigError("checkpoint %s stores no trainer config to check" % path)
+    current = asdict(config)
+    changed = [
+        "%s %r -> %r" % (k, stored.get(k), current.get(k))
+        for k in sorted(stored.keys() | current.keys())
+        if k != "max_epochs" and stored.get(k) != current.get(k)
+    ]
+    if changed:
+        raise ResumeConfigError(
+            "checkpoint %s was written under another trainer config: %s"
+            % (path, "; ".join(changed))
+        )
     params = model.params()
     adam.m = {k: np.empty_like(v) for k, v in params.items()}
     adam.v = {k: np.empty_like(v) for k, v in params.items()}
@@ -226,7 +246,7 @@ def train(
     adam = AdamState()
     state, avg_sums, avg_n = TrainState(), {}, 0
     if resume:
-        state, avg_sums, avg_n = _restore(checkpoint_path, model, noise, adam, rng)
+        state, avg_sums, avg_n = _restore(checkpoint_path, config, model, noise, adam, rng)
     params = model.params()
 
     n = len(train_sentences)
@@ -295,7 +315,7 @@ def train(
             )
             log_sink.flush()
         if checkpoint_path is not None:
-            _checkpoint(checkpoint_path, model, noise, adam, avg_sums, avg_n, state, rng)
+            _checkpoint(checkpoint_path, config, model, noise, adam, avg_sums, avg_n, state, rng)
         if max_steps is not None and step_count >= max_steps:
             break
     if avg_n > 0:

@@ -1,5 +1,7 @@
 """Single-item conveniences over the batched library calls, used by the tests."""
 
+from collections import Counter
+
 import numpy as np
 
 from trflm import evaluation, features, neural, noise, trainer
@@ -27,6 +29,25 @@ def adam_step(param: np.ndarray, grad: np.ndarray, lr, state: trainer.AdamState)
     holder = {"p": param}
     state.step(holder, {"p": grad}, {"p": lr})
     return holder["p"]
+
+
+def counter_feature_keys(sentences, template_set, cutoffs, class_map=None):
+    """The reference feature keys: count every template placement of every
+    sentence in a Counter of (template id, value tuple) and keep, sorted,
+    the keys counted more often than their order's cutoff."""
+    if isinstance(cutoffs, str):
+        cutoffs = features.parse_cutoffs(cutoffs)
+    counts = Counter()
+    for s in sentences:
+        seqs = {"word": [int(w) for w in s]}
+        if class_map is not None:
+            seqs["class"] = [class_map.class_of(w) for w in s]
+        for tid, t in enumerate(template_set.templates):
+            seq = seqs[t.source]
+            for p in range(len(seq) - t.span + 1):
+                counts[(tid, tuple(seq[p + o] for o in t.offsets))] += 1
+    orders = [t.order for t in template_set.templates]
+    return sorted(k for k, c in counts.items() if c > cutoffs[orders[k[0]] - 1])
 
 
 def feature_counts_dense(sentence, index: features.FeatureIndex) -> np.ndarray:

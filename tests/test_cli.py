@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trflm import cli
+from trflm.container import read_container, write_container
 from trflm.model import TrfModel
 
 
@@ -144,6 +145,32 @@ def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, s
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["templates=x:2"], "unknown feature type 'x'"),
+        (["templates=w:x"], "max order must be an integer, got 'x'"),
+        (["cutoffs=0a"], "cutoff string must be digits, got '0a'"),
+        (["templates=ws:2", "cutoffs=00"], "cutoff string '00' length != 3"),
+    ],
+    ids=["unknown-type", "order-not-integer", "cutoffs-not-digits", "skip-trigram-order"],
+)
+def test_train_invalid_feature_setting_exit_2_before_reading(tmp_path, capsys, settings, message):
+    argv = ["train"]
+    for item in (
+        "train_corpus=%s" % (tmp_path / "missing.txt"),
+        "dev_corpus=%s" % (tmp_path / "missing-dev.txt"),
+        "model_out=%s" % (tmp_path / "m.trf"),
+        "mode=discrete",
+        "templates=w:2",
+        "cutoffs=00",
+        *settings,
+    ):
+        argv += ["--set", item]
+    assert _run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_class_features_without_map_exit_2(tmp_path, tiny_corpus):
     train, dev = tiny_corpus
     argv, _ = _train_args(
@@ -230,6 +257,32 @@ def test_train_resume_refuses_bad_checkpoint(
     assert all(m in err for m in messages)
 
 
+def test_train_resume_refuses_changed_config_exit_2(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    ckpt = tmp_path / "ckpt"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
+    assert _run(argv) == 0
+    capsys.readouterr()
+    assert _run(argv + ["--set", "lr_theta=0.01", "--set", "resume=1"]) == 2
+    err = capsys.readouterr().err
+    assert "lr_theta 0.003 -> 0.01" in err
+    # max_epochs alone may change
+    assert _run(argv + ["--set", "max_epochs=2", "--set", "resume=1"]) == 0
+
+
+def test_train_resume_refuses_checkpoint_without_config_exit_2(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    ckpt = tmp_path / "ckpt"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
+    assert _run(argv) == 0
+    manifest, arrays = read_container(ckpt)
+    del manifest["config"]
+    write_container(ckpt, manifest, arrays)
+    capsys.readouterr()
+    assert _run(argv + ["--set", "resume=1"]) == 2
+    assert "stores no trainer config" in capsys.readouterr().err
+
+
 def test_ppl_command(tmp_path, tiny_corpus, capsys):
     train, dev = tiny_corpus
     argv, model_out = _train_args(tmp_path, train, dev, "discrete")
@@ -291,6 +344,29 @@ def test_rescore_interpolation_same_model_same_picks(tmp_path, tiny_corpus, caps
     doubled = capsys.readouterr().out
     pick = lambda s: s.splitlines()[0].split("\t")[1]
     assert pick(single) == pick(doubled)
+
+
+def test_rescore_bad_nbest_line_exit_1(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.1\tthe cat sat\nu1\tlow\ta dog ran\n")
+    capsys.readouterr()
+    assert _run(["rescore", nbest, model_out]) == 1
+    assert "%s:2: aux score 'low'" % nbest in capsys.readouterr().err
+
+
+def test_ppl_refuses_model_with_json_feature_keys_exit_1(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    manifest["feature_keys"] = []
+    write_container(model_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "%s stores its feature keys as a JSON list" % model_out in capsys.readouterr().err
 
 
 def test_oracle_check_passes(capsys):

@@ -175,6 +175,25 @@ def test_nbest_file_roundtrip(tmp_path):
     assert refs["utt2"] == ["y"]
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (ev.read_nbest, "u1\t0.0\ta b\nu1\t0.5\n", ":2: expected utt_id<TAB>aux_score<TAB>words"),
+        (ev.read_nbest, "u1\t0.0\ta b\n\nu1 0.5 a\n", ":3: expected"),
+        (ev.read_nbest, "u1\tabc\ta b\n", ":1: aux score 'abc' is not a finite number"),
+        (ev.read_nbest, "u1\tnan\ta b\n", ":1: aux score 'nan'"),
+        (ev.read_refs, "u1\ta b\nu2 a b\n", ":2: expected utt_id<TAB>words"),
+    ],
+    ids=["nbest-two-fields", "nbest-no-tabs", "nbest-aux-not-numeric", "nbest-aux-nan", "refs-no-tab"],
+)
+def test_bad_input_line_names_path_and_line(tmp_path, reader, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ev.EvalError) as exc:
+        reader(path)
+    assert str(exc.value).startswith(str(path) + message)
+
+
 def test_rescore_corpus_with_refs(tmp_path):
     table = {("a", "b"): -1.0, ("a",): -5.0, ("z",): -1.0, ("y",): -3.0}
     lists = [

@@ -68,6 +68,44 @@ def test_build_index_empty_templates():
     assert index.n_features == 0
 
 
+_FAMILIES = ["w", "c", "ws", "cs"]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_build_index_equals_counter_reference(data):
+    V = data.draw(st.integers(1, 6))
+    n_classes = data.draw(st.integers(1, 3))
+    classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=V, max_size=V))
+    class_map = ClassMap(np.array(classes, dtype=np.int64), n_classes)
+    # lengths 1..7 straddle every span: contiguous up to 4, skip grams up to 5
+    sentence = st.lists(st.integers(0, V - 1), min_size=1, max_size=7).map(tuple)
+    corpus = data.draw(st.lists(sentence, max_size=25))
+    parts = data.draw(st.lists(st.sampled_from(_FAMILIES), min_size=1, max_size=4, unique=True))
+    order = data.draw(st.integers(1, 4))
+    cutoffs = "".join(data.draw(st.lists(st.sampled_from("0123"), min_size=order, max_size=order)))
+    tset = feats.compile_templates("%s:%d" % ("+".join(parts), order), class_map_present=True)
+    if order < 3 and {"ws", "cs"} & set(parts):
+        with pytest.raises(feats.FeatureError, match="need 3 cutoffs"):
+            feats.build_feature_index(corpus, tset, cutoffs, class_map=class_map)
+        return
+    index = feats.build_feature_index(corpus, tset, cutoffs, class_map=class_map)
+    assert index.keys == helpers.counter_feature_keys(corpus, tset, cutoffs, class_map)
+
+
+def test_build_index_equals_counter_reference_on_bundled_corpus():
+    path = Path(__file__).resolve().parent.parent / "data" / "train.txt"
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    vocab = corpus_mod.build_vocab(lines, 10000)
+    sents = corpus_mod.read_corpus(path, vocab, max_length=60)
+    class_map = ClassMap(np.arange(vocab.size) % 200, 200)
+    tset = feats.compile_templates("w+c+ws+cs:4", class_map_present=True)
+    index = feats.build_feature_index(sents, tset, "0022", class_map=class_map)
+    assert index.n_features > 100000
+    assert index.keys == helpers.counter_feature_keys(sents, tset, "0022", class_map)
+
+
 def test_extract_bigrams():
     tset = feats.TemplateSet([feats.Template("word", (0, 1))], 2)
     index = feats.build_feature_index([(1, 2), (2, 1)], tset, [0, 0])

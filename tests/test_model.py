@@ -7,8 +7,9 @@ import pytest
 from trflm import features as feats
 from trflm import neural, noise, oracle
 from trflm.container import ContainerError, read_container, write_container
-from trflm.corpus import CorpusError, LengthPrior, Vocabulary
+from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 from trflm.model import (
+    ModelError,
     TrfModel,
     load_noise_model,
     save_noise_model,
@@ -148,6 +149,45 @@ def test_save_load_index_built_from_numpy_integers(tmp_path):
     loaded = TrfModel.load(path)
     assert loaded.feature_index.keys == index.keys
     assert np.array_equal(loaded.log_prob_batch(corpus), m.log_prob_batch(corpus))
+
+
+def test_save_load_class_feature_keys_round_trip(tmp_path):
+    rng = np.random.default_rng(11)
+    V, L = 9, 6
+    corpus = [tuple(rng.integers(0, V, size=l)) for l in rng.integers(1, L + 1, size=60)]
+    class_map = ClassMap(np.arange(V) % 4, 4)
+    tset = feats.compile_templates("w+c+ws+cs:3", class_map_present=True)
+    index = feats.build_feature_index(corpus, tset, "001", class_map=class_map)
+    prior = LengthPrior(np.full(L, 1.0 / L))
+    m = TrfModel(
+        _vocab(V), prior, zeta_init(V, L), feature_index=index,
+        lam=rng.normal(size=index.n_features),
+        phi_params=neural.init_phi_params(V, 3, seed=2),
+        class_map=class_map, template_spec="w+c+ws+cs:3",
+    )
+    path = tmp_path / "classes.trf"
+    m.save(path)
+    manifest, arrays = read_container(path)
+    assert "feature_keys" not in manifest
+    assert [arrays["keys.%d" % t].shape for t in range(len(tset.templates))] == [
+        a.shape for a in index.key_arrays
+    ]
+    loaded = TrfModel.load(path)
+    assert loaded.feature_index.keys == index.keys
+    assert loaded.log_prob_batch(corpus).tobytes() == m.log_prob_batch(corpus).tobytes()
+
+
+def test_load_refuses_json_feature_keys(tmp_path):
+    m = _mixed_model(seed=5)
+    path = tmp_path / "old.trf"
+    m.save(path)
+    manifest, arrays = read_container(path)
+    # the layout of earlier versions: keys as a JSON list, no keys.<tid> arrays
+    manifest["feature_keys"] = [[tid, list(vals)] for tid, vals in m.feature_index.keys]
+    arrays = {k: v for k, v in arrays.items() if not k.startswith("keys.")}
+    write_container(path, manifest, arrays)
+    with pytest.raises(ModelError, match="old.trf stores its feature keys as a JSON list.*retrain"):
+        TrfModel.load(path)
 
 
 def test_save_load_discrete_only(tmp_path):

@@ -371,6 +371,19 @@ def test_train_resume_refuses_changed_averaging_window(tmp_path):
         )
 
 
+def test_train_resume_refuses_changed_config(tmp_path):
+    data, cfg, fresh = _resume_setup(0)
+    ckpt = tmp_path / "ckpt"
+    model, noise = fresh()
+    cfg_half = copy.deepcopy(cfg)
+    cfg_half.max_epochs = 2
+    trainer.train(cfg_half, data, data[:10], model, noise, checkpoint_path=ckpt)
+    changed = copy.deepcopy(cfg)
+    changed.lr_theta = 0.01
+    with pytest.raises(trainer.ResumeConfigError, match="lr_theta 0.003 -> 0.01"):
+        trainer.train(changed, data, data[:10], model, noise, checkpoint_path=ckpt, resume=True)
+
+
 def test_train_stops_when_lr_floor_reached():
     rng = np.random.default_rng(2)
     V, L = 3, 2
