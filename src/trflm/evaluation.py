@@ -64,10 +64,13 @@ def read_nbest(path):
             score = math.nan
         if not math.isfinite(score):
             raise EvalError("%s:%d: aux score %r is not a finite number" % (path, lineno, aux))
+        words = text.split()
+        if not words:
+            raise EvalError("%s:%d: hypothesis has no words" % (path, lineno))
         if current is None or current.utt_id != utt:
             current = NBestList(utt, [])
             lists.append(current)
-        current.hypotheses.append((score, text.split()))
+        current.hypotheses.append((score, words))
     return lists
 
 
@@ -80,7 +83,7 @@ def read_refs(path):
 
 @dataclass
 class ScorerSet:
-    """Sentence -> log-score functions with per-scorer weights."""
+    """Hypothesis list -> log-score array functions with per-scorer weights."""
 
     scorers: list
     weights: list
@@ -91,8 +94,9 @@ class ScorerSet:
         if not self.scorers:
             raise EvalError("need at least one scorer")
 
-    def score(self, sentence) -> float:
-        return sum(w * f(sentence) for f, w in zip(self.scorers, self.weights))
+    def score(self, hypotheses) -> np.ndarray:
+        pairs = zip(self.scorers, self.weights)
+        return sum(w * np.asarray(f(hypotheses), dtype=np.float64) for f, w in pairs)
 
     @classmethod
     def equal_weights(cls, scorers):
@@ -101,9 +105,8 @@ class ScorerSet:
 
 
 def model_scorer(model):
-    def score(tokens):
-        s = encode(" ".join(tokens), model.vocab)
-        return model.log_prob(s)
+    def score(hypotheses):
+        return model.log_prob_batch([encode(" ".join(t), model.vocab) for t in hypotheses])
 
     return score
 
@@ -116,10 +119,9 @@ def score_nbest(nbest: NBestList, scorers: ScorerSet, lm_weight=1.0):
     """
     if not nbest.hypotheses:
         raise EvalError("utterance %r has no hypotheses" % nbest.utt_id)
-    scored = []
-    for rank, (aux, tokens) in enumerate(nbest.hypotheses):
-        combined = aux + lm_weight * scorers.score(tokens)
-        scored.append((combined, rank, tokens))
+    aux, hypotheses = zip(*nbest.hypotheses)
+    combined = np.array(aux) + lm_weight * scorers.score(list(hypotheses))
+    scored = [(float(c), rank, t) for rank, (c, t) in enumerate(zip(combined, hypotheses))]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored
 
@@ -164,7 +166,10 @@ def rescore_corpus(nbest_lists, scorers: ScorerSet, lm_weight=1.0, refs=None):
     selections = []
     pairs = []
     for nb in nbest_lists:
-        ranked = score_nbest(nb, scorers, lm_weight)
+        try:
+            ranked = score_nbest(nb, scorers, lm_weight)
+        except CorpusError as exc:
+            raise CorpusError("utterance %r: %s" % (nb.utt_id, exc)) from exc
         combined, best_idx, tokens = ranked[0]
         selections.append((nb.utt_id, best_idx, combined, tokens))
         if refs is not None:

@@ -119,7 +119,8 @@ class TrfModel:
     def log_prob_batch(self, sentences) -> np.ndarray:
         lengths = np.array([len(s) for s in sentences], dtype=np.int64)
         if (lengths < 1).any() or (lengths > self.max_length).any():
-            raise CorpusError("sentence length outside 1..L")
+            bad = sorted(set(int(l) for l in lengths if not 1 <= l <= self.max_length))
+            raise CorpusError("lengths outside 1..%d: %s" % (self.max_length, bad))
         priors = self.prior.probs[lengths - 1]
         if (priors <= 0).any():
             bad = sorted(set(int(l) for l in lengths[priors <= 0]))

@@ -57,9 +57,9 @@ def feature_counts_dense(sentence, index: features.FeatureIndex) -> np.ndarray:
     return out
 
 
-def interpolate(scorers, sentence) -> float:
+def interpolate(scorers, hypotheses) -> list:
     """Equal-weight log-linear interpolation: the mean of the log-scores."""
-    return evaluation.ScorerSet.equal_weights(scorers).score(sentence)
+    return list(evaluation.ScorerSet.equal_weights(scorers).score(hypotheses))
 
 
 def noise_log_prob(model: noise.NoiseModel, sentence) -> float:

@@ -331,8 +331,8 @@ def test_criterion_08_rescoring_pipeline():
     }
 
     class Fixed:
-        def __call__(self, tokens):
-            return table[tuple(tokens)]
+        def __call__(self, hypotheses):
+            return [table[tuple(tokens)] for tokens in hypotheses]
 
     lists = [
         ev.NBestList("u1", [(0.8, ["a", "b"]), (0.1, ["a", "c"]), (3.0, ["a"])]),

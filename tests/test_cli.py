@@ -357,6 +357,32 @@ def test_rescore_bad_nbest_line_exit_1(tmp_path, tiny_corpus, capsys):
     assert "%s:2: aux score 'low'" % nbest in capsys.readouterr().err
 
 
+def test_rescore_empty_hypothesis_exit_1_names_line(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.1\tthe cat sat\nu1\t0.3\t\nu2\t0.0\ta dog\n")
+    capsys.readouterr()
+    assert _run(["rescore", nbest, model_out]) == 1
+    assert "error: %s:2: hypothesis has no words" % nbest in capsys.readouterr().err
+
+
+def test_rescore_zero_prior_length_exit_1_names_utterance(tmp_path, tiny_corpus, capsys):
+    # the tiny corpus has no one-word sentence, so length 1 has zero prior
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.1\tthe cat sat\nu2\t0.0\ta dog\nu2\t0.0\tdog\n")
+    capsys.readouterr()
+    assert _run(["rescore", nbest, model_out]) == 1
+    assert (
+        "error: utterance 'u2': lengths with zero prior probability: [1]"
+        in capsys.readouterr().err
+    )
+
+
 def test_ppl_refuses_model_with_json_feature_keys_exit_1(tmp_path, tiny_corpus, capsys):
     train, dev = tiny_corpus
     argv, model_out = _train_args(tmp_path, train, dev, "discrete")

@@ -1,10 +1,17 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trflm import evaluation as ev
-from trflm.corpus import LengthPrior, Vocabulary
+from trflm import features as feats
+from trflm import neural
+from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary, encode
 from trflm.model import TrfModel, zeta_init
 
 import helpers
@@ -22,8 +29,8 @@ class FixedScore:
         self.table = table
         self.default = default
 
-    def __call__(self, tokens):
-        return self.table.get(tuple(tokens), self.default)
+    def __call__(self, hypotheses):
+        return [self.table.get(tuple(tokens), self.default) for tokens in hypotheses]
 
 
 def test_perplexity_uniform_single_length():
@@ -109,8 +116,8 @@ def test_score_nbest_empty_hypotheses():
 def test_interpolate_identity_and_mean():
     one = FixedScore({("a",): -2.0})
     two = FixedScore({("a",): -4.0})
-    assert helpers.interpolate([one], ["a"]) == pytest.approx(-2.0)
-    assert helpers.interpolate([one, two], ["a"]) == pytest.approx(-3.0)
+    assert helpers.interpolate([one], [["a"]]) == pytest.approx([-2.0])
+    assert helpers.interpolate([one, two], [["a"]]) == pytest.approx([-3.0])
 
 
 def test_interpolate_self_preserves_ranking():
@@ -182,9 +189,14 @@ def test_nbest_file_roundtrip(tmp_path):
         (ev.read_nbest, "u1\t0.0\ta b\n\nu1 0.5 a\n", ":3: expected"),
         (ev.read_nbest, "u1\tabc\ta b\n", ":1: aux score 'abc' is not a finite number"),
         (ev.read_nbest, "u1\tnan\ta b\n", ":1: aux score 'nan'"),
+        (ev.read_nbest, "u1\t0.0\ta b\nu1\t0.5\t\n", ":2: hypothesis has no words"),
+        (ev.read_nbest, "u1\t0.0\t \t \n", ":1: hypothesis has no words"),
         (ev.read_refs, "u1\ta b\nu2 a b\n", ":2: expected utt_id<TAB>words"),
     ],
-    ids=["nbest-two-fields", "nbest-no-tabs", "nbest-aux-not-numeric", "nbest-aux-nan", "refs-no-tab"],
+    ids=[
+        "nbest-two-fields", "nbest-no-tabs", "nbest-aux-not-numeric", "nbest-aux-nan",
+        "nbest-empty-words", "nbest-blank-words", "refs-no-tab",
+    ],
 )
 def test_bad_input_line_names_path_and_line(tmp_path, reader, text, message):
     path = tmp_path / "input.txt"
@@ -206,3 +218,164 @@ def test_rescore_corpus_with_refs(tmp_path):
     assert [s[1] for s in selections] == [1, 0]  # picked hypotheses
     errors, ref_len, rate = report
     assert (errors, ref_len) == (1, 3)
+
+
+def _line_ok(line):
+    fields = line.split("\t", 2)
+    if len(fields) < 3:
+        return False
+    try:
+        aux = float(fields[1])
+    except ValueError:
+        return False
+    return math.isfinite(aux) and bool(fields[2].split())
+
+
+_AUX = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "abc", "", " 1.5 ", "0x1p3"]),
+    st.text(alphabet="0123456789.-+e", max_size=6),
+)
+_NBEST_LINE = st.one_of(
+    st.tuples(st.sampled_from(["u1", "u2", ""]), _AUX, st.text(alphabet="ab \t", max_size=8)).map(
+        "\t".join
+    ),
+    st.text(alphabet="ab01.e \t", max_size=12),
+)
+
+
+@given(st.lists(_NBEST_LINE, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_read_nbest_fuzz_valid_lists_or_error_at_first_bad_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nbest.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        numbered = [(n, line) for n, line in enumerate(lines, 1) if line.strip()]
+        first_bad = next((n for n, line in numbered if not _line_ok(line)), None)
+        try:
+            lists = ev.read_nbest(path)
+        except ev.EvalError as exc:
+            m = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+            assert m is not None, str(exc)
+            assert int(m.group(1)) == first_bad
+            return
+    assert first_bad is None
+    hyps = [h for nb in lists for h in nb.hypotheses]
+    assert len(hyps) == len(numbered)
+    assert all(words and math.isfinite(aux) for aux, words in hyps)
+
+
+def _paper_shaped_model(seed, V=14, L=8, d=4, zero_prior_lengths=()):
+    """A mixed model with w+c+ws+cs:4 templates over a class map, random
+    weights and a BiLSTM potential of width d."""
+    rng = np.random.default_rng(seed)
+    corpus = [tuple(rng.integers(0, V, size=l)) for l in rng.integers(1, L + 1, size=80)]
+    class_map = ClassMap(np.arange(V) % 5, 5)
+    tset = feats.compile_templates("w+c+ws+cs:4", class_map_present=True)
+    index = feats.build_feature_index(corpus, tset, "0000", class_map=class_map)
+    pi = rng.random(L) + 0.1
+    pi[[l - 1 for l in zero_prior_lengths]] = 0.0
+    phi = {
+        k: rng.uniform(-0.4, 0.4, v.shape)
+        for k, v in neural.init_phi_params(V, d, seed=seed).items()
+    }
+    return TrfModel(
+        Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)]),
+        LengthPrior(pi / pi.sum()),
+        rng.normal(size=L),
+        feature_index=index,
+        lam=rng.normal(scale=0.5, size=index.n_features),
+        phi_params=phi,
+        class_map=class_map,
+        template_spec="w+c+ws+cs:4",
+    )
+
+
+def _random_nbest(vocab, seed, n_lists=6, L=8):
+    rng = np.random.default_rng(seed)
+    words = vocab.words[1:] + ["oov"]
+    lists = []
+    for u in range(n_lists):
+        hyps = [
+            (float(rng.normal(0.0, 3.0)), [str(w) for w in rng.choice(words, size=l)])
+            for l in rng.integers(1, L + 1, size=int(rng.integers(1, 9)))
+        ]
+        lists.append(ev.NBestList("u%d" % u, hyps))
+    return lists
+
+
+def test_batched_score_nbest_equals_per_hypothesis_log_prob():
+    # A one-sentence BiLSTM pass multiplies through BLAS GEMV and a batched
+    # one through GEMM, so the two may differ in the last bits: they are
+    # equal here at d=4, and differ by up to 1.4e-14 in a score at d=200
+    # with OpenBLAS. Hence the 1e-12 bound and not equality.
+    model = _paper_shaped_model(3)
+    scorers = ev.ScorerSet.equal_weights([ev.model_scorer(model)])
+    lists = _random_nbest(model.vocab, 4)
+    selections, _ = ev.rescore_corpus(lists, scorers, lm_weight=1.7)
+    for nb, (utt, best, best_score, tokens) in zip(lists, selections):
+        ranked = ev.score_nbest(nb, scorers, lm_weight=1.7)
+        reference = [
+            aux + 1.7 * model.log_prob(encode(" ".join(t), model.vocab))
+            for aux, t in nb.hypotheses
+        ]
+        combined = dict((rank, c) for c, rank, _ in ranked)
+        np.testing.assert_allclose(
+            [combined[r] for r in range(len(reference))], reference, rtol=0, atol=1e-12
+        )
+        pick = min(range(len(reference)), key=lambda r: (-reference[r], r))
+        assert (utt, best, tokens) == (nb.utt_id, pick, nb.hypotheses[pick][1])
+        assert best_score == pytest.approx(reference[pick], rel=0, abs=1e-12)
+
+
+def test_two_model_equal_weights_is_hand_computed_mean():
+    m1, m2 = _paper_shaped_model(5), _paper_shaped_model(6)
+    scorers = ev.ScorerSet.equal_weights([ev.model_scorer(m1), ev.model_scorer(m2)])
+    for nb in _random_nbest(m1.vocab, 7):
+        sents = [encode(" ".join(t), m1.vocab) for _, t in nb.hypotheses]
+        mean = (m1.log_prob_batch(sents) + m2.log_prob_batch(sents)) / 2
+        combined = [aux + 0.5 * lp for (aux, _), lp in zip(nb.hypotheses, mean)]
+        ranked = ev.score_nbest(nb, scorers, lm_weight=0.5)
+        # halving is exact, so 0.5 * a + 0.5 * b == (a + b) / 2 bit for bit
+        assert sorted((-c, r) for c, r, _ in ranked) == sorted(
+            (-c, r) for r, c in enumerate(combined)
+        )
+        assert ranked[0][1] == min(range(len(combined)), key=lambda r: (-combined[r], r))
+
+
+def test_one_log_prob_batch_call_per_list_per_model(monkeypatch):
+    m1, m2 = _paper_shaped_model(8), _paper_shaped_model(9)
+    calls = []
+    batch = TrfModel.log_prob_batch
+
+    def counted(self, sentences):
+        calls.append((id(self), len(sentences)))
+        return batch(self, sentences)
+
+    def per_hypothesis(self, sentence):
+        raise AssertionError("rescoring scored a single hypothesis")
+
+    monkeypatch.setattr(TrfModel, "log_prob_batch", counted)
+    monkeypatch.setattr(TrfModel, "log_prob", per_hypothesis)
+    lists = _random_nbest(m1.vocab, 10, n_lists=5)
+    scorers = ev.ScorerSet.equal_weights([ev.model_scorer(m1), ev.model_scorer(m2)])
+    ev.rescore_corpus(lists, scorers)
+    assert calls == [(id(m), len(nb.hypotheses)) for nb in lists for m in (m1, m2)]
+
+
+@pytest.mark.parametrize(
+    "length, message",
+    [(3, "lengths with zero prior probability: [3]"), (9, "lengths outside 1..8: [9]")],
+    ids=["zero-prior", "too-long"],
+)
+def test_rescore_length_error_names_utterance_and_lengths(length, message):
+    model = _paper_shaped_model(11, zero_prior_lengths=(3,))
+    lists = [
+        ev.NBestList("ok", [(0.0, ["w1", "w2"])]),
+        ev.NBestList("bad", [(0.0, ["w1"]), (0.0, ["w2"] * length), (0.0, ["w1"] * 2)]),
+    ]
+    scorers = ev.ScorerSet.equal_weights([ev.model_scorer(model)])
+    with pytest.raises(CorpusError) as exc:
+        ev.rescore_corpus(lists, scorers)
+    assert str(exc.value) == "utterance 'bad': " + message
+    assert isinstance(exc.value.__cause__, CorpusError)
