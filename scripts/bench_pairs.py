@@ -1,0 +1,138 @@
+"""Run alternating parent/change pairs of the benchmark and record them.
+
+    python3 scripts/bench_pairs.py --workload score --parent HEAD~1 --pairs 10 \
+        --seconds 20 --out BENCH_8.json
+
+The parent revision is exported with ``git archive`` into a temporary
+directory; the change is the working tree this script lives in. Pair i
+runs ``perfbench/run.py --workload <w> --seed i --seconds <s>`` once on
+each side, the parent first in odd pairs and the change first in even
+ones, so that drift in the machine's speed falls on both sides alike.
+
+The workload's section of ``--out`` (a ``BENCH_<n>.json`` file) is
+written from the runs, and ``command``, ``protocol`` and ``machine`` at
+its top level; other keys in an existing file are kept. Per end-to-end
+metric of BENCHMARK.json, a section gives each side's quartiles, the
+change's median relative to the parent's, the parent's interquartile
+range, and in how many pairs the change was better or tied.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload <w> --seed <pair> --seconds %g"
+PROTOCOL = "alternating pairs, odd pairs parent first, even pairs change first; pair i uses seed i"
+
+
+def run_once(tree: Path, workload, seed, seconds):
+    """One benchmark run in a checkout: (machine record, result object)."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    if not lines:
+        raise RuntimeError("%s in %s printed nothing:\n%s" % (" ".join(argv), tree, out.stderr))
+    machine = next(
+        (json.loads(l.split("\t", 1)[1]) for l in lines if l.startswith("machine\t")), None
+    )
+    return machine, json.loads(lines[-1])
+
+
+def quartiles(values):
+    return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+
+def summarize(parent_runs, change_runs, end_to_end):
+    """The section of one workload from its paired runs.
+
+    parent_runs[i] and change_runs[i] are the result objects of pair i, as
+    the last line of perfbench/run.py prints them; end_to_end is the
+    BENCHMARK.json list of metrics with their "better" direction.
+    """
+    if len(parent_runs) != len(change_runs) or not parent_runs:
+        raise ValueError("need the same positive number of parent and change runs")
+    metrics = {}
+    for m in end_to_end:
+        name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
+        p = [r["metrics"][name]["value"] for r in parent_runs]
+        c = [r["metrics"][name]["value"] for r in change_runs]
+        pq, cq = quartiles(p), quartiles(c)
+        metrics[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "change_vs_parent_median": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+            "parent_iqr": pq[2] - pq[0],
+            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "ties": sum(a == b for a, b in zip(p, c)),
+        }
+
+    def failed(runs):
+        return [[r["failed"], r["attempted"]] for r in runs]
+
+    return {
+        "pairs": len(parent_runs),
+        "metrics": metrics,
+        "parent_correct": all(r["correct"] for r in parent_runs),
+        "parent_failed_of_attempted": failed(parent_runs),
+        "change_correct": all(r["correct"] for r in change_runs),
+        "change_failed_of_attempted": failed(change_runs),
+        "all_checks_ok": all(r["correct"] for r in parent_runs + change_runs),
+        "dev_nll_bit_identical_every_pair": all(
+            a["metrics"]["dev_nll"]["value"] == b["metrics"]["dev_nll"]["value"]
+            for a, b in zip(parent_runs, change_runs)
+        ),
+    }
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(prog="scripts/bench_pairs.py")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--out", required=True, help="the BENCH_<n>.json file to update")
+    return p.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent_runs, change_runs, machine = [], [], None
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = subprocess.run(
+            ["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True
+        ).stdout
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp)
+        for i in range(1, args.pairs + 1):
+            sides = [("parent", Path(tmp)), ("change", ROOT)]
+            for side, tree in sides if i % 2 else sides[::-1]:
+                machine, result = run_once(tree, args.workload, i, args.seconds)
+                (parent_runs if side == "parent" else change_runs).append(result)
+                print("pair %d %s: setup_s %.4g op_ms.p50 %.4g correct %s" % (
+                    i, side, result["metrics"]["setup_s"]["value"],
+                    result["metrics"]["op_ms.p50"]["value"], result["correct"]), flush=True)
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.update(command=COMMAND % args.seconds, protocol=PROTOCOL, machine=machine)
+    doc.setdefault("workloads", {})[args.workload] = summarize(
+        parent_runs, change_runs, spec["end_to_end"]
+    )
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,6 +60,8 @@ CONFIG_DEFAULTS = {
 
 _INT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is int}
 _FLOAT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is float}
+# sizes the trainer's config does not check itself
+_SIZE_KEYS = ("vocab_size", "max_train_length", "hidden_dim", "n_layers", "noise_dim")
 
 
 def load_config(path=None, overrides=()):
@@ -124,12 +126,19 @@ def _validate_train_config(cfg) -> DnceConfig:
     """Check the train config and build the trainer's part of it, before
     any file is read."""
     problems = []
-    for key in ("train_corpus", "dev_corpus", "model_out"):
+    required = ["train_corpus", "dev_corpus", "model_out"]
+    discrete = cfg["mode"] in ("discrete", "mixed")
+    if discrete:
+        required += ["templates", "cutoffs"]
+    for key in required:
         if not cfg.get(key):
             problems.append("missing required config key %r" % key)
+    for key in _SIZE_KEYS:
+        if cfg[key] < 1:
+            problems.append("%s must be >= 1" % key)
     if cfg["mode"] not in ("discrete", "neural", "mixed"):
         problems.append("mode must be discrete, neural, or mixed")
-    if cfg["mode"] in ("discrete", "mixed"):
+    if discrete and cfg["templates"] and cfg["cutoffs"]:
         spec = cfg["templates"].split(":", 1)[0]
         try:
             need = feats.compile_templates(cfg["templates"], class_map_present=True).n_cutoffs

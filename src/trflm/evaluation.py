@@ -95,8 +95,15 @@ class ScorerSet:
             raise EvalError("need at least one scorer")
 
     def score(self, hypotheses) -> np.ndarray:
-        pairs = zip(self.scorers, self.weights)
-        return sum(w * np.asarray(f(hypotheses), dtype=np.float64) for f, w in pairs)
+        total = np.zeros(len(hypotheses))
+        for f, w in zip(self.scorers, self.weights):
+            scores = np.asarray(f(hypotheses), dtype=np.float64)
+            if scores.shape != total.shape:
+                raise EvalError(
+                    "a scorer gave %d scores for %d hypotheses" % (scores.size, len(hypotheses))
+                )
+            total += w * scores
+        return total
 
     @classmethod
     def equal_weights(cls, scorers):

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from . import neural
 from .corpus import ClassMap
 
 
@@ -90,64 +88,101 @@ def parse_cutoffs(cutoff_str: str):
     return [int(c) for c in cutoff_str]
 
 
+_CODE_LIMIT = 2**62  # level codes stay below this, so folding never overflows
+_END = np.iinfo(np.int64).max  # ends each level table, so a search stays in it
+
+
 class FeatureIndex:
     """Compiled (template, value-tuple) -> dense index map.
 
     Keys surviving the per-order count cutoffs are indexed in (template
     id, value tuple) order, so the layout is independent of corpus
     traversal order. key_arrays holds them as one (n_t, order) integer
-    array per template, rows in increasing order.
+    array per template, rows in increasing order. For lookups the rows
+    (template id, values, zero padding) fold into the level codes that
+    radices, starts and tables describe (see _fold).
     """
 
     def __init__(self, template_set: TemplateSet, key_arrays, class_map: ClassMap | None):
         self.template_set = template_set
         self.class_map = class_map
-        self.key_arrays = [np.asarray(a, dtype=np.int64) for a in key_arrays]
-        if len(self.key_arrays) != len(template_set.templates) or any(
-            a.ndim != 2 or a.shape[1] != t.order
-            for a, t in zip(self.key_arrays, template_set.templates)
-        ):
+        if len(key_arrays) != len(template_set.templates):
             raise FeatureError("need one (n, order) key array per template")
-        self.keys = [
-            (tid, values)
-            for tid, a in enumerate(self.key_arrays)
-            for values in zip(*a.T.tolist())
-        ]  # list of (template_id, value_tuple)
-        self.key_to_id = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def n_features(self):
-        return len(self.keys)
-
-    def _placements(self, sentence):
-        """Per template, an iterator over the value tuple of each in-bounds
-        placement; the class sequence is computed once per sentence."""
-        seqs = {"word": sentence}
-        for template in self.template_set.templates:
-            if template.source not in seqs:
-                seqs["class"] = [self.class_of(w) for w in sentence]
-            seq = seqs[template.source]
-            n = max(len(seq) - template.span + 1, 0)
-            yield zip(*(seq[o : o + n] for o in template.offsets))
-
-    def class_of(self, word_id):
-        if self.class_map is None:
-            raise FeatureError("class features requested but no class map present")
-        return self.class_map.class_of(word_id)
+        self.key_arrays = [_key_array(a, t) for a, t in zip(key_arrays, template_set.templates)]
+        self.n_features = sum(len(a) for a in self.key_arrays)
+        width = max([t.order for t in template_set.templates], default=0)
+        padded = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in self.key_arrays]
+        tid = np.repeat(np.arange(len(padded)), [len(a) for a in padded])
+        columns = [tid, *np.concatenate(padded or [np.zeros((0, 0), np.int64)]).T]
+        self.radices = [int(c.max(initial=0)) + 1 for c in columns]
+        self.tables, self.starts, rank = _fold(columns, self.radices)
+        # rank orders the rows, so it counts up iff they strictly increase
+        if not np.array_equal(rank, np.arange(self.n_features)):
+            raise FeatureError("feature key rows must be strictly increasing within a template")
 
 
-def _kept_keys(columns, cutoff):
-    """The distinct rows of the placement columns occurring more than
-    cutoff times, as an (n, order) array in increasing row order."""
-    order = np.lexsort(columns[::-1])  # lexsort's last key is the primary one
-    columns = [c[order] for c in columns]
-    changed = np.zeros(max(len(order) - 1, 0), dtype=bool)
-    for c in columns:
-        changed |= c[1:] != c[:-1]
-    first = np.flatnonzero(np.concatenate(([True], changed)))
-    counts = np.diff(first, append=len(order))
-    first = first[counts > cutoff]
-    return np.stack([c[first] for c in columns], axis=1)
+def _key_array(a, template):
+    """One template's keys as an int64 (n, order) array of whole numbers >= 0."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[1] != template.order:
+        raise FeatureError("need one (n, order) key array per template")
+    if a.dtype.kind not in "iu" and not (np.isfinite(a) & (a == np.floor(a))).all():
+        raise FeatureError("feature key values must be whole numbers")
+    if (a < 0).any():
+        raise FeatureError("feature key values must be >= 0")
+    return a.astype(np.int64)
+
+
+def _fold(columns, radices):
+    """Rank the rows of a table given as columns, column j's values below
+    radices[j]. The columns fold left to right into int64 codes, code =
+    rank * R_j + value, rank being the prefix's rank one level up; a level
+    takes columns while its code space stays below 2**62. Returns (tables,
+    starts, rank): each level's sorted distinct codes then _END, the
+    column where each level after the first starts, and each row's rank
+    at the last level, which orders the rows lexicographically."""
+    tables, starts = [], []
+    code, space = np.zeros(len(columns[0]), np.int64), 1
+    for j, (column, radix) in enumerate(zip(columns, radices)):
+        if space * radix >= _CODE_LIMIT:
+            table, code = np.unique(code, return_inverse=True)
+            tables.append(np.append(table, _END))
+            starts.append(j)
+            space = len(table)
+            if space * radix >= _CODE_LIMIT:
+                raise FeatureError("feature values up to %d are too large to index" % radix)
+        code = code * radix + column
+        space *= radix
+    table, code = np.unique(code, return_inverse=True)
+    return tables + [np.append(table, _END)], starts, code
+
+
+def _placements(sentences, template_set: TemplateSet, class_map):
+    """Every in-bounds placement of every template over a batch, as
+    (row, columns): each placement's sentence and its key columns, the
+    template id first, then the value at each offset, 0 past the order.
+    On the flat token array, a placement at token p is in bounds iff its
+    last token is in p's sentence."""
+    templates = template_set.templates
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    words = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
+    span = np.array([[t.span] for t in templates], dtype=np.int64).reshape(-1, 1)
+    tid, start = np.nonzero(np.arange(len(words)) + span <= np.cumsum(lengths)[sentence_of])
+    seqs = [words]
+    is_class = np.array([t.source == "class" for t in templates], dtype=bool)
+    if is_class.any():
+        if class_map is None:
+            raise FeatureError("templates use class features but no class map given")
+        seqs.append(class_map.word_to_class[words])
+    seqs = np.concatenate(seqs + [np.zeros(1, np.int64)])  # words, classes, then the padding 0
+    width = max([t.order for t in templates], default=0)
+    offsets = np.array([t.offsets + (-1,) * (width - t.order) for t in templates], np.int64)
+    base = is_class[tid] * len(words) + start
+    columns = [tid]
+    for o in offsets.reshape(len(templates), width)[tid].T:
+        columns.append(seqs[np.where(o < 0, -1, base + o)])
+    return sentence_of[start], columns
 
 
 def build_feature_index(
@@ -156,65 +191,62 @@ def build_feature_index(
     """Count every template placement over the corpus and keep keys with
     count strictly greater than the cutoff for their order.
 
-    The corpus is laid out once as a padded (T, B) id matrix, longest
-    sentence first; the placements of a template are its offset columns
-    at every in-bounds position, and sorting them groups equal keys.
+    The placements are extract's; folding their key columns ranks equal
+    keys together, in (template id, values) order.
     """
     if isinstance(cutoffs, str):
         cutoffs = parse_cutoffs(cutoffs)
     if len(cutoffs) < template_set.n_cutoffs:
         raise FeatureError("need %d cutoffs, got %d" % (template_set.n_cutoffs, len(cutoffs)))
-    needs_classes = any(t.source == "class" for t in template_set.templates)
-    if needs_classes and class_map is None:
-        raise FeatureError("templates use class features but no class map given")
-    ids, n, _ = neural.pack(sentences or [()])  # an empty corpus as one empty sentence
-    seqs = {"word": ids}
-    if needs_classes:
-        seqs["class"] = class_map.word_to_class[ids]
-    in_bounds = neural.real_tokens(n, ids.shape[1])
-    key_arrays = []
-    for t in template_set.templates:
-        # a placement at position p is in bounds iff its last token p + span - 1 is
-        mask = in_bounds[t.span - 1 :]
-        columns = [seqs[t.source][o : o + len(mask)][mask] for o in t.offsets]
-        key_arrays.append(_kept_keys(columns, cutoffs[t.order - 1]))
+    templates = template_set.templates
+    _, columns = _placements(sentences, template_set, class_map)
+    _, _, rank = _fold(columns, [int(c.max(initial=0)) + 1 for c in columns])
+    counts = np.bincount(rank)
+    first = np.empty(len(counts), np.int64)
+    first[rank] = np.arange(len(rank))  # a placement of each distinct key, in key order
+    cutoff = np.array([cutoffs[t.order - 1] for t in templates], dtype=np.int64)
+    kept = first[counts > cutoff[columns[0][first]]]
+    bounds = np.searchsorted(columns[0][kept], np.arange(1, len(templates)))
+    keys = np.split(np.stack([c[kept] for c in columns], axis=1), bounds)
+    key_arrays = [k[:, 1 : t.order + 1] for k, t in zip(keys, templates)]
     return FeatureIndex(template_set, key_arrays, class_map)
 
 
-def extract(sentence, index: FeatureIndex):
-    """Sparse feature vector f(x^l) as (feature id, count) pairs, ids increasing."""
-    keys = (zip(repeat(tid), values) for tid, values in enumerate(index._placements(sentence)))
-    ids = [f for k in keys for f in map(index.key_to_id.get, k) if f is not None]
-    return sorted(Counter(ids).items())
-
-
-def extract_batch(sentences, index: FeatureIndex):
-    """The sparse feature vectors of a batch as flat arrays (row, fid, count):
-    row j lists extract(sentences[j]), one extract call per sentence."""
-    pairs = [extract(s, index) for s in sentences]
-    row = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), np.int64, 2 * len(row))
-    fid, counts = flat.reshape(-1, 2).T
+def extract(sentences, index: FeatureIndex):
+    """The sparse feature vectors f(x) of a batch as flat arrays (row, fid,
+    count): rows increasing, feature ids increasing within a row."""
+    row, columns = _placements(sentences, index.template_set, index.class_map)
+    hit = np.ones(len(row), dtype=bool)
+    code = np.zeros(len(row), np.int64)
+    bounds = [0, *index.starts, len(columns)]
+    for table, lo, hi in zip(index.tables, bounds, bounds[1:]):
+        for column, radix in zip(columns[lo:hi], index.radices[lo:hi]):
+            hit &= column < radix  # no key has this value
+            code = code * radix + np.minimum(column, radix - 1)
+        rank = np.searchsorted(table, code)
+        hit &= table[rank] == code
+        code = rank  # at the last level, the feature id
+    keyed, counts = np.unique(row[hit] * index.n_features + code[hit], return_counts=True)
+    row, fid = np.divmod(keyed, max(index.n_features, 1))
     return row, fid, counts
 
 
 def batch_potential(occurrences, lam, n_rows) -> np.ndarray:
-    """lambda^T f(x) for each row of an extract_batch result, summed in the
-    same order as linear_potential."""
+    """lambda^T f(x) for each row of an extract result."""
     row, fid, counts = occurrences
     return np.bincount(row, weights=lam[fid] * counts, minlength=n_rows)
 
 
 def batch_gradient(occurrences, weights, n_features) -> np.ndarray:
-    """sum_j weights[j] f(x_j) over the rows of an extract_batch result."""
+    """sum_j weights[j] f(x_j) over the rows of an extract result."""
     row, fid, counts = occurrences
     return np.bincount(fid, weights=weights[row] * counts, minlength=n_features)
 
 
 def linear_potential(sentence, index: FeatureIndex, lam: np.ndarray) -> float:
-    """lambda^T f(x^l) over the sparse extraction."""
+    """lambda^T f(x^l) of one sentence."""
     if len(lam) != index.n_features:
         raise FeatureError(
             "lambda has %d entries, feature index has %d" % (len(lam), index.n_features)
         )
-    return float(sum(c * lam[fid] for fid, c in extract(sentence, index)))
+    return float(batch_potential(extract([sentence], index), lam, 1)[0])

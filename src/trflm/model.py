@@ -100,12 +100,12 @@ class TrfModel:
 
     def potential_batch(self, sentences):
         """Unnormalized potentials of a batch with what their gradients need:
-        (values, feature occurrences as extract_batch gives them, phi cache);
+        (values, feature occurrences as extract gives them, phi cache);
         the parts the model lacks are None."""
         vals = np.zeros(len(sentences))
         occurrences = cache = None
         if self.has_discrete:
-            occurrences = feats.extract_batch(sentences, self.feature_index)
+            occurrences = feats.extract(sentences, self.feature_index)
             vals += feats.batch_potential(occurrences, self.lam, len(sentences))
         if self.has_neural:
             phis, cache = neural.phi_forward_batch(sentences, self.phi_params)
@@ -182,7 +182,10 @@ class TrfModel:
             missing = [k for k in names if k not in arrays]
             if missing:
                 raise ModelError("%s lacks the feature key arrays %s" % (path, ", ".join(missing)))
-            feature_index = feats.FeatureIndex(tset, [arrays[k] for k in names], class_map)
+            try:
+                feature_index = feats.FeatureIndex(tset, [arrays[k] for k in names], class_map)
+            except feats.FeatureError as exc:
+                raise ModelError("%s: bad feature keys: %s" % (path, exc)) from None
             lam = arrays["lam"]
         phi_params = None
         if manifest["has_neural"]:

@@ -83,21 +83,16 @@ def exact_sentence_probs(model, space: EnumSpace, zeta=None):
 
 def exact_expectations(model, space: EnumSpace, feature_index) -> np.ndarray:
     """E_model[f] with exact normalizers, mixing over lengths by pi."""
-    out = np.zeros(feature_index.n_features)
-    if feature_index.n_features == 0:
-        return out
-    for s, p in exact_sentence_probs(model, space).items():
-        for fid, c in feats.extract(s, feature_index):
-            out[fid] += p * c
-    return out
+    probs = exact_sentence_probs(model, space)
+    occurrences = feats.extract(list(probs), feature_index)
+    p = np.array(list(probs.values()))
+    return feats.batch_gradient(occurrences, p, feature_index.n_features)
 
 
 def empirical_expectations(sentences, feature_index) -> np.ndarray:
-    out = np.zeros(feature_index.n_features)
-    for s in sentences:
-        for fid, c in feats.extract(s, feature_index):
-            out[fid] += c
-    return out / max(1, len(sentences))
+    occurrences = feats.extract(sentences, feature_index)
+    counts = feats.batch_gradient(occurrences, np.ones(len(sentences)), feature_index.n_features)
+    return counts / max(1, len(sentences))
 
 
 def finite_diff(fn, arrays, epsilon=1e-5) -> dict:
@@ -184,7 +179,7 @@ def exact_dnce_gradient(model, noise_model, data_probs, alpha, nu, space: EnumSp
     applied to (f(x), dphi/dtheta, -delta(l)).
     """
     pn = noise_sentence_probs(noise_model, space)
-    g_lam = np.zeros(model.feature_index.n_features) if model.has_discrete else None
+    enumerated, all_weights = [], np.zeros(0)  # lambda's gradient is one pass over them all
     g_theta = neural.zero_grads(model.phi_params) if model.has_neural else None
     g_zeta = np.zeros(space.L)
     for l in range(1, space.L + 1):
@@ -199,15 +194,17 @@ def exact_dnce_gradient(model, noise_model, data_probs, alpha, nu, space: EnumSp
             p0 = posterior_c0(score_m[j], seq_lp[j], nu)
             q = alpha * data_probs.get(s, 0.0) + (1.0 - alpha) * pn[s]
             weights[j] = q * (1.0 - p0) - nu * pn[s] * p0
-        if model.has_discrete:
-            for j, s in enumerate(sents):
-                for fid, c in feats.extract(s, model.feature_index):
-                    g_lam[fid] += weights[j] * c
+        enumerated += sents
+        all_weights = np.concatenate([all_weights, weights])
         if model.has_neural:
             _, cache = neural.phi_forward_batch(sents, model.phi_params)
             for k, g in neural.phi_backward_batch(cache, weights).items():
                 g_theta[k] += g
         g_zeta[l - 1] -= weights.sum()
+    g_lam = None
+    if model.has_discrete:
+        occurrences = feats.extract(enumerated, model.feature_index)
+        g_lam = feats.batch_gradient(occurrences, all_weights, model.feature_index.n_features)
     return model.named(g_zeta, g_lam, g_theta)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +43,15 @@ class DnceConfig:
     average_tail: int = 0  # average parameter iterates over the last N steps
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TrainerError("%s must be a finite number, got %r" % (f.name, value))
+        for name in ("batch_size", "max_epochs", "halve_every"):
+            if getattr(self, name) < 1:
+                raise TrainerError("%s must be >= 1" % name)
+        if self.seed < 0:
+            raise TrainerError("seed must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise TrainerError("alpha must be in (0, 1)")
         if self.nu <= 0:

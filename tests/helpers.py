@@ -31,6 +31,18 @@ def adam_step(param: np.ndarray, grad: np.ndarray, lr, state: trainer.AdamState)
     return holder["p"]
 
 
+def _placement_keys(sentence, template_set, class_map=None):
+    """The (template id, value tuple) key of every in-bounds placement of
+    every template in one sentence."""
+    seqs = {"word": [int(w) for w in sentence]}
+    if class_map is not None:
+        seqs["class"] = [class_map.class_of(w) for w in sentence]
+    for tid, t in enumerate(template_set.templates):
+        seq = seqs[t.source]
+        for p in range(len(seq) - t.span + 1):
+            yield (tid, tuple(seq[p + o] for o in t.offsets))
+
+
 def counter_feature_keys(sentences, template_set, cutoffs, class_map=None):
     """The reference feature keys: count every template placement of every
     sentence in a Counter of (template id, value tuple) and keep, sorted,
@@ -39,20 +51,43 @@ def counter_feature_keys(sentences, template_set, cutoffs, class_map=None):
         cutoffs = features.parse_cutoffs(cutoffs)
     counts = Counter()
     for s in sentences:
-        seqs = {"word": [int(w) for w in s]}
-        if class_map is not None:
-            seqs["class"] = [class_map.class_of(w) for w in s]
-        for tid, t in enumerate(template_set.templates):
-            seq = seqs[t.source]
-            for p in range(len(seq) - t.span + 1):
-                counts[(tid, tuple(seq[p + o] for o in t.offsets))] += 1
+        counts.update(_placement_keys(s, template_set, class_map))
     orders = [t.order for t in template_set.templates]
     return sorted(k for k, c in counts.items() if c > cutoffs[orders[k[0]] - 1])
 
 
+def feature_keys(index: features.FeatureIndex):
+    """The index's keys as (template id, value tuple), in feature-id order."""
+    return [(tid, tuple(row)) for tid, a in enumerate(index.key_arrays) for row in a.tolist()]
+
+
+def _key_ids(index: features.FeatureIndex):
+    return {k: i for i, k in enumerate(feature_keys(index))}
+
+
+def feature_id(index: features.FeatureIndex, tid, values):
+    """The feature id of the key (tid, values); KeyError if it is not indexed."""
+    return _key_ids(index)[(tid, tuple(values))]
+
+
+def extract_pairs(sentence, index: features.FeatureIndex):
+    """The reference per-sentence extraction: count the placement keys of
+    the sentence in a Counter and return the indexed ones as (feature id,
+    count) pairs, ids increasing."""
+    ids = _key_ids(index)
+    counts = Counter(_placement_keys(sentence, index.template_set, index.class_map))
+    return sorted((ids[k], c) for k, c in counts.items() if k in ids)
+
+
+def extract_one(sentence, index: features.FeatureIndex):
+    """features.extract of a one-sentence batch as (feature id, count) pairs."""
+    _, fid, counts = features.extract([tuple(sentence)], index)
+    return list(zip(fid.tolist(), counts.tolist()))
+
+
 def feature_counts_dense(sentence, index: features.FeatureIndex) -> np.ndarray:
     out = np.zeros(index.n_features, dtype=np.float64)
-    for fid, c in features.extract(sentence, index):
+    for fid, c in extract_one(sentence, index):
         out[fid] = c
     return out
 

@@ -149,12 +149,12 @@ def test_criterion_03_dnce_fixed_point():
     tset = feats.compile_templates("w:2")
     index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
     lam = np.zeros(index.n_features)
-    uni = {a: index.key_to_id[(0, (a,))] for a in range(V)}
+    uni = {a: helpers.feature_id(index, 0, (a,)) for a in range(V)}
     for a in range(V):
         lam[uni[a]] = math.log(q[(a,)]) - math.log(pi[0])
     for a in range(V):
         for b in range(V):
-            lam[index.key_to_id[(1, (a, b))]] = (
+            lam[helpers.feature_id(index, 1, (a, b))] = (
                 math.log(q[(a, b)]) - math.log(pi[1]) - lam[uni[a]] - lam[uni[b]]
             )
     model = TrfModel(_vocab(V), prior, np.zeros(L), feature_index=index, lam=lam)

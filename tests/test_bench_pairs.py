@@ -1,0 +1,61 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "tokens_per_s", "unit": "tok/s", "better": "higher", "bound": 0.25},
+    {"name": "dev_nll", "unit": "nats", "better": "lower", "bound": 0.03},
+]
+
+
+def _run(setup, tokens, nll, failed=0, correct=True):
+    values = {"setup_s": setup, "tokens_per_s": tokens, "dev_nll": nll}
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()},
+    }
+
+
+def test_summarize_synthetic_pairs():
+    parent = [_run(s, t, 70.0 + i) for i, (s, t) in enumerate(
+        [(1.0, 100.0), (2.0, 110.0), (3.0, 90.0), (4.0, 100.0), (5.0, 120.0)])]
+    change = [_run(s, t, 70.0 + i, failed=1) for i, (s, t) in enumerate(
+        [(0.5, 100.0), (1.0, 120.0), (3.5, 95.0), (2.0, 90.0), (2.5, 130.0)])]
+    got = bench_pairs.summarize(parent, change, END_TO_END)
+    setup = got["metrics"]["setup_s"]
+    assert setup["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
+    assert setup["change_q1_median_q3"] == [1.0, 2.0, 2.5]
+    assert setup["change_vs_parent_median"] == pytest.approx(-1.0 / 3.0)
+    assert setup["parent_iqr"] == 2.0
+    assert (setup["change_wins"], setup["ties"]) == (4, 0)  # lower is better
+    tokens = got["metrics"]["tokens_per_s"]
+    assert tokens["parent_q1_median_q3"] == [100.0, 100.0, 110.0]
+    assert (tokens["change_wins"], tokens["ties"]) == (3, 1)  # higher is better
+    assert got["metrics"]["dev_nll"]["ties"] == 5
+    assert got["dev_nll_bit_identical_every_pair"]
+    assert got["pairs"] == 5
+    assert got["parent_failed_of_attempted"] == [[0, 10]] * 5
+    assert got["change_failed_of_attempted"] == [[1, 10]] * 5
+    assert got["all_checks_ok"] and got["parent_correct"] and got["change_correct"]
+
+
+def test_summarize_flags_a_moved_dev_nll_and_a_failed_check():
+    parent = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 71.0)]
+    change = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 71.0 + 1e-12, correct=False)]
+    got = bench_pairs.summarize(parent, change, END_TO_END)
+    assert not got["dev_nll_bit_identical_every_pair"]
+    assert got["parent_correct"] and not got["change_correct"] and not got["all_checks_ok"]
+
+
+def test_summarize_needs_matched_pairs():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([_run(1.0, 1.0, 1.0)], [], END_TO_END)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from trflm import cli
 from trflm.container import read_container, write_container
@@ -129,8 +134,25 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
         ("schedule=bogus", "unknown schedule 'bogus'"),
         ("alpha=1.5", "alpha must be in (0, 1)"),
         ("lr_noise=-1", "lr_noise must be positive"),
+        ("nu=nan", "nu must be a finite number"),
+        ("lr_theta=inf", "lr_theta must be a finite number"),
+        ("lr_zeta=nan", "lr_zeta must be a finite number"),
+        ("halving_threshold=nan", "halving_threshold must be a finite number"),
+        ("stop_ratio=-inf", "stop_ratio must be a finite number"),
+        ("batch_size=0", "batch_size must be >= 1"),
+        ("max_epochs=0", "max_epochs must be >= 1"),
+        ("seed=-1", "seed must be >= 0"),
+        ("hidden_dim=0", "hidden_dim must be >= 1"),
+        ("noise_dim=-3", "noise_dim must be >= 1"),
+        ("n_layers=0", "n_layers must be >= 1"),
+        ("vocab_size=0", "vocab_size must be >= 1"),
+        ("max_train_length=0", "max_train_length must be >= 1"),
     ],
-    ids=["schedule", "alpha", "lr_noise"],
+    ids=[
+        "schedule", "alpha", "lr_noise", "nu-nan", "lr_theta-inf", "lr_zeta-nan",
+        "halving_threshold-nan", "stop_ratio-inf", "batch_size", "max_epochs", "seed",
+        "hidden_dim", "noise_dim", "n_layers", "vocab_size", "max_train_length",
+    ],
 )
 def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, setting, message):
     argv = ["train"]
@@ -152,8 +174,13 @@ def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, s
         (["templates=w:x"], "max order must be an integer, got 'x'"),
         (["cutoffs=0a"], "cutoff string must be digits, got '0a'"),
         (["templates=ws:2", "cutoffs=00"], "cutoff string '00' length != 3"),
+        (["templates="], "missing required config key 'templates'"),
+        (["cutoffs="], "missing required config key 'cutoffs'"),
     ],
-    ids=["unknown-type", "order-not-integer", "cutoffs-not-digits", "skip-trigram-order"],
+    ids=[
+        "unknown-type", "order-not-integer", "cutoffs-not-digits", "skip-trigram-order",
+        "no-templates", "no-cutoffs",
+    ],
 )
 def test_train_invalid_feature_setting_exit_2_before_reading(tmp_path, capsys, settings, message):
     argv = ["train"]
@@ -395,6 +422,23 @@ def test_ppl_refuses_model_with_json_feature_keys_exit_1(tmp_path, tiny_corpus, 
     assert "%s stores its feature keys as a JSON list" % model_out in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ppl", "rescore"])
+def test_model_with_fractional_feature_key_exit_1(tmp_path, tiny_corpus, capsys, command):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    arrays["keys.0"] = arrays["keys.0"] + 0.5
+    write_container(model_out, manifest, arrays)
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.0\tthe cat sat\n")
+    capsys.readouterr()
+    args = [model_out, dev] if command == "ppl" else [nbest, model_out]
+    assert _run([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert "%s: bad feature keys: feature key values must be whole numbers" % model_out in err
+
+
 def test_oracle_check_passes(capsys):
     assert _run(["oracle-check", "--vocab", 3, "--max-length", 2, "--dim", 2]) == 0
     out = capsys.readouterr().out
@@ -415,3 +459,52 @@ def test_oracle_check_default_output_is_golden(capsys):
 def test_oracle_check_guard(capsys):
     assert _run(["oracle-check", "--vocab", 50, "--max-length", 8]) == 2
     capsys.readouterr()
+
+
+_FUZZ_VALUES = {
+    "mode": ["discrete", "neural", "mixed", "bogus", ""],
+    "templates": ["w:2", "w:1", "ws:3", "w+c:2", "x:2", "w:x", "w+", ""],
+    "cutoffs": ["00", "000", "1", "0a", ""],
+    "schedule": ["dev-halving", "per-epoch-halving", "bogus"],
+    "vocab_size": ["-1", "0", "1", "2", "50", "x", ""],
+    "max_train_length": ["-1", "0", "4", "60", "1.5"],
+    "hidden_dim": ["-2", "0", "1", "3"],
+    "n_layers": ["0", "1", "2"],
+    "noise_dim": ["0", "1", "3", "nan"],
+    "alpha": ["0.2", "0.5", "0", "1", "-0.1", "nan", "inf", "x"],
+    "nu": ["0.5", "1", "2", "0", "-1", "nan", "inf"],
+    "batch_size": ["-1", "0", "1", "4", "2.0"],
+    "lr_lambda": ["0.01", "0", "-1", "nan", "inf", "1e999"],
+    "lr_theta": ["0.01", "0", "nan", "-inf"],
+    "lr_zeta": ["0.01", "0", "nan"],
+    "lr_noise": ["0.5", "0", "nan", "inf"],
+    "halving_threshold": ["0.001", "0", "-1", "nan", "inf"],
+    "stop_ratio": ["0.1", "0", "nan", "-inf"],
+    "max_epochs": ["-1", "0", "1", "2"],
+    "seed": ["0", "7", "-1", "x"],
+    "resume": ["0"],
+}
+
+
+@given(st.dictionaries(st.sampled_from(sorted(_FUZZ_VALUES)), st.just(None)).flatmap(
+    lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FUZZ_VALUES[k]) for k in keys})
+))
+@settings(max_examples=60, deadline=None)
+def test_load_config_fuzz_trains_or_config_error(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "train.txt").write_text("the cat sat\na dog ran\nthe dog sat here\n" * 4)
+        (tmp / "dev.txt").write_text("the cat sat\na dog ran\n")
+        lines = [
+            "train_corpus=%s" % (tmp / "train.txt"),
+            "dev_corpus=%s" % (tmp / "dev.txt"),
+            "model_out=%s" % (tmp / "m.trf"),
+            "hidden_dim=2",
+            "noise_dim=2",
+            "max_epochs=1",
+        ]
+        (tmp / "train.cfg").write_text("\n".join(lines + ["%s=%s" % kv for kv in values.items()]))
+        code = _run(["train", "--config", tmp / "train.cfg"])
+        event("exit %d" % code)
+        assert code in (0, 2)
+        assert (code == 0) == (tmp / "m.trf").is_file()

@@ -113,6 +113,14 @@ def test_score_nbest_empty_hypotheses():
         ev.score_nbest(ev.NBestList("u", []), ev.ScorerSet([FixedScore({})], [1.0]))
 
 
+@pytest.mark.parametrize("result", [[-2.0], -2.0, [-2.0] * 4], ids=["one", "scalar", "four"])
+def test_scorer_with_wrong_score_count_is_an_error(result):
+    nb = ev.NBestList("u", [(0.0, ["a"]), (1.0, ["b"]), (2.0, ["c"])])
+    scorers = ev.ScorerSet([lambda hypotheses: result], [1.0])
+    with pytest.raises(ev.EvalError, match="scores for 3 hypotheses"):
+        ev.score_nbest(nb, scorers)
+
+
 def test_interpolate_identity_and_mean():
     one = FixedScore({("a",): -2.0})
     two = FixedScore({("a",): -4.0})

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_build_index_keeps_frequent_bigram():
     corpus = [(1, 2), (1, 2)]
     index = feats.build_feature_index(corpus, tset, [0, 0])
     assert index.n_features == 1
-    assert index.keys == [(0, (1, 2))]
+    assert helpers.feature_keys(index) == [(0, (1, 2))]
 
 
 def test_build_index_cutoff_strictly_greater():
@@ -90,7 +91,8 @@ def test_build_index_equals_counter_reference(data):
             feats.build_feature_index(corpus, tset, cutoffs, class_map=class_map)
         return
     index = feats.build_feature_index(corpus, tset, cutoffs, class_map=class_map)
-    assert index.keys == helpers.counter_feature_keys(corpus, tset, cutoffs, class_map)
+    want = helpers.counter_feature_keys(corpus, tset, cutoffs, class_map)
+    assert helpers.feature_keys(index) == want
 
 
 def test_build_index_equals_counter_reference_on_bundled_corpus():
@@ -103,34 +105,36 @@ def test_build_index_equals_counter_reference_on_bundled_corpus():
     tset = feats.compile_templates("w+c+ws+cs:4", class_map_present=True)
     index = feats.build_feature_index(sents, tset, "0022", class_map=class_map)
     assert index.n_features > 100000
-    assert index.keys == helpers.counter_feature_keys(sents, tset, "0022", class_map)
+    want = helpers.counter_feature_keys(sents, tset, "0022", class_map)
+    assert helpers.feature_keys(index) == want
 
 
 def test_extract_bigrams():
     tset = feats.TemplateSet([feats.Template("word", (0, 1))], 2)
     index = feats.build_feature_index([(1, 2), (2, 1)], tset, [0, 0])
-    pairs = feats.extract((1, 2, 1), index)
-    got = {index.keys[fid]: c for fid, c in pairs}
+    keys = helpers.feature_keys(index)
+    got = {keys[fid]: c for fid, c in helpers.extract_one((1, 2, 1), index)}
     assert got == {(0, (1, 2)): 1, (0, (2, 1)): 1}
 
 
 def test_extract_short_sentence_no_placements():
     tset = feats.TemplateSet([feats.Template("word", (0, 1))], 2)
     index = feats.build_feature_index([(1, 2)], tset, [0, 0])
-    assert feats.extract((1,), index) == []
+    assert helpers.extract_one((1,), index) == []
 
 
 def test_extract_unigram_counts():
     tset = feats.TemplateSet([feats.Template("word", (0,))], 1)
     index = feats.build_feature_index([(1,)], tset, [0])
-    assert feats.extract((1, 1, 1), index) == [(0, 3)]
+    assert helpers.extract_one((1, 1, 1), index) == [(0, 3)]
 
 
 def test_extract_class_features():
     cmap = ClassMap(np.array([0, 1, 1]), 2)
     tset = feats.TemplateSet([feats.Template("class", (0, 1))], 2)
     index = feats.build_feature_index([(1, 2), (0, 1)], tset, [0, 0], class_map=cmap)
-    got = {index.keys[fid]: c for fid, c in feats.extract((1, 2), index)}
+    keys = helpers.feature_keys(index)
+    got = {keys[fid]: c for fid, c in helpers.extract_one((1, 2), index)}
     assert got == {(0, (1, 1)): 1}
 
 
@@ -139,10 +143,11 @@ def test_contiguous_total_count_invariant():
     tset = feats.compile_templates("w:3")
     corpus = [tuple(rng.integers(0, 4, size=rng.integers(1, 8))) for _ in range(30)]
     index = feats.build_feature_index(corpus, tset, "000")
+    keys = helpers.feature_keys(index)
     for s in corpus:
         per_template = {}
-        for fid, c in feats.extract(s, index):
-            tid = index.keys[fid][0]
+        for fid, c in helpers.extract_one(s, index):
+            tid = keys[fid][0]
             per_template[tid] = per_template.get(tid, 0) + c
         for tid, t in enumerate(tset.templates):
             expected = max(0, len(s) - t.order + 1)
@@ -202,9 +207,9 @@ def test_extract_independent_of_insertion_history():
     corpus_a = [(1, 2), (3, 1), (2, 3)]
     index_a = feats.build_feature_index(corpus_a, tset, "00")
     index_b = feats.build_feature_index(list(reversed(corpus_a)), tset, "00")
-    assert index_a.keys == index_b.keys
+    assert helpers.feature_keys(index_a) == helpers.feature_keys(index_b)
     for s in corpus_a:
-        assert feats.extract(s, index_a) == feats.extract(s, index_b)
+        assert helpers.extract_one(s, index_a) == helpers.extract_one(s, index_b)
 
 
 def test_extract_batch_equals_per_sentence_extract_on_bundled_sentences():
@@ -217,18 +222,19 @@ def test_extract_batch_equals_per_sentence_extract_on_bundled_sentences():
     tset = feats.compile_templates("w+c+ws+cs:3", class_map_present=True)
     index = feats.build_feature_index(sents[:300], tset, "001", class_map=class_map)
     batch = sents[250:] + [(1,), (2, 3)]  # half unseen, and shorter than most spans
-    row, fid, counts = feats.extract_batch(batch, index)
+    row, fid, counts = feats.extract(batch, index)
     assert len(row) > 1000
     for j, s in enumerate(batch):
         on_row = row == j
-        assert list(zip(fid[on_row].tolist(), counts[on_row].tolist())) == feats.extract(s, index)
+        got = list(zip(fid[on_row].tolist(), counts[on_row].tolist()))
+        assert got == helpers.extract_pairs(s, index)
     lam = np.random.default_rng(0).normal(size=index.n_features)
     potential = feats.batch_potential((row, fid, counts), lam, len(batch))
     assert potential.tolist() == [feats.linear_potential(s, index, lam) for s in batch]
     weights = np.random.default_rng(1).normal(size=len(batch))
     want = np.zeros(index.n_features)
     for j, s in enumerate(batch):
-        for f, c in feats.extract(s, index):
+        for f, c in helpers.extract_pairs(s, index):
             want[f] += weights[j] * c
     assert feats.batch_gradient((row, fid, counts), weights, index.n_features).tolist() == want.tolist()
 
@@ -236,6 +242,66 @@ def test_extract_batch_equals_per_sentence_extract_on_bundled_sentences():
 def test_extract_batch_empty():
     tset = feats.TemplateSet([feats.Template("word", (0, 1))], 2)
     index = feats.build_feature_index([(1, 2)], tset, [0, 0])
-    row, fid, counts = feats.extract_batch([], index)
+    row, fid, counts = feats.extract([], index)
     assert len(row) == len(fid) == len(counts) == 0
     assert feats.batch_potential((row, fid, counts), np.ones(1), 0).shape == (0,)
+
+
+def _reference_extract(batch, index):
+    """extract's (row, fid, count) arrays, from the per-sentence reference."""
+    pairs = [(j, f, c) for j, s in enumerate(batch) for f, c in helpers.extract_pairs(s, index)]
+    return [list(col) for col in zip(*pairs)] or [[], [], []]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_extract_equals_per_sentence_reference(data):
+    V = data.draw(st.integers(1, 6))
+    extra = 3  # batch word ids above every key value
+    class_map = None
+    families = ["w", "ws"]
+    if data.draw(st.booleans()):
+        n_classes = data.draw(st.integers(1, 3))
+        classes = data.draw(
+            st.lists(st.integers(0, n_classes - 1), min_size=V + extra, max_size=V + extra)
+        )
+        class_map = ClassMap(np.array(classes, dtype=np.int64), n_classes)
+        families += ["c", "cs"]
+    parts = data.draw(st.lists(st.sampled_from(families), min_size=1, max_size=4, unique=True))
+    order = data.draw(st.integers(1, 4))
+    if {"ws", "cs"} & set(parts):
+        order = max(order, 3)
+    cutoffs = "".join(data.draw(st.lists(st.sampled_from("0123"), min_size=order, max_size=order)))
+    tset = feats.compile_templates(
+        "%s:%d" % ("+".join(parts), order), class_map_present=class_map is not None
+    )
+    # lengths 1..7 straddle every span: contiguous up to 4, skip grams up to 5
+    sentence = st.lists(st.integers(0, V - 1), min_size=1, max_size=7).map(tuple)
+    corpus = data.draw(st.lists(sentence, max_size=25))
+    index = feats.build_feature_index(corpus, tset, cutoffs, class_map=class_map)
+    wide = st.lists(st.integers(0, V + extra - 1), min_size=1, max_size=7).map(tuple)
+    batch = data.draw(
+        st.lists(wide, max_size=8).flatmap(lambda b: st.permutations(corpus[:4] + b))
+    )
+    got = feats.extract(batch, index)
+    assert all(a.dtype == np.int64 for a in got)
+    assert [a.tolist() for a in got] == _reference_extract(batch, index)
+
+
+def test_extract_with_a_multi_level_index():
+    # word ids up to 2**40: the key table's code space, 4 * 2**160, folds
+    # into one level per column after the first two
+    rng = np.random.default_rng(5)
+    pool = np.array([0, 3, 2**20, 2**39 + 1, 2**40 - 1, 2**40])
+    corpus = [
+        tuple(int(w) for w in rng.choice(pool[:-1], size=rng.integers(1, 7))) for _ in range(40)
+    ]
+    tset = feats.compile_templates("w:4")
+    index = feats.build_feature_index(corpus, tset, "0000")
+    assert index.n_features > 100
+    assert math.prod(index.radices) > 2**62
+    assert len(index.tables) == 4
+    assert helpers.feature_keys(index) == helpers.counter_feature_keys(corpus, tset, "0000")
+    batch = corpus[:10] + [tuple(int(w) for w in rng.choice(pool, size=6)) for _ in range(30)]
+    got = feats.extract(batch, index)
+    assert [a.tolist() for a in got] == _reference_extract(batch, index)

@@ -147,7 +147,7 @@ def test_save_load_index_built_from_numpy_integers(tmp_path):
     path = tmp_path / "np-keys.trf"
     m.save(path)
     loaded = TrfModel.load(path)
-    assert loaded.feature_index.keys == index.keys
+    assert helpers.feature_keys(loaded.feature_index) == helpers.feature_keys(index)
     assert np.array_equal(loaded.log_prob_batch(corpus), m.log_prob_batch(corpus))
 
 
@@ -173,7 +173,7 @@ def test_save_load_class_feature_keys_round_trip(tmp_path):
         a.shape for a in index.key_arrays
     ]
     loaded = TrfModel.load(path)
-    assert loaded.feature_index.keys == index.keys
+    assert helpers.feature_keys(loaded.feature_index) == helpers.feature_keys(index)
     assert loaded.log_prob_batch(corpus).tobytes() == m.log_prob_batch(corpus).tobytes()
 
 
@@ -183,10 +183,42 @@ def test_load_refuses_json_feature_keys(tmp_path):
     m.save(path)
     manifest, arrays = read_container(path)
     # the layout of earlier versions: keys as a JSON list, no keys.<tid> arrays
-    manifest["feature_keys"] = [[tid, list(vals)] for tid, vals in m.feature_index.keys]
+    manifest["feature_keys"] = [
+        [tid, list(vals)] for tid, vals in helpers.feature_keys(m.feature_index)
+    ]
     arrays = {k: v for k, v in arrays.items() if not k.startswith("keys.")}
     write_container(path, manifest, arrays)
     with pytest.raises(ModelError, match="old.trf stores its feature keys as a JSON list.*retrain"):
+        TrfModel.load(path)
+
+
+def _edited(a, row, col, value):
+    a = a.copy()
+    a[row, col] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a: _edited(a, 0, 1, a[0, 1] + 0.5), "feature key values must be whole numbers"),
+        (lambda a: _edited(a, 0, 0, np.nan), "feature key values must be whole numbers"),
+        (lambda a: _edited(a, 0, 0, -1.0), "feature key values must be >= 0"),
+        (lambda a: a[[1, 0, *range(2, len(a))]], "rows must be strictly increasing"),
+        (lambda a: _edited(a, 1, slice(None), a[0]), "rows must be strictly increasing"),
+        (lambda a: _edited(a, len(a) - 1, 1, 2.0**60), "too large to index"),
+        (lambda a: a[:, :1], r"need one \(n, order\) key array per template"),
+    ],
+    ids=["fractional", "nan", "negative", "unsorted", "duplicate", "too-large", "wrong-order"],
+)
+def test_load_refuses_bad_feature_key_arrays(tmp_path, edit, message):
+    m = _mixed_model(seed=5)
+    path = tmp_path / "bad-keys.trf"
+    m.save(path)
+    manifest, arrays = read_container(path)
+    arrays["keys.1"] = edit(arrays["keys.1"])
+    write_container(path, manifest, arrays)
+    with pytest.raises(ModelError, match="bad-keys.trf: bad feature keys: .*" + message):
         TrfModel.load(path)
 
 

@@ -66,6 +66,8 @@ def test_config_validation():
         trainer.DnceConfig(nu=-1.0)
     with pytest.raises(trainer.TrainerError):
         trainer.DnceConfig(schedule="bogus")
+    with pytest.raises(trainer.TrainerError, match="halve_every must be >= 1"):
+        trainer.DnceConfig(halve_every=0)
 
 
 def _tiny_setup(seed=0):
@@ -133,12 +135,12 @@ def test_grad_estimate_matches_exact_enumeration_in_expectation():
     corpus_all = list(space.all_sentences())
     index = feats.build_feature_index(corpus_all, tset, "00")
     lam = np.zeros(index.n_features)
-    uni = {a: index.key_to_id[(0, (a,))] for a in range(V)}
+    uni = {a: helpers.feature_id(index, 0, (a,)) for a in range(V)}
     for a in range(V):
         lam[uni[a]] = math.log(q[(a,)]) - math.log(pi[0])
     for a in range(V):
         for b in range(V):
-            fid = index.key_to_id[(1, (a, b))]
+            fid = helpers.feature_id(index, 1, (a, b))
             lam[fid] = (
                 math.log(q[(a, b)]) - math.log(pi[1]) - lam[uni[a]] - lam[uni[b]]
             )
@@ -172,7 +174,7 @@ def _two_pass_grad_estimate(model, noise, D, B1, B2, alpha, nu):
         weights[j] = scale * (1.0 - p0) if j < len(mixture) else -scale * p0
     g_lambda = np.zeros(model.feature_index.n_features)
     for j, s in enumerate(sents):
-        for fid, c in feats.extract(s, model.feature_index):
+        for fid, c in helpers.extract_pairs(s, model.feature_index):
             g_lambda[fid] += weights[j] * c
     _, cache = neural.phi_forward_batch(sents, model.phi_params)
     g_theta = neural.phi_backward_batch(cache, weights)
