@@ -169,6 +169,11 @@ def cmd_train(args):
     train_sents = corpus_mod.read_corpus(
         cfg["train_corpus"], vocab, max_length=cfg["max_train_length"]
     )
+    if not train_sents:
+        raise corpus_mod.CorpusError(
+            "%s: no sentence is as short as max_train_length=%d"
+            % (cfg["train_corpus"], cfg["max_train_length"])
+        )
     L = max(len(s) for s in train_sents)
     prior = corpus_mod.length_prior(train_sents, L)
     dev_sents = [

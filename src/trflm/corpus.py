@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -185,11 +186,7 @@ class ClassMap:
 
 
 def _xlogx(v):
-    v = np.asarray(v, dtype=np.float64)
-    out = np.zeros_like(v)
-    pos = v > 0
-    out[pos] = v[pos] * np.log(v[pos])
-    return out
+    return v * np.log(np.where(v > 0, v, 1.0))
 
 
 def cluster_words(
@@ -198,131 +195,72 @@ def cluster_words(
     """Exchange clustering maximizing the class-bigram log-likelihood.
 
     Words start in classes assigned round-robin by frequency rank; each
-    sweep tries to move every word to its best class. Accepted moves
-    never decrease the objective. Deterministic given the seed.
+    sweep takes every word out of its class and puts it back into the class
+    that scores best (Martin, Liermann & Ney 1998), or where it was unless
+    another class gains more than 1e-9. Deterministic given the seed.
     """
-    V = vocab.size
-    if n_classes > V:
-        raise CorpusError("n_classes (%d) exceeds vocabulary size (%d)" % (n_classes, V))
-    if n_classes < 1:
+    V, C = vocab.size, n_classes
+    if C > V:
+        raise CorpusError("n_classes (%d) exceeds vocabulary size (%d)" % (C, V))
+    if C < 1:
         raise CorpusError("n_classes must be >= 1")
     if not sentences:
         raise CorpusError("empty corpus")
 
-    word_counts = np.zeros(V, dtype=np.int64)
-    succ = defaultdict(Counter)  # succ[w][v] = count of bigram (w, v)
-    for s in sentences:
-        for w in s:
-            word_counts[w] += 1
-        for u, v in zip(s, s[1:]):
-            succ[u][v] += 1
-    pred = defaultdict(Counter)
-    for u, cnt in succ.items():
-        for v, c in cnt.items():
-            pred[v][u] += c
+    counts = np.bincount(np.fromiter(chain.from_iterable(sentences), np.int64), minlength=V)
+    u = np.fromiter(chain.from_iterable(s[:-1] for s in sentences), np.int64)
+    v = np.fromiter(chain.from_iterable(s[1:] for s in sentences), np.int64)
+    # bigrams (left, right, n) without the self-bigrams, sorted by left word,
+    # with row starts by left word and, through by_right, by right word
+    self_pair = u == v
+    n_self = np.bincount(u[self_pair], minlength=V)
+    keys, n = np.unique((u * V + v)[~self_pair], return_counts=True)
+    left, right = keys // V, keys % V
+    by_right = np.argsort(right, kind="stable")
+    left_start = np.searchsorted(left, np.arange(V + 1))
+    right_start = np.searchsorted(right[by_right], np.arange(V + 1))
 
-    # frequency-rank round-robin init, ties broken by word id
-    order = sorted(range(V), key=lambda w: (-word_counts[w], w))
-    cls = np.empty(V, dtype=np.int64)
-    for rank, w in enumerate(order):
-        cls[w] = rank % n_classes
-
-    M = np.zeros((n_classes, n_classes), dtype=np.float64)
-    for u, cnt in succ.items():
-        for v, c in cnt.items():
-            M[cls[u], cls[v]] += c
-
-    def word_vectors(w):
-        s_vec = np.zeros(n_classes)
-        for v, c in succ[w].items():
-            if v != w:
-                s_vec[cls[v]] += c
-        p_vec = np.zeros(n_classes)
-        for u, c in pred[w].items():
-            if u != w:
-                p_vec[cls[u]] += c
-        return s_vec, p_vec, succ[w].get(w, 0)
-
-    def move_delta(a, b, s_vec, p_vec, n_ww):
-        # new contents of rows a,b and columns a,b after moving w: a -> b
-        row_a = M[a].copy()
-        row_b = M[b].copy()
-        row_a -= s_vec
-        row_b += s_vec
-        row_a[a] -= p_vec[a]
-        row_a[b] += p_vec[a]
-        row_b[a] -= p_vec[b]
-        row_b[b] += p_vec[b]
-        row_a[a] -= n_ww
-        row_b[b] += n_ww
-        col_a = M[:, a] - p_vec
-        col_b = M[:, b] + p_vec
-        others = np.ones(n_classes, dtype=bool)
-        others[[a, b]] = False
-        delta = (
-            _xlogx(row_a).sum()
-            + _xlogx(row_b).sum()
-            - _xlogx(M[a]).sum()
-            - _xlogx(M[b]).sum()
-            + _xlogx(col_a[others]).sum()
-            + _xlogx(col_b[others]).sum()
-            - _xlogx(M[others, a]).sum()
-            - _xlogx(M[others, b]).sum()
-        )
-        s_tot = s_vec.sum() + n_ww
-        p_tot = p_vec.sum() + n_ww
-        l_sum = M.sum(axis=1)
-        r_sum = M.sum(axis=0)
-
-        def xl(x):
-            return x * math.log(x) if x > 0 else 0.0
-
-        delta -= (
-            xl(l_sum[a] - s_tot)
-            + xl(l_sum[b] + s_tot)
-            - xl(l_sum[a])
-            - xl(l_sum[b])
-        )
-        delta -= (
-            xl(r_sum[a] - p_tot)
-            + xl(r_sum[b] + p_tot)
-            - xl(r_sum[a])
-            - xl(r_sum[b])
-        )
-        return float(delta)
-
-    def apply_move(w, a, b, s_vec, p_vec, n_ww):
-        M[a] -= s_vec
-        M[b] += s_vec
-        M[:, a] -= p_vec
-        M[:, b] += p_vec
-        M[a, a] -= n_ww
-        M[b, b] += n_ww
-        cls[w] = b
+    # round-robin init by frequency rank, ties broken by word id
+    cls = np.argsort(np.argsort(-counts, kind="stable")) % C
+    M = np.bincount(cls[u] * C + cls[v], minlength=C * C).reshape(C, C).astype(np.float64)
 
     rng = np.random.default_rng(seed)
     for _ in range(max_iters):
-        moved = False
+        before = cls.copy()
         for w in rng.permutation(V):
-            a = int(cls[w])
-            s_vec, p_vec, n_ww = word_vectors(w)
-            best_b, best_delta = a, 0.0
-            for b in range(n_classes):
-                if b == a:
-                    continue
-                d = move_delta(a, b, s_vec, p_vec, n_ww)
-                if d > best_delta + 1e-9:
-                    best_b, best_delta = b, d
-            if best_b != a:
-                apply_move(w, a, best_b, s_vec, p_vec, n_ww)
-                moved = True
-        if not moved:
+            out = slice(left_start[w], left_start[w + 1])
+            into = by_right[right_start[w] : right_start[w + 1]]
+            s = np.bincount(cls[right[out]], n[out], C)  # w's bigrams into each class
+            p = np.bincount(cls[left[into]], n[into], C)  # each class's bigrams into w
+            a = cls[w]
+            M[a] -= s
+            M[:, a] -= p
+            M[a, a] -= n_self[w]
+            # gain[b] is the objective, up to a constant, with w in class b: row b
+            # gains s, column b gains p, cell (b, b) also n_self; wherever w goes,
+            # row sum c gains p[c] and column sum c s[c], and row and column b more
+            d, X = np.diagonal(M), _xlogx(M)
+            l, r = M.sum(axis=1) + p, M.sum(axis=0) + s
+            gain = (
+                _xlogx(M + s).sum(axis=1) - X.sum(axis=1) - _xlogx(d + s)
+                + _xlogx(M + p[:, None]).sum(axis=0) - X.sum(axis=0) - _xlogx(d + p)
+                + _xlogx(d + s + p + n_self[w]) + np.diagonal(X)
+                - _xlogx(l + s.sum() + n_self[w]) + _xlogx(l)
+                - _xlogx(r + p.sum() + n_self[w]) + _xlogx(r)
+            )
+            delta = gain - gain[a]
+            b = a
+            for c in np.flatnonzero(delta > 1e-9):
+                if delta[c] > delta[b] + 1e-9:
+                    b = c
+            M[b] += s
+            M[:, b] += p
+            M[b, b] += n_self[w]
+            cls[w] = b
+        if np.array_equal(cls, before):
             break
 
-    # relabel classes contiguously in case some emptied out
-    used = sorted(set(int(c) for c in cls))
-    if len(used) != n_classes:
-        remap = {c: i for i, c in enumerate(used)}
-        cls = np.array([remap[int(c)] for c in cls], dtype=np.int64)
-        n_classes = len(used)
-    return ClassMap(cls, n_classes)
+    # a class empties only by a merge, which never raises the likelihood, so
+    # only through rounding; the class ids are made contiguous all the same
+    used, cls = np.unique(cls, return_inverse=True)
+    return ClassMap(cls, len(used))

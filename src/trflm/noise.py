@@ -50,15 +50,18 @@ def init_noise_model(V, d, prior: LengthPrior, seed=0) -> NoiseModel:
     return NoiseModel(init_noise_params(V, d, seed), prior, V)
 
 
-def _log_softmax(logits):
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _log_softmax(a, scratch):
+    """Normalize the rows of `a` to log-probabilities in place; `scratch`,
+    of a's shape, is left holding the exps of the max-shifted rows."""
+    a -= a.max(axis=1, keepdims=True)
+    a -= np.log(np.exp(a, out=scratch).sum(axis=1, keepdims=True))
+    return a
 
 
 def _forward(model: NoiseModel, sentences):
     """Shared forward pass over [BOS, x_1..x_{l-1}] in the packed layout:
-    the logits exist only at the real token positions, in (t, column) order."""
+    the next-word log-probabilities exist only at the real token positions,
+    in (t, column) order, with an (N, V) scratch buffer of the same shape."""
     ids, n, order = pack(sentences)
     real = real_tokens(n, ids.shape[1])
     inputs = np.empty_like(ids)
@@ -67,21 +70,18 @@ def _forward(model: NoiseModel, sentences):
     p = model.params
     hs, cache = lstm_forward(p["emb"][inputs], n, p["W"], p["U"], p["b"])
     h = hs[real]
-    return ids, inputs, real, order, h, cache, h @ p["Wo"] + p["bo"]
+    logp = h @ p["Wo"] + p["bo"]
+    scratch = np.empty_like(logp)
+    return ids, inputs, real, order, h, cache, _log_softmax(logp, scratch), scratch
 
 
 def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
     """Word-sequence log-probabilities, without the length-prior factor."""
     if not sentences:
         return np.zeros(0)
-    ids, _, real, order, _, _, logits = _forward(model, sentences)
-    # gather the target logit first; elementwise normalization commutes
-    # with the gather, so this matches the full log-softmax bit for bit
-    # while only materializing one value per token
-    m = logits.max(axis=-1)
-    lse = np.log(np.exp(logits - m[:, None]).sum(axis=-1))
+    ids, _, real, order, _, _, logp, _ = _forward(model, sentences)
     tok = np.zeros(real.shape)
-    tok[real] = logits[np.arange(len(m)), ids[real]] - m - lse
+    tok[real] = logp[np.arange(len(logp)), ids[real]]
     out = np.empty(len(sentences))
     out[order] = tok.sum(axis=0)
     return out
@@ -122,8 +122,7 @@ def sample(model: NoiseModel, count, rng):
         logp, cdf, below = logp_buf[:k], cdf_buf[:k], below_buf[:k]
         np.matmul(h, p["Wo"], out=logp)
         logp += p["bo"]
-        logp -= logp.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp, out=cdf).sum(axis=1, keepdims=True))
+        _log_softmax(logp, cdf)
         np.cumsum(np.exp(logp, out=cdf), axis=1, out=cdf)
         np.less(cdf, u[:, None], out=below)
         prev = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
@@ -145,13 +144,12 @@ def nll_and_grads(model: NoiseModel, sentences):
     if not sentences:
         raise CorpusError("empty minibatch")
     B = len(sentences)
-    ids, inputs, real, _, h, cache, logits = _forward(model, sentences)
-    logp = _log_softmax(logits)
+    ids, inputs, real, _, h, cache, logp, scratch = _forward(model, sentences)
     rows = np.arange(len(logp))
     targets = ids[real]
     nll = -float(logp[rows, targets].sum()) / B
 
-    dlogits = np.exp(logp)  # softmax, to become softmax - onehot(target)
+    dlogits = np.exp(logp, out=scratch)  # softmax, to become softmax - onehot(target)
     dlogits[rows, targets] -= 1.0
     dlogits *= 1.0 / B
     grads = {"Wo": h.T @ dlogits, "bo": dlogits.sum(axis=0)}

@@ -17,6 +17,9 @@ from . import noise as noise_mod
 from .container import read_container, write_container
 
 
+MAX_NOISE_PER_DATA = 100  # noise sentences, B1 and B2 together, per data sentence
+
+
 class TrainerError(ValueError):
     pass
 
@@ -56,6 +59,12 @@ class DnceConfig:
             raise TrainerError("alpha must be in (0, 1)")
         if self.nu <= 0:
             raise TrainerError("nu must be positive")
+        draws = (1.0 - self.alpha + self.nu) / self.alpha
+        if draws > MAX_NOISE_PER_DATA:
+            raise TrainerError(
+                "(1 - alpha + nu) / alpha = %.4g noise draws per data sentence, more than %d"
+                % (draws, MAX_NOISE_PER_DATA)
+            )
         for name in ("lr_lambda", "lr_theta", "lr_zeta", "lr_noise"):
             if getattr(self, name) <= 0:
                 raise TrainerError("%s must be positive" % name)

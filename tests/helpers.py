@@ -1,10 +1,11 @@
 """Single-item conveniences over the batched library calls, used by the tests."""
 
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 
 import numpy as np
 
-from trflm import evaluation, features, neural, noise, trainer
+from trflm import corpus, evaluation, features, neural, noise, trainer
 from trflm.corpus import _xlogx
 
 
@@ -130,6 +131,145 @@ def clustering_objective(sentences, cls, n_classes):
             M[cls[u], cls[v]] += 1
             right_counts[v] += 1
     return class_bigram_log_likelihood(M, right_counts)
+
+
+def reference_cluster_words(
+    sentences, vocab: corpus.Vocabulary, n_classes, max_iters=20, seed=0
+) -> corpus.ClassMap:
+    """The reference exchange clustering, one candidate class at a time:
+    the library's cluster_words before it scored every class at once.
+
+    Exchange clustering maximizing the class-bigram log-likelihood.
+
+    Words start in classes assigned round-robin by frequency rank; each
+    sweep tries to move every word to its best class. Accepted moves
+    never decrease the objective. Deterministic given the seed.
+    """
+    V = vocab.size
+    if n_classes > V:
+        raise corpus.CorpusError("n_classes (%d) exceeds vocabulary size (%d)" % (n_classes, V))
+    if n_classes < 1:
+        raise corpus.CorpusError("n_classes must be >= 1")
+    if not sentences:
+        raise corpus.CorpusError("empty corpus")
+
+    word_counts = np.zeros(V, dtype=np.int64)
+    succ = defaultdict(Counter)  # succ[w][v] = count of bigram (w, v)
+    for s in sentences:
+        for w in s:
+            word_counts[w] += 1
+        for u, v in zip(s, s[1:]):
+            succ[u][v] += 1
+    pred = defaultdict(Counter)
+    for u, cnt in succ.items():
+        for v, c in cnt.items():
+            pred[v][u] += c
+
+    # frequency-rank round-robin init, ties broken by word id
+    order = sorted(range(V), key=lambda w: (-word_counts[w], w))
+    cls = np.empty(V, dtype=np.int64)
+    for rank, w in enumerate(order):
+        cls[w] = rank % n_classes
+
+    M = np.zeros((n_classes, n_classes), dtype=np.float64)
+    for u, cnt in succ.items():
+        for v, c in cnt.items():
+            M[cls[u], cls[v]] += c
+
+    def word_vectors(w):
+        s_vec = np.zeros(n_classes)
+        for v, c in succ[w].items():
+            if v != w:
+                s_vec[cls[v]] += c
+        p_vec = np.zeros(n_classes)
+        for u, c in pred[w].items():
+            if u != w:
+                p_vec[cls[u]] += c
+        return s_vec, p_vec, succ[w].get(w, 0)
+
+    def move_delta(a, b, s_vec, p_vec, n_ww):
+        # new contents of rows a,b and columns a,b after moving w: a -> b
+        row_a = M[a].copy()
+        row_b = M[b].copy()
+        row_a -= s_vec
+        row_b += s_vec
+        row_a[a] -= p_vec[a]
+        row_a[b] += p_vec[a]
+        row_b[a] -= p_vec[b]
+        row_b[b] += p_vec[b]
+        row_a[a] -= n_ww
+        row_b[b] += n_ww
+        col_a = M[:, a] - p_vec
+        col_b = M[:, b] + p_vec
+        others = np.ones(n_classes, dtype=bool)
+        others[[a, b]] = False
+        delta = (
+            _xlogx(row_a).sum()
+            + _xlogx(row_b).sum()
+            - _xlogx(M[a]).sum()
+            - _xlogx(M[b]).sum()
+            + _xlogx(col_a[others]).sum()
+            + _xlogx(col_b[others]).sum()
+            - _xlogx(M[others, a]).sum()
+            - _xlogx(M[others, b]).sum()
+        )
+        s_tot = s_vec.sum() + n_ww
+        p_tot = p_vec.sum() + n_ww
+        l_sum = M.sum(axis=1)
+        r_sum = M.sum(axis=0)
+
+        def xl(x):
+            return x * math.log(x) if x > 0 else 0.0
+
+        delta -= (
+            xl(l_sum[a] - s_tot)
+            + xl(l_sum[b] + s_tot)
+            - xl(l_sum[a])
+            - xl(l_sum[b])
+        )
+        delta -= (
+            xl(r_sum[a] - p_tot)
+            + xl(r_sum[b] + p_tot)
+            - xl(r_sum[a])
+            - xl(r_sum[b])
+        )
+        return float(delta)
+
+    def apply_move(w, a, b, s_vec, p_vec, n_ww):
+        M[a] -= s_vec
+        M[b] += s_vec
+        M[:, a] -= p_vec
+        M[:, b] += p_vec
+        M[a, a] -= n_ww
+        M[b, b] += n_ww
+        cls[w] = b
+
+    rng = np.random.default_rng(seed)
+    for _ in range(max_iters):
+        moved = False
+        for w in rng.permutation(V):
+            a = int(cls[w])
+            s_vec, p_vec, n_ww = word_vectors(w)
+            best_b, best_delta = a, 0.0
+            for b in range(n_classes):
+                if b == a:
+                    continue
+                d = move_delta(a, b, s_vec, p_vec, n_ww)
+                if d > best_delta + 1e-9:
+                    best_b, best_delta = b, d
+            if best_b != a:
+                apply_move(w, a, best_b, s_vec, p_vec, n_ww)
+                moved = True
+        if not moved:
+            break
+
+    # relabel classes contiguously in case some emptied out
+    used = sorted(set(int(c) for c in cls))
+    if len(used) != n_classes:
+        remap = {c: i for i, c in enumerate(used)}
+        cls = np.array([remap[int(c)] for c in cls], dtype=np.int64)
+        n_classes = len(used)
+    return corpus.ClassMap(cls, n_classes)
 
 
 def shuffled_batch(rng, V, lengths):
@@ -314,7 +454,8 @@ def masked_nll_and_grads(model, sentences):
     B = len(sentences)
     ids, inputs, mask, hs, cache, logits = _masked_noise_forward(model, sentences)
     T = ids.shape[0]
-    logp = noise._log_softmax(logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     tok = np.take_along_axis(logp, ids[:, :, None], axis=2)[:, :, 0]
     nll = -float((tok * mask[:, :, 0]).sum()) / B
     dlogits = np.exp(logp)

@@ -147,11 +147,13 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
         ("n_layers=0", "n_layers must be >= 1"),
         ("vocab_size=0", "vocab_size must be >= 1"),
         ("max_train_length=0", "max_train_length must be >= 1"),
+        ("alpha=0.01", "alpha = 199 noise draws per data sentence, more than 100"),
     ],
     ids=[
         "schedule", "alpha", "lr_noise", "nu-nan", "lr_theta-inf", "lr_zeta-nan",
         "halving_threshold-nan", "stop_ratio-inf", "batch_size", "max_epochs", "seed",
         "hidden_dim", "noise_dim", "n_layers", "vocab_size", "max_train_length",
+        "noise-draws",
     ],
 )
 def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, setting, message):
@@ -165,6 +167,15 @@ def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, s
         argv += ["--set", item]
     assert _run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_train_no_sentence_within_max_train_length_exit_1(tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text("the cat sat\na dog ran\n")
+    argv, _ = _train_args(tmp_path, train, train, "neural", ["max_train_length=2"])
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "%s: no sentence is as short as max_train_length=2" % train in err
 
 
 @pytest.mark.parametrize(

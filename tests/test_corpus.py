@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,56 @@ def test_cluster_objective_non_decreasing_vs_init():
     cmap = corpus.cluster_words(sents, vocab, n_classes=2, seed=0)
     final_obj = helpers.clustering_objective(sents, cmap.word_to_class, cmap.n_classes)
     assert final_obj >= init_obj - 1e-9
+
+
+_BUNDLED = Path(__file__).resolve().parent.parent / "data" / "train.txt"
+
+
+def _cluster_as_reference(sents, vocab, n_classes, max_iters, seed):
+    got = corpus.cluster_words(sents, vocab, n_classes, max_iters=max_iters, seed=seed)
+    want = helpers.reference_cluster_words(sents, vocab, n_classes, max_iters=max_iters, seed=seed)
+    assert got.n_classes == want.n_classes
+    assert got.word_to_class.tolist() == want.word_to_class.tolist()
+    return got
+
+
+@pytest.mark.parametrize(
+    "vocab_size, n_classes, seed, max_iters",
+    [(40, 1, 0, 2), (40, 40, 1, 3), (30, 6, 3, 20), (200, 20, 2, 2), (400, 60, 0, 1)],
+)
+def test_cluster_equals_reference_on_bundled_corpus(vocab_size, n_classes, seed, max_iters):
+    lines = _BUNDLED.read_text(encoding="utf-8").splitlines()
+    vocab = corpus.build_vocab(lines, vocab_size)
+    sents = [corpus.encode(line, vocab) for line in lines if line.split()]
+    _cluster_as_reference(sents, vocab, n_classes, max_iters, seed)
+
+
+def test_cluster_breaks_ties_toward_the_lowest_class_like_reference():
+    # words 0 and 6 are interchangeable, so at one step two classes gain
+    # exactly as much; the first one scanned must win, as in the reference
+    vocab = corpus.Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, 7)])
+    sents = [(4,), (5, 1, 4), (6, 1, 3), (4,), (5, 1, 4), (0, 1, 3)]
+    got = _cluster_as_reference(sents, vocab, 4, max_iters=3, seed=0)
+    assert got.word_to_class.tolist() == [1, 0, 2, 2, 1, 3, 1]
+
+
+@st.composite
+def _clustering_case(draw):
+    V = draw(st.integers(min_value=2, max_value=8))
+    word = st.integers(min_value=0, max_value=V - 1)
+    sents = draw(st.lists(st.lists(word, min_size=1, max_size=7), min_size=1, max_size=10))
+    n_classes = draw(st.integers(min_value=1, max_value=V))
+    seed = draw(st.integers(min_value=0, max_value=5))
+    max_iters = draw(st.integers(min_value=1, max_value=5))
+    return V, [tuple(s) for s in sents], n_classes, seed, max_iters
+
+
+@given(_clustering_case())
+@settings(max_examples=200, deadline=None)
+def test_cluster_equals_reference_on_random_corpora(case):
+    V, sents, n_classes, seed, max_iters = case
+    vocab = corpus.Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)])
+    _cluster_as_reference(sents, vocab, n_classes, max_iters, seed)
 
 
 def test_class_map_file_roundtrip(tmp_path):

@@ -70,6 +70,15 @@ def test_config_validation():
         trainer.DnceConfig(halve_every=0)
 
 
+def test_config_caps_noise_draws_per_data_sentence():
+    # (1 - alpha + nu) / alpha noise sentences per data sentence: 100 is allowed
+    trainer.DnceConfig(alpha=0.01, nu=0.01)
+    trainer.DnceConfig(alpha=0.5, nu=49.5)
+    for alpha, nu in [(0.01, 0.02), (0.5, 49.6), (1e-9, 1e9)]:
+        with pytest.raises(trainer.TrainerError, match="noise draws per data sentence"):
+            trainer.DnceConfig(alpha=alpha, nu=nu)
+
+
 def _tiny_setup(seed=0):
     V, L = 3, 3
     prior = LengthPrior(np.array([0.3, 0.4, 0.3]))
