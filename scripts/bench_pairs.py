@@ -14,7 +14,12 @@ written from the runs, and ``command``, ``protocol`` and ``machine`` at
 its top level; other keys in an existing file are kept. Per end-to-end
 metric of BENCHMARK.json, a section gives each side's quartiles, the
 change's median relative to the parent's, the parent's interquartile
-range, and in how many pairs the change was better or tied.
+range, and in how many pairs the change was better or tied. On the DNCE
+workloads it adds the same for ``op_ms.p50_interior``: the median step
+interval of a run with each ``train()`` call's first interval left out,
+from the ``step_s`` list of the run's details line. The first interval
+runs from the call's start to the first step stamp, so it holds whatever
+part of a step comes before that stamp.
 """
 
 from __future__ import annotations
@@ -36,21 +41,48 @@ PROTOCOL = "alternating pairs, odd pairs parent first, even pairs change first; 
 
 
 def run_once(tree: Path, workload, seed, seconds):
-    """One benchmark run in a checkout: (machine record, result object)."""
+    """One benchmark run in a checkout: (machine record, result object),
+    the result carrying the run's details line under "details"."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.splitlines()
     if not lines:
         raise RuntimeError("%s in %s printed nothing:\n%s" % (" ".join(argv), tree, out.stderr))
-    machine = next(
-        (json.loads(l.split("\t", 1)[1]) for l in lines if l.startswith("machine\t")), None
-    )
-    return machine, json.loads(lines[-1])
+
+    def line(tag):
+        return next((json.loads(l.split("\t", 1)[1]) for l in lines if l.startswith(tag)), None)
+
+    result = json.loads(lines[-1])
+    result["details"] = line("details\t") or {}
+    return line("machine\t"), result
 
 
 def quartiles(values):
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+
+def interior_step_ms(details):
+    """Median step interval in ms without each train() call's first one."""
+    steps = details["step_s"]
+    per_call = len(steps) // details["train_calls"]
+    return 1000.0 * float(np.median([t for i, t in enumerate(steps) if i % per_call]))
+
+
+def compare(p, c, unit, better):
+    """One metric's entry from its per-pair parent and change values."""
+    sign = 1.0 if better == "higher" else -1.0
+    pq, cq = quartiles(p), quartiles(c)
+    return {
+        "unit": unit,
+        "better": better,
+        "parent_q1_median_q3": pq,
+        "change_q1_median_q3": cq,
+        "change_vs_parent_median": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+        "parent_iqr": pq[2] - pq[0],
+        "change_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+        "ties": sum(a == b for a, b in zip(p, c)),
+    }
 
 
 def summarize(parent_runs, change_runs, end_to_end):
@@ -64,20 +96,16 @@ def summarize(parent_runs, change_runs, end_to_end):
         raise ValueError("need the same positive number of parent and change runs")
     metrics = {}
     for m in end_to_end:
-        name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
+        name = m["name"]
         p = [r["metrics"][name]["value"] for r in parent_runs]
         c = [r["metrics"][name]["value"] for r in change_runs]
-        pq, cq = quartiles(p), quartiles(c)
-        metrics[name] = {
-            "unit": m["unit"],
-            "better": m["better"],
-            "parent_q1_median_q3": pq,
-            "change_q1_median_q3": cq,
-            "change_vs_parent_median": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
-            "parent_iqr": pq[2] - pq[0],
-            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
-            "ties": sum(a == b for a, b in zip(p, c)),
-        }
+        metrics[name] = compare(p, c, m["unit"], m["better"])
+    if all("step_s" in r.get("details", {}) for r in parent_runs + change_runs):
+        metrics["op_ms.p50_interior"] = compare(
+            [interior_step_ms(r["details"]) for r in parent_runs],
+            [interior_step_ms(r["details"]) for r in change_runs],
+            "ms", "lower",
+        )
 
     def failed(runs):
         return [[r["failed"], r["attempted"]] for r in runs]

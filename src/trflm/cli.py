@@ -279,6 +279,12 @@ def cmd_oracle_check(args):
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
+def non_negative_int(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="trflm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +295,7 @@ def build_parser():
     p.add_argument("--n-classes", type=int, required=True)
     p.add_argument("--vocab-size", type=int, default=10000)
     p.add_argument("--max-iters", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("train", help="train a TRF model with DNCE")
@@ -311,15 +317,15 @@ def build_parser():
 
     p = sub.add_parser("sample", help="sample sentences from a noise model")
     p.add_argument("noise")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=non_negative_int, default=10)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("oracle-check", help="run exact-enumeration property checks")
     p.add_argument("--vocab", type=int, default=3)
     p.add_argument("--max-length", type=int, default=3)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -15,6 +15,7 @@ from .corpus import CorpusError, LengthPrior
 from .neural import lstm_backward, lstm_cell, lstm_forward, pack, real_tokens, sort_by_length
 
 GRAD_CLIP_NORM = 5.0
+BLOCK = 64  # words per block of the sampler's two-level search of the CDF
 
 
 class NoiseModel:
@@ -30,13 +31,13 @@ class NoiseModel:
         return self.V
 
 
-def init_noise_params(V, d, seed=0):
+def init_noise_model(V, d, prior: LengthPrior, seed=0) -> NoiseModel:
     rng = np.random.default_rng(seed)
 
     def u(*shape):
         return rng.uniform(-0.1, 0.1, shape)
 
-    return {
+    params = {
         "emb": u(V + 1, d),  # row V is BOS
         "W": u(d, 4 * d),
         "U": u(d, 4 * d),
@@ -44,10 +45,7 @@ def init_noise_params(V, d, seed=0):
         "Wo": u(d, V),
         "bo": u(V),
     }
-
-
-def init_noise_model(V, d, prior: LengthPrior, seed=0) -> NoiseModel:
-    return NoiseModel(init_noise_params(V, d, seed), prior, V)
+    return NoiseModel(params, prior, V)
 
 
 def _log_softmax(a, scratch):
@@ -60,8 +58,9 @@ def _log_softmax(a, scratch):
 
 def _forward(model: NoiseModel, sentences):
     """Shared forward pass over [BOS, x_1..x_{l-1}] in the packed layout:
-    the next-word log-probabilities exist only at the real token positions,
-    in (t, column) order, with an (N, V) scratch buffer of the same shape."""
+    the sentences' word-sequence log-probabilities in input order, then the
+    next-word log-probabilities at the real token positions only, in (t,
+    column) order, with an (N, V) scratch buffer of the same shape."""
     ids, n, order = pack(sentences)
     real = real_tokens(n, ids.shape[1])
     inputs = np.empty_like(ids)
@@ -70,21 +69,21 @@ def _forward(model: NoiseModel, sentences):
     p = model.params
     hs, cache = lstm_forward(p["emb"][inputs], n, p["W"], p["U"], p["b"])
     h = hs[real]
-    logp = h @ p["Wo"] + p["bo"]
+    logp = h @ p["Wo"]
+    logp += p["bo"]
     scratch = np.empty_like(logp)
-    return ids, inputs, real, order, h, cache, _log_softmax(logp, scratch), scratch
+    _log_softmax(logp, scratch)
+    targets = ids[real]
+    tok = np.zeros(real.shape)
+    tok[real] = logp[np.arange(len(logp)), targets]
+    seq = np.empty(len(sentences))
+    seq[order] = tok.sum(axis=0)
+    return seq, inputs, real, targets, h, cache, logp, scratch
 
 
 def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
     """Word-sequence log-probabilities, without the length-prior factor."""
-    if not sentences:
-        return np.zeros(0)
-    ids, _, real, order, _, _, logp, _ = _forward(model, sentences)
-    tok = np.zeros(real.shape)
-    tok[real] = logp[np.arange(len(logp)), ids[real]]
-    out = np.empty(len(sentences))
-    out[order] = tok.sum(axis=0)
-    return out
+    return _forward(model, sentences)[0] if sentences else np.zeros(0)
 
 
 def sample(model: NoiseModel, count, rng):
@@ -105,29 +104,35 @@ def sample(model: NoiseModel, count, rng):
     order, n = sort_by_length(lengths)
     T = len(n)
     p = model.params
-    d = p["emb"].shape[1]
-    h = np.zeros((count, d))
-    c = np.zeros((count, d))
+    h = c = np.zeros((count, p["emb"].shape[1]))
     tokens = np.zeros((T, count), dtype=np.int64)
     log_p = np.zeros(count)
     prev = np.full(count, model.bos_id, dtype=np.int64)
     # (count, V) work buffers, the live rows filled in place at every step
     logp_buf = np.empty((count, model.V))
-    cdf_buf = np.empty((count, model.V))
-    below_buf = np.empty((count, model.V), dtype=bool)
+    exp_buf = np.empty((count, model.V))
+    starts = np.arange(0, model.V, BLOCK)
     for t in range(T):
         k = n[t]
+        rows = np.arange(k)
         u = rng.random(count)[order[:k]]
         h, c = lstm_cell(p["emb"][prev[:k]] @ p["W"], h[:k], c[:k], p["U"], p["b"])
-        logp, cdf, below = logp_buf[:k], cdf_buf[:k], below_buf[:k]
+        logp, ex = logp_buf[:k], exp_buf[:k]
         np.matmul(h, p["Wo"], out=logp)
         logp += p["bo"]
-        _log_softmax(logp, cdf)
-        np.cumsum(np.exp(logp, out=cdf), axis=1, out=cdf)
-        np.less(cdf, u[:, None], out=below)
-        prev = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
+        # _log_softmax's own steps, short of normalizing the rows
+        logp -= logp.max(axis=1, keepdims=True)
+        total = np.exp(logp, out=ex).sum(axis=1)
+        # the first word whose unnormalized CDF reaches u * total, by block
+        target = (u * total)[:, None]
+        cum = np.cumsum(np.add.reduceat(ex, starts, axis=1), axis=1)
+        blk = np.minimum(np.count_nonzero(cum < target, axis=1), len(starts) - 1)
+        below = np.where(blk > 0, cum[rows, blk - 1], 0.0)[:, None]
+        words = np.minimum(starts[blk, None] + np.arange(BLOCK), model.V - 1)
+        within = np.cumsum(ex[rows[:, None], words], axis=1) + below
+        prev = np.minimum(starts[blk] + np.count_nonzero(within < target, axis=1), model.V - 1)
         tokens[t, :k] = prev
-        log_p[:k] += logp[np.arange(k), prev]
+        log_p[:k] += logp[rows, prev] - np.log(total)
     # back to draw order
     sents = [None] * count
     for j, row in zip(order.tolist(), tokens.T.tolist()):
@@ -139,14 +144,14 @@ def sample(model: NoiseModel, count, rng):
 
 def nll_and_grads(model: NoiseModel, sentences):
     """Mean per-sentence negative log-likelihood of the word sequences
-    (length-prior factor excluded: it does not depend on the LM) and its
-    gradient w.r.t. all parameters."""
+    (length-prior factor excluded: it does not depend on the LM), its
+    gradient w.r.t. all parameters, and the sentences' word-sequence
+    log-probabilities, bit-identical to seq_log_prob_batch's."""
     if not sentences:
         raise CorpusError("empty minibatch")
     B = len(sentences)
-    ids, inputs, real, _, h, cache, logp, scratch = _forward(model, sentences)
+    seq, inputs, real, targets, h, cache, logp, scratch = _forward(model, sentences)
     rows = np.arange(len(logp))
-    targets = ids[real]
     nll = -float(logp[rows, targets].sum()) / B
 
     dlogits = np.exp(logp, out=scratch)  # softmax, to become softmax - onehot(target)
@@ -160,7 +165,7 @@ def nll_and_grads(model: NoiseModel, sentences):
     demb = np.zeros_like(model.params["emb"])
     np.add.at(demb, inputs[real], dx[real])
     grads["emb"] = demb
-    return nll, grads
+    return nll, grads, seq
 
 
 def clip_global_norm(grads, max_norm=GRAD_CLIP_NORM):
@@ -172,10 +177,11 @@ def clip_global_norm(grads, max_norm=GRAD_CLIP_NORM):
     return total
 
 
-def noise_train_step(model: NoiseModel, minibatch, lr) -> NoiseModel:
-    """One SGD step on the minibatch NLL with global-norm clipping."""
-    _, grads = nll_and_grads(model, minibatch)
+def noise_train_step(model: NoiseModel, minibatch, lr) -> np.ndarray:
+    """One SGD step on the minibatch NLL with global-norm clipping; returns
+    seq_log_prob_batch of the minibatch under the parameters before it."""
+    _, grads, log_p = nll_and_grads(model, minibatch)
     clip_global_norm(grads)
     for k, g in grads.items():
         model.params[k] -= lr * g
-    return model
+    return log_p

@@ -96,26 +96,26 @@ def posterior_c0(score_m, log_p_ar, nu):
     return np.exp(-np.logaddexp(0.0, -delta))
 
 
-def grad_estimate(model, noise, D, B1, B2, log_p_b, alpha, nu) -> dict:
+def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     """Stochastic ascent gradient on the discrimination objective, keyed
     like model.params().
 
-    log_p_b holds the noise word-sequence log-probabilities of B1 + B2,
-    as noise.sample returns them with the draws; only D is scored here.
+    log_p_noise holds the noise word-sequence log-probabilities of D, B1
+    and B2 in that order, as noise_train_step and noise.sample return
+    them; the objective reads the noise LM through these alone.
     Sentences in D u B1 contribute +P(C=1) * g, sentences in B2
     contribute -P(C=0) * g, everything scaled by alpha/|D|, where g is
     (f(x^l), dphi/dtheta, -delta(l = k)).
     """
     if not D:
         raise TrainerError("empty data minibatch")
-    if len(log_p_b) != len(B1) + len(B2):
-        raise TrainerError("need one noise log-probability per sentence of B1 and B2")
+    if len(log_p_noise) != len(D) + len(B1) + len(B2):
+        raise TrainerError("need one noise log-probability per sentence of D, B1 and B2")
     n_mix = len(D) + len(B1)
     sents = list(D) + list(B1) + list(B2)
     lengths = np.array([len(s) for s in sents], dtype=np.int64)
     potential, occurrences, cache = model.potential_batch(sents)
-    log_ar = np.concatenate([noise_mod.seq_log_prob_batch(noise, D), log_p_b])
-    p0 = posterior_c0(potential - model.zeta[lengths - 1], log_ar, nu)
+    p0 = posterior_c0(potential - model.zeta[lengths - 1], log_p_noise, nu)
     scale = alpha / len(D)
     weights = np.concatenate([scale * (1.0 - p0[:n_mix]), -scale * p0[n_mix:]])
 
@@ -253,10 +253,12 @@ def train(
     """Run DNCE until the schedule stops it; returns the trained model.
 
     Per step: draw D by shuffled epoch traversal, sample B1 and B2 from
-    the noise model, apply the Adam ascent updates to lambda, theta and
-    zeta, then one KL step on the noise model using the same D. Per
-    epoch: evaluate the dev surrogate, apply the halving schedule, and
-    checkpoint if a path is given.
+    the noise model, take one KL step on the noise model on D, then the
+    Adam ascent updates to lambda, theta and zeta. The KL step returns
+    D's noise log-probabilities from its own forward pass, under the
+    parameters the draws used, so the gradient is the one that scoring D
+    before the KL step gives. Per epoch: evaluate the dev surrogate,
+    apply the halving schedule, and checkpoint if a path is given.
     """
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
@@ -295,11 +297,12 @@ def train(
             D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
             b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
             drawn, log_p_drawn = noise_mod.sample(noise, b1 + b2, rng)
+            log_p_d = noise_mod.noise_train_step(noise, D, config.lr_noise)
+            log_p_noise = np.concatenate([log_p_d, log_p_drawn])
             grads = grad_estimate(
-                model, noise, D, drawn[:b1], drawn[b1:], log_p_drawn, config.alpha, config.nu
+                model, D, drawn[:b1], drawn[b1:], log_p_noise, config.alpha, config.nu
             )
             adam.step(params, grads, lrs)
-            noise_mod.noise_train_step(noise, D, config.lr_noise)
             step_count += 1
             if config.average_tail > 0 and step_count > avg_start:
                 for key, value in params.items():

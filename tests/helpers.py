@@ -496,3 +496,99 @@ def masked_sample(model, count, rng):
         log_p += logp[rows, idx] * (t < lengths)
         prev = idx
     return [tuple(row[:l]) for row, l in zip(tokens.T.tolist(), lengths)], log_p
+
+
+def reference_sample(model: noise.NoiseModel, count, rng):
+    """noise.sample as it was before its two-level draw, kept verbatim as
+    the reference: a full-row log-softmax and CDF at every step.
+
+    Draw `count` sentences: length from pi, then words autoregressively.
+    Returns (sentences, log_p), where log_p[j] is draw j's word-sequence
+    log-probability (length-prior factor excluded) read off the same
+    log-softmax the draw used, so it agrees with seq_log_prob_batch on
+    the draws to rounding. Deterministic given the rng state: lengths
+    first, then one uniform per chain per step in fixed chain order. The
+    chains are stepped longest first, so only the prefix of chains that
+    have not reached their length computes at each step.
+    """
+    if count <= 0:
+        return [], np.zeros(0)
+    L = model.prior.max_length
+    lengths = rng.choice(np.arange(1, L + 1), size=count, p=model.prior.probs)
+    order, n = neural.sort_by_length(lengths)
+    T = len(n)
+    p = model.params
+    d = p["emb"].shape[1]
+    h = np.zeros((count, d))
+    c = np.zeros((count, d))
+    tokens = np.zeros((T, count), dtype=np.int64)
+    log_p = np.zeros(count)
+    prev = np.full(count, model.bos_id, dtype=np.int64)
+    # (count, V) work buffers, the live rows filled in place at every step
+    logp_buf = np.empty((count, model.V))
+    cdf_buf = np.empty((count, model.V))
+    below_buf = np.empty((count, model.V), dtype=bool)
+    for t in range(T):
+        k = n[t]
+        u = rng.random(count)[order[:k]]
+        h, c = neural.lstm_cell(p["emb"][prev[:k]] @ p["W"], h[:k], c[:k], p["U"], p["b"])
+        logp, cdf, below = logp_buf[:k], cdf_buf[:k], below_buf[:k]
+        np.matmul(h, p["Wo"], out=logp)
+        logp += p["bo"]
+        noise._log_softmax(logp, cdf)
+        np.cumsum(np.exp(logp, out=cdf), axis=1, out=cdf)
+        np.less(cdf, u[:, None], out=below)
+        prev = np.minimum(np.count_nonzero(below, axis=1), model.V - 1)
+        tokens[t, :k] = prev
+        log_p[:k] += logp[np.arange(k), prev]
+    # back to draw order
+    sents = [None] * count
+    for j, row in zip(order.tolist(), tokens.T.tolist()):
+        sents[j] = tuple(row[: lengths[j]])
+    out = np.empty(count)
+    out[order] = log_p
+    return sents, out
+
+
+def reference_noise_train_step(model: noise.NoiseModel, minibatch, lr):
+    """noise.noise_train_step as it was before it returned the minibatch's
+    log-probabilities: the same SGD step, returning the model."""
+    grads = noise.nll_and_grads(model, minibatch)[1]
+    noise.clip_global_norm(grads)
+    for k, g in grads.items():
+        model.params[k] -= lr * g
+    return model
+
+
+def reference_dnce_steps(config, train_sentences, dev_sentences, model, noise_model, max_steps):
+    """trainer.train's loop in its earlier step order, kept as the reference:
+    the gradient reads D's noise log-probabilities from seq_log_prob_batch,
+    and the KL step on D comes last. Covers the per-epoch-halving schedule
+    without averaging or checkpoints; returns the dev history."""
+    assert config.schedule == "per-epoch-halving" and config.average_tail == 0
+    rng = np.random.default_rng(config.seed)
+    adam = trainer.AdamState()
+    params = model.params()
+    n = len(train_sentences)
+    size = config.batch_size
+    factor, history, step = 1.0, [], 0
+    while step < max_steps:
+        lrs = model.named(config.lr_zeta, config.lr_lambda * factor, config.lr_theta * factor)
+        order = rng.permutation(n)
+        for b in range(math.ceil(n / size)):
+            D = [train_sentences[i] for i in order[b * size : (b + 1) * size]]
+            b1, b2 = trainer.minibatch_sizes(config.alpha, config.nu, len(D))
+            drawn, log_p_drawn = noise.sample(noise_model, b1 + b2, rng)
+            log_p = np.concatenate([noise.seq_log_prob_batch(noise_model, D), log_p_drawn])
+            grads = trainer.grad_estimate(
+                model, D, drawn[:b1], drawn[b1:], log_p, config.alpha, config.nu
+            )
+            adam.step(params, grads, lrs)
+            reference_noise_train_step(noise_model, D, config.lr_noise)
+            step += 1
+            if step >= max_steps:
+                break
+        history.append(trainer.dev_log_likelihood(model, dev_sentences))
+        if len(history) % config.halve_every == 0:
+            factor *= 0.5
+    return history

@@ -99,7 +99,7 @@ def test_criterion_02_gradient_suite():
     for k in nm.params:
         nm.params[k] = rng.uniform(-0.4, 0.4, nm.params[k].shape)
     batch = [(1,), (0, 2), (2, 2)]
-    _, ngrads = noise_mod.nll_and_grads(nm, batch)
+    _, ngrads, _ = noise_mod.nll_and_grads(nm, batch)
     rel_noise = oracle.gradient_error(
         lambda: noise_mod.nll_and_grads(nm, batch)[0], nm.params, ngrads, floor=1e-6
     )

@@ -56,6 +56,24 @@ def test_summarize_flags_a_moved_dev_nll_and_a_failed_check():
     assert got["parent_correct"] and not got["change_correct"] and not got["all_checks_ok"]
 
 
+def test_summarize_adds_interior_step_median_from_details():
+    # two train() calls of 3 steps: intervals 0 and 3 are the calls' first
+    parent = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 70.0)]
+    change = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 70.0)]
+    for run, steps in zip(parent + change, [
+        [0.5, 0.10, 0.12, 0.5, 0.14, 0.16], [0.5, 0.2, 0.2, 0.5, 0.2, 0.2],
+        [0.01, 0.05, 0.07, 0.01, 0.09, 0.11], [0.01, 0.1, 0.1, 0.01, 0.1, 0.3],
+    ]):
+        run["details"] = {"train_calls": 2, "step_s": steps}
+    got = bench_pairs.summarize(parent, change, END_TO_END)["metrics"]["op_ms.p50_interior"]
+    assert got["parent_q1_median_q3"] == pytest.approx([147.5, 165.0, 182.5])
+    assert got["change_q1_median_q3"] == pytest.approx([85.0, 90.0, 95.0])
+    assert (got["change_wins"], got["ties"], got["better"]) == (2, 0, "lower")
+    assert "op_ms.p50_interior" not in bench_pairs.summarize(
+        [_run(1.0, 100.0, 70.0)], [_run(1.0, 100.0, 70.0)], END_TO_END
+    )["metrics"]
+
+
 def test_summarize_needs_matched_pairs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([_run(1.0, 1.0, 1.0)], [], END_TO_END)

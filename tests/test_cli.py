@@ -79,6 +79,22 @@ def test_cluster_too_many_classes_is_usage_error(tmp_path, tiny_corpus):
     assert _run(["cluster", train, tmp_path / "c.txt", "--n-classes", 500]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample", "missing.noise", "--seed", "-1"], "--seed"),
+        (["sample", "missing.noise", "--count", "-3"], "--count"),
+        (["cluster", "missing.txt", "out.txt", "--n-classes", 3, "--seed", "-1"], "--seed"),
+        (["oracle-check", "--seed", "-1"], "--seed"),
+    ],
+    ids=["sample-seed", "sample-count", "cluster-seed", "oracle-check-seed"],
+)
+def test_negative_seed_or_count_exit_2_naming_flag(argv, flag, capsys):
+    # the input files do not exist: the flag is refused before any is read
+    assert _run(argv) == 2
+    assert "argument %s: must be >= 0" % flag in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert _run(["frobnicate"]) == 2
     capsys.readouterr()

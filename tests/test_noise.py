@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trflm import noise, oracle
 from trflm.corpus import CorpusError, LengthPrior
@@ -121,6 +124,26 @@ def test_sample_golden_draws():
     assert sents == GOLDEN_DRAWS
 
 
+@given(
+    V=st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 200)),
+    d=st.integers(1, 6),
+    scale=st.floats(0.0, 30.0),
+    count=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_sample_matches_reference_sampler(V, d, scale, count, seed):
+    # block boundaries (V around multiples of 64) and peaked rows (Wo scaled
+    # up to 30x) must not move a draw or a bit of its log-probability
+    L = 1 + seed % 8
+    m = _random_noise(V, d, LengthPrior(np.full(L, 1 / L)), seed=seed)
+    m.params["Wo"] *= scale
+    sents, log_p = noise.sample(m, count, np.random.default_rng(seed))
+    ref_sents, ref_log_p = helpers.reference_sample(m, count, np.random.default_rng(seed))
+    assert sents == ref_sents
+    assert np.array_equal(log_p, ref_log_p)
+
+
 def test_sample_log_p_equals_scoring():
     prior = LengthPrior(np.array([0.1, 0.15, 0.2, 0.25, 0.2, 0.1]))
     m = _random_noise(50, 8, prior, seed=12, scale=1.0)
@@ -152,11 +175,25 @@ def test_train_step_lr_zero_no_change():
         assert (m.params[k] == before[k]).all()
 
 
+def test_train_step_returns_scores_before_its_update():
+    rng = np.random.default_rng(23)
+    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=23)
+    ref = copy.deepcopy(m)
+    sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    before = noise.seq_log_prob_batch(m, sents)
+    got = noise.noise_train_step(m, sents, lr=0.5)
+    assert got.tobytes() == before.tobytes()
+    helpers.reference_noise_train_step(ref, sents, lr=0.5)
+    for k in ref.params:
+        assert m.params[k].tobytes() == ref.params[k].tobytes(), k
+    assert not np.array_equal(noise.seq_log_prob_batch(m, sents), before)  # the step moved
+
+
 def test_nll_gradient_matches_finite_differences():
     prior = LengthPrior(np.array([0.3, 0.3, 0.4]))
     m = _random_noise(4, 3, prior, seed=12)
     batch = [(0, 2, 1), (3,), (1, 1)]
-    _, grads = noise.nll_and_grads(m, batch)
+    _, grads, _ = noise.nll_and_grads(m, batch)
     err = oracle.gradient_error(
         lambda: noise.nll_and_grads(m, batch)[0], m.params, grads, floor=1e-6
     )
@@ -206,7 +243,7 @@ def test_packed_scoring_and_gradients_match_masked_reference(case):
         noise.seq_log_prob_batch(m, sents), helpers.masked_seq_log_prob_batch(m, sents),
         rtol=0, atol=1e-12,
     )
-    nll, grads = noise.nll_and_grads(m, sents)
+    nll, grads, _ = noise.nll_and_grads(m, sents)
     ref_nll, ref = helpers.masked_nll_and_grads(m, sents)
     assert nll == pytest.approx(ref_nll, rel=0, abs=1e-12)
     assert grads.keys() == ref.keys()

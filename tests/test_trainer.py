@@ -90,7 +90,8 @@ def _tiny_setup(seed=0):
 def test_grad_estimate_zeta_direction():
     model, noise = _tiny_setup()
     D = [(1, 2)]
-    grads = trainer.grad_estimate(model, noise, D, [], [], np.zeros(0), 0.5, 1.0)
+    log_p_d = noise_mod.seq_log_prob_batch(noise, D)
+    grads = trainer.grad_estimate(model, D, [], [], log_p_d, 0.5, 1.0)
     # a length-2 sentence only touches zeta_2, and the component is -delta
     assert grads["zeta"][0] == 0.0
     assert grads["zeta"][2] == 0.0
@@ -101,8 +102,8 @@ def test_grad_estimate_zeta_only_lengths_present():
     model, noise = _tiny_setup()
     D = [(1,), (0, 1)]
     B2 = [(2, 2)]
-    log_p_b2 = noise_mod.seq_log_prob_batch(noise, B2)
-    grads = trainer.grad_estimate(model, noise, D, [], B2, log_p_b2, 0.5, 1.0)
+    log_p = noise_mod.seq_log_prob_batch(noise, D + B2)
+    grads = trainer.grad_estimate(model, D, [], B2, log_p, 0.5, 1.0)
     assert grads["zeta"][2] == 0.0  # no length-3 sentences in the batch
 
 
@@ -112,7 +113,8 @@ def test_grad_estimate_extreme_posteriors_zero_bundle():
     # P(C=0) ~ 1 on B2 -- wrong direction; flip for the zero case
     model.lam[:] = 60.0
     D = [(1, 2)]
-    grads = trainer.grad_estimate(model, noise, D, [], [], np.zeros(0), 0.5, 1.0)
+    log_p_d = noise_mod.seq_log_prob_batch(noise, D)
+    grads = trainer.grad_estimate(model, D, [], [], log_p_d, 0.5, 1.0)
     assert np.abs(grads["lam"]).max() == pytest.approx(0.0, abs=1e-12)
     assert np.abs(grads["zeta"]).max() == pytest.approx(0.0, abs=1e-12)
 
@@ -209,7 +211,8 @@ def test_grad_estimate_matches_two_pass_reference():
     D = corpus[:20]
     drawn, log_p = noise_mod.sample(noise, 50, np.random.default_rng(6))
     B1, B2 = drawn[:20], drawn[20:]
-    got = trainer.grad_estimate(model, noise, D, B1, B2, log_p, 0.4, 1.5)
+    log_p_d = noise_mod.seq_log_prob_batch(noise, D)
+    got = trainer.grad_estimate(model, D, B1, B2, np.concatenate([log_p_d, log_p]), 0.4, 1.5)
     want = _two_pass_grad_estimate(model, noise, D, B1, B2, 0.4, 1.5)
     assert got.keys() == want.keys()
     assert np.abs(got["lam"]).max() > 1e-3  # the check is not vacuous
@@ -220,7 +223,7 @@ def test_grad_estimate_matches_two_pass_reference():
 def test_grad_estimate_needs_one_log_prob_per_draw():
     model, noise = _tiny_setup()
     with pytest.raises(trainer.TrainerError):
-        trainer.grad_estimate(model, noise, [(1, 2)], [(0,)], [(2, 2)], np.zeros(1), 0.5, 1.0)
+        trainer.grad_estimate(model, [(1, 2)], [(0,)], [(2, 2)], np.zeros(2), 0.5, 1.0)
 
 
 def test_adam_zero_gradient_no_move():
@@ -277,6 +280,39 @@ def test_train_deterministic_given_seed():
     assert (results[0][1] == results[1][1]).all()
     for k in results[0][2]:
         assert (results[0][2][k] == results[1][2][k]).all()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "neural", "mixed"])
+def test_train_matches_reference_step_order(mode):
+    # the KL step first, returning D's noise scores, against scoring D in
+    # the gradient and the KL step last: 7 steps over two epochs of 5
+    rng = np.random.default_rng(17)
+    V, L = 12, 5
+    data = _small_corpus(rng, V, L, 45)
+    prior = length_prior(data, L)
+    index = feats.build_feature_index(data, feats.compile_templates("w:2"), "00")
+    cfg = trainer.DnceConfig(
+        alpha=0.5, nu=1.0, batch_size=10, lr_noise=0.3, max_epochs=3, seed=4,
+        schedule="per-epoch-halving",
+    )
+
+    def fresh():
+        discrete = {"feature_index": index, "lam": np.zeros(index.n_features)}
+        neural_ = {"phi_params": neural.init_phi_params(V, 4, seed=3)}
+        kwargs = {"discrete": discrete, "neural": neural_, "mixed": {**discrete, **neural_}}[mode]
+        model = TrfModel(_vocab(V), prior, zeta_init(V, L), **kwargs)
+        return model, noise_mod.init_noise_model(V, 4, prior, seed=2)
+
+    model, noise = fresh()
+    _, state = trainer.train(copy.deepcopy(cfg), data, data[:10], model, noise, max_steps=7)
+    ref_model, ref_noise = fresh()
+    history = helpers.reference_dnce_steps(cfg, data, data[:10], ref_model, ref_noise, 7)
+    assert state.dev_history == history and len(history) == 2
+    assert model.params().keys() == ref_model.params().keys()
+    for k, v in ref_model.params().items():
+        assert model.params()[k].tobytes() == v.tobytes(), k
+    for k, v in ref_noise.params.items():
+        assert noise.params[k].tobytes() == v.tobytes(), k
 
 
 def test_train_epoch_step_count_and_log(tmp_path):
