@@ -279,10 +279,20 @@ def cmd_oracle_check(args):
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
-def non_negative_int(text):
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+def non_negative_int(text, least=0):
+    if int(text) < least:
+        raise argparse.ArgumentTypeError("must be >= %d, got %s" % (least, text))
     return int(text)
+
+
+def positive_int(text):
+    return non_negative_int(text, 1)
+
+
+def finite_float(text):
+    if not np.isfinite(float(text)):
+        raise argparse.ArgumentTypeError("must be a finite number, got %s" % text)
+    return float(text)
 
 
 def build_parser():
@@ -292,9 +302,9 @@ def build_parser():
     p = sub.add_parser("cluster", help="exchange-cluster the vocabulary into classes")
     p.add_argument("corpus")
     p.add_argument("out")
-    p.add_argument("--n-classes", type=int, required=True)
-    p.add_argument("--vocab-size", type=int, default=10000)
-    p.add_argument("--max-iters", type=int, default=20)
+    p.add_argument("--n-classes", type=positive_int, required=True)
+    p.add_argument("--vocab-size", type=positive_int, default=10000)
+    p.add_argument("--max-iters", type=positive_int, default=20)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_cluster)
 
@@ -312,7 +322,7 @@ def build_parser():
     p.add_argument("nbest")
     p.add_argument("models", nargs="+")
     p.add_argument("--refs")
-    p.add_argument("--lm-weight", type=float, default=1.0)
+    p.add_argument("--lm-weight", type=finite_float, default=1.0)
     p.set_defaults(func=cmd_rescore)
 
     p = sub.add_parser("sample", help="sample sentences from a noise model")
@@ -322,9 +332,9 @@ def build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("oracle-check", help="run exact-enumeration property checks")
-    p.add_argument("--vocab", type=int, default=3)
-    p.add_argument("--max-length", type=int, default=3)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--vocab", type=positive_int, default=3)
+    p.add_argument("--max-length", type=positive_int, default=3)
+    p.add_argument("--dim", type=positive_int, default=3)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -157,28 +157,34 @@ def _fold(columns, radices):
     return tables + [np.append(table, _END)], starts, code
 
 
-def _placements(sentences, template_set: TemplateSet, class_map):
-    """Every in-bounds placement of every template over a batch, as
-    (row, columns): each placement's sentence and its key columns, the
-    template id first, then the value at each offset, 0 past the order.
-    On the flat token array, a placement at token p is in bounds iff its
-    last token is in p's sentence."""
-    templates = template_set.templates
+def _flatten(sentences, template_set: TemplateSet, class_map):
+    """A batch as flat arrays: each token's sentence, that sentence's end,
+    and the words, then their classes if a template reads them, then a 0."""
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     words = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))
     sentence_of = np.repeat(np.arange(len(sentences)), lengths)
-    span = np.array([[t.span] for t in templates], dtype=np.int64).reshape(-1, 1)
-    tid, start = np.nonzero(np.arange(len(words)) + span <= np.cumsum(lengths)[sentence_of])
     seqs = [words]
-    is_class = np.array([t.source == "class" for t in templates], dtype=bool)
-    if is_class.any():
+    if any(t.source == "class" for t in template_set.templates):
         if class_map is None:
             raise FeatureError("templates use class features but no class map given")
         seqs.append(class_map.word_to_class[words])
-    seqs = np.concatenate(seqs + [np.zeros(1, np.int64)])  # words, classes, then the padding 0
+    seqs.append(np.zeros(1, np.int64))
+    return sentence_of, np.cumsum(lengths)[sentence_of], np.concatenate(seqs)
+
+
+def _placements(flat, templates):
+    """Every in-bounds placement of every template over a flattened batch,
+    as (row, columns): each placement's sentence and its key columns, the
+    template's position first, then the value at each offset, 0 past the
+    order. A placement at p is in bounds iff its last token is in p's sentence."""
+    sentence_of, ends, seqs = flat
+    n_tokens = len(ends)
+    span = np.array([[t.span] for t in templates], dtype=np.int64).reshape(-1, 1)
+    tid, start = np.nonzero(np.arange(n_tokens) + span <= ends)
+    is_class = np.array([t.source == "class" for t in templates], dtype=bool)
     width = max([t.order for t in templates], default=0)
     offsets = np.array([t.offsets + (-1,) * (width - t.order) for t in templates], np.int64)
-    base = is_class[tid] * len(words) + start
+    base = is_class[tid] * n_tokens + start
     columns = [tid]
     for o in offsets.reshape(len(templates), width)[tid].T:
         columns.append(seqs[np.where(o < 0, -1, base + o)])
@@ -191,31 +197,31 @@ def build_feature_index(
     """Count every template placement over the corpus and keep keys with
     count strictly greater than the cutoff for their order.
 
-    The placements are extract's; folding their key columns ranks equal
-    keys together, in (template id, values) order.
+    One template at a time: its placements are extract's, and folding
+    their value columns ranks equal keys together, in value order.
     """
     if isinstance(cutoffs, str):
         cutoffs = parse_cutoffs(cutoffs)
     if len(cutoffs) < template_set.n_cutoffs:
         raise FeatureError("need %d cutoffs, got %d" % (template_set.n_cutoffs, len(cutoffs)))
-    templates = template_set.templates
-    _, columns = _placements(sentences, template_set, class_map)
-    _, _, rank = _fold(columns, [int(c.max(initial=0)) + 1 for c in columns])
-    counts = np.bincount(rank)
-    first = np.empty(len(counts), np.int64)
-    first[rank] = np.arange(len(rank))  # a placement of each distinct key, in key order
-    cutoff = np.array([cutoffs[t.order - 1] for t in templates], dtype=np.int64)
-    kept = first[counts > cutoff[columns[0][first]]]
-    bounds = np.searchsorted(columns[0][kept], np.arange(1, len(templates)))
-    keys = np.split(np.stack([c[kept] for c in columns], axis=1), bounds)
-    key_arrays = [k[:, 1 : t.order + 1] for k, t in zip(keys, templates)]
+    flat = _flatten(sentences, template_set, class_map)
+    key_arrays = []
+    for t in template_set.templates:
+        values = _placements(flat, [t])[1][1:]  # the key columns after the template id
+        _, _, rank = _fold(values, [int(c.max(initial=0)) + 1 for c in values])
+        counts = np.bincount(rank)
+        first = np.empty(len(counts), np.int64)
+        first[rank] = np.arange(len(rank))  # a placement of each distinct key, in key order
+        kept = first[counts > cutoffs[t.order - 1]]
+        key_arrays.append(np.stack([c[kept] for c in values], axis=1))
     return FeatureIndex(template_set, key_arrays, class_map)
 
 
 def extract(sentences, index: FeatureIndex):
     """The sparse feature vectors f(x) of a batch as flat arrays (row, fid,
     count): rows increasing, feature ids increasing within a row."""
-    row, columns = _placements(sentences, index.template_set, index.class_map)
+    flat = _flatten(sentences, index.template_set, index.class_map)
+    row, columns = _placements(flat, index.template_set.templates)
     hit = np.ones(len(row), dtype=bool)
     code = np.zeros(len(row), np.int64)
     bounds = [0, *index.starts, len(columns)]

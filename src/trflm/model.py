@@ -22,6 +22,7 @@ from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 
 _PHI = "phi."  # name prefix of the neural potential's arrays in params()
 _KEYS = "keys."  # "keys.<template id>": that template's feature keys, one row each
+SCORE_FLOATS = 2**22  # forward cache a scoring chunk may keep, at 16 d floats a token
 
 
 class ModelError(ValueError):
@@ -91,12 +92,21 @@ class TrfModel:
     def has_neural(self):
         return self.phi_params is not None
 
-    def log_weight(self, sentence) -> float:
-        """Unnormalized potential lambda^T f + phi."""
-        return float(self.log_weight_batch([tuple(sentence)])[0])
-
     def log_weight_batch(self, sentences) -> np.ndarray:
-        return self.potential_batch(sentences)[0]
+        """Potentials alone, in length-sorted chunks of up to SCORE_FLOATS // 16 d real
+        tokens (d = 1 without phi) or of one longer sentence, each cache freed before the next."""
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        d = self.phi_params["emb"].shape[1] if self.has_neural else 1
+        order = np.argsort(lengths, kind="stable")
+        ends = np.cumsum(lengths[order])
+        out = np.empty(len(sentences))
+        lo = 0
+        while lo < len(order):
+            start = ends[lo] - lengths[order[lo]]
+            hi = max(np.searchsorted(ends, start + SCORE_FLOATS // (16 * d), "right"), lo + 1)
+            out[order[lo:hi]] = self.potential_batch([sentences[j] for j in order[lo:hi]])[0]
+            lo = hi
+        return out
 
     def potential_batch(self, sentences):
         """Unnormalized potentials of a batch with what their gradients need:
@@ -114,7 +124,7 @@ class TrfModel:
 
     def log_prob(self, sentence) -> float:
         l = len(sentence)
-        return self.prior.log_prob(l) + self.log_weight(sentence) - self.zeta[l - 1]
+        return self.prior.log_prob(l) + self.log_weight_batch([sentence])[0] - self.zeta[l - 1]
 
     def log_prob_batch(self, sentences) -> np.ndarray:
         lengths = np.array([len(s) for s in sentences], dtype=np.int64)

@@ -16,6 +16,7 @@ from .neural import lstm_backward, lstm_cell, lstm_forward, pack, real_tokens, s
 
 GRAD_CLIP_NORM = 5.0
 BLOCK = 64  # words per block of the sampler's two-level search of the CDF
+SOFTMAX_FLOATS = 2**17  # floats in a block of rows of the KL step's log-softmax
 
 
 class NoiseModel:
@@ -60,7 +61,8 @@ def _forward(model: NoiseModel, sentences):
     """Shared forward pass over [BOS, x_1..x_{l-1}] in the packed layout:
     the sentences' word-sequence log-probabilities in input order, then the
     next-word log-probabilities at the real token positions only, in (t,
-    column) order, with an (N, V) scratch buffer of the same shape."""
+    column) order, normalized in blocks of rows through one small scratch
+    buffer, so the (N, V) logits are the only V-wide array."""
     ids, n, order = pack(sentences)
     real = real_tokens(n, ids.shape[1])
     inputs = np.empty_like(ids)
@@ -71,14 +73,16 @@ def _forward(model: NoiseModel, sentences):
     h = hs[real]
     logp = h @ p["Wo"]
     logp += p["bo"]
-    scratch = np.empty_like(logp)
-    _log_softmax(logp, scratch)
+    rows = max(1, SOFTMAX_FLOATS // model.V)
+    scratch = np.empty((min(rows, len(logp)), model.V))
+    for block in np.split(logp, range(rows, len(logp), rows)):
+        _log_softmax(block, scratch[: len(block)])
     targets = ids[real]
     tok = np.zeros(real.shape)
     tok[real] = logp[np.arange(len(logp)), targets]
     seq = np.empty(len(sentences))
     seq[order] = tok.sum(axis=0)
-    return seq, inputs, real, targets, h, cache, logp, scratch
+    return seq, inputs, real, targets, h, cache, logp
 
 
 def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
@@ -150,11 +154,11 @@ def nll_and_grads(model: NoiseModel, sentences):
     if not sentences:
         raise CorpusError("empty minibatch")
     B = len(sentences)
-    seq, inputs, real, targets, h, cache, logp, scratch = _forward(model, sentences)
+    seq, inputs, real, targets, h, cache, logp = _forward(model, sentences)
     rows = np.arange(len(logp))
     nll = -float(logp[rows, targets].sum()) / B
 
-    dlogits = np.exp(logp, out=scratch)  # softmax, to become softmax - onehot(target)
+    dlogits = np.exp(logp, out=logp)  # softmax, to become softmax - onehot(target)
     dlogits[rows, targets] -= 1.0
     dlogits *= 1.0 / B
     grads = {"Wo": h.T @ dlogits, "bo": dlogits.sum(axis=0)}

@@ -25,6 +25,11 @@ def phi_backward(cache, scale, grad_acc):
     return grad_acc
 
 
+def log_weight(model, sentence) -> float:
+    """Unnormalized potential lambda^T f + phi of one sentence."""
+    return float(model.log_weight_batch([tuple(sentence)])[0])
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, lr, state: trainer.AdamState):
     """Single-array step of AdamState.step."""
     holder = {"p": param}
@@ -558,6 +563,47 @@ def reference_noise_train_step(model: noise.NoiseModel, minibatch, lr):
     for k, g in grads.items():
         model.params[k] -= lr * g
     return model
+
+
+def reference_nll_and_grads(model: noise.NoiseModel, sentences):
+    """noise.nll_and_grads as it was with its forward inlined: the log-softmax
+    runs on all (N, V) logits at once through a second (N, V) buffer, and
+    the softmax is taken into that buffer. Returns (nll, grads, log_p)."""
+    if not sentences:
+        raise corpus.CorpusError("empty minibatch")
+    B = len(sentences)
+    ids, n, order = neural.pack(sentences)
+    real = neural.real_tokens(n, ids.shape[1])
+    inputs = np.empty_like(ids)
+    inputs[0] = model.bos_id
+    inputs[1:] = ids[:-1]
+    p = model.params
+    hs, cache = neural.lstm_forward(p["emb"][inputs], n, p["W"], p["U"], p["b"])
+    h = hs[real]
+    logp = h @ p["Wo"]
+    logp += p["bo"]
+    scratch = np.empty_like(logp)
+    noise._log_softmax(logp, scratch)
+    targets = ids[real]
+    tok = np.zeros(real.shape)
+    tok[real] = logp[np.arange(len(logp)), targets]
+    seq = np.empty(len(sentences))
+    seq[order] = tok.sum(axis=0)
+    rows = np.arange(len(logp))
+    nll = -float(logp[rows, targets].sum()) / B
+
+    dlogits = np.exp(logp, out=scratch)  # softmax, to become softmax - onehot(target)
+    dlogits[rows, targets] -= 1.0
+    dlogits *= 1.0 / B
+    grads = {"Wo": h.T @ dlogits, "bo": dlogits.sum(axis=0)}
+    dhs = np.zeros(cache["hs"].shape)
+    dhs[real] = dlogits @ model.params["Wo"].T
+    dW, dU, db, dx = neural.lstm_backward(cache, dhs)
+    grads["W"], grads["U"], grads["b"] = dW, dU, db
+    demb = np.zeros_like(model.params["emb"])
+    np.add.at(demb, inputs[real], dx[real])
+    grads["emb"] = demb
+    return nll, grads, seq
 
 
 def reference_dnce_steps(config, train_sentences, dev_sentences, model, noise_model, max_steps):

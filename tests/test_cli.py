@@ -95,6 +95,38 @@ def test_negative_seed_or_count_exit_2_naming_flag(argv, flag, capsys):
     assert "argument %s: must be >= 0" % flag in capsys.readouterr().err
 
 
+_CLUSTER = ["cluster", "missing.txt", "out.txt", "--n-classes", 3]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cluster", "missing.txt", "out.txt", "--n-classes", "0"], "--n-classes"),
+        (["cluster", "missing.txt", "out.txt", "--n-classes", "-2"], "--n-classes"),
+        (_CLUSTER + ["--vocab-size", "0"], "--vocab-size"),
+        (_CLUSTER + ["--max-iters", "-1"], "--max-iters"),
+        (["oracle-check", "--vocab", "0"], "--vocab"),
+        (["oracle-check", "--max-length", "0"], "--max-length"),
+        (["oracle-check", "--dim", "-1"], "--dim"),
+    ],
+    ids=[
+        "cluster-n-classes-0", "cluster-n-classes-negative", "cluster-vocab-size",
+        "cluster-max-iters", "oracle-check-vocab", "oracle-check-max-length", "oracle-check-dim",
+    ],
+)
+def test_non_positive_size_exit_2_naming_flag(argv, flag, capsys):
+    # the input files do not exist: the flag is refused before any is read
+    assert _run(argv) == 2
+    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rescore_non_finite_lm_weight_exit_2_naming_flag(value, capsys):
+    # "--lm-weight -inf" would read -inf as a flag, so the value is attached
+    assert _run(["rescore", "missing.nbest", "missing.trf", "--lm-weight=" + value]) == 2
+    assert "argument --lm-weight: must be a finite number" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert _run(["frobnicate"]) == 2
     capsys.readouterr()

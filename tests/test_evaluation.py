@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from trflm import evaluation as ev
 from trflm import features as feats
+from trflm import model as model_mod
 from trflm import neural
 from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary, encode
 from trflm.model import TrfModel, zeta_init
@@ -63,6 +65,33 @@ def test_perplexity_unseen_length_lists_lines():
 def test_perplexity_empty_corpus():
     with pytest.raises(ev.EvalError):
         ev.perplexity(_uniform_model(), [])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_perplexity_memory_does_not_grow_with_the_corpus(monkeypatch):
+    V, L, d = 50, 12, 16
+    rng = np.random.default_rng(7)
+    vocab = Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)])
+    small = helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=250))
+    large = small + helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=750))
+    index = feats.build_feature_index(large, feats.compile_templates("w:2"), "00")
+    model = TrfModel(
+        vocab, LengthPrior(np.full(L, 1.0 / L)), zeta_init(V, L),
+        feature_index=index, lam=rng.normal(size=index.n_features),
+        phi_params=neural.init_phi_params(V, d, seed=7),
+    )
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", 200 * 16 * d)
+    ev.perplexity(model, small)  # warm up lazily allocated state
+    peaks = [_traced_peak(lambda: ev.perplexity(model, c)) for c in (small, large)]
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_score_nbest_single_scorer_ranks_by_score():

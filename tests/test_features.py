@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -200,6 +201,31 @@ def test_linear_potential_linearity(seed):
     assert feats.linear_potential(s, index, l1 + l2) == pytest.approx(
         feats.linear_potential(s, index, l1) + feats.linear_potential(s, index, l2)
     )
+
+
+# sha256 over each key array's shape and int64 bytes, recorded before the
+# index was counted one template at a time
+KEY_DIGESTS = {
+    "w:2": "a578344ff9b9fb499fbe3586151c009fc4da822e0cfc7e4cca4fb7a74a290b84",
+    "w+c+ws+cs:4": "be8fc19a7364376f2b969cd17cc981117ecabcc55e4aa68782dd17cf16525383",
+}
+
+
+@pytest.mark.parametrize("spec, cutoffs", [("w:2", "02"), ("w+c+ws+cs:4", "0022")])
+def test_build_index_key_arrays_golden_on_bundled_corpus(spec, cutoffs):
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "data" / "train.txt", encoding="utf-8") as fh:
+        vocab = corpus_mod.build_vocab(fh.readlines(), 2000)
+    sents = corpus_mod.read_corpus(root / "data" / "train.txt", vocab, max_length=60)
+    class_map = ClassMap.load(root / "perfbench" / "classes200.txt", vocab)
+    tset = feats.compile_templates(spec, class_map_present=True)
+    index = feats.build_feature_index(sents, tset, cutoffs, class_map=class_map)
+    digest = hashlib.sha256()
+    for a in index.key_arrays:
+        assert a.dtype == np.int64 and a.flags.c_contiguous
+        digest.update(str(a.shape).encode())
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == KEY_DIGESTS[spec]
 
 
 def test_extract_independent_of_insertion_history():

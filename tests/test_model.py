@@ -3,8 +3,11 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trflm import features as feats
+from trflm import model as model_mod
 from trflm import neural, noise, oracle
 from trflm.container import ContainerError, read_container, write_container
 from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
@@ -53,13 +56,13 @@ def test_zeta_init_uniform_model_normalizes():
     space = oracle.EnumSpace(V, L)
     for l in range(1, L + 1):
         sents = list(space.sentences_of_length(l))
-        total = sum(math.exp(model.log_weight(s) - model.zeta[l - 1]) for s in sents)
+        total = sum(math.exp(helpers.log_weight(model, s) - model.zeta[l - 1]) for s in sents)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_log_weight_zero_model():
     model = TrfModel(_vocab(2), LengthPrior(np.array([1.0])), zeta_init(2, 1))
-    assert model.log_weight((1,)) == 0.0
+    assert helpers.log_weight(model, (1,)) == 0.0
 
 
 def test_log_weight_discrete_only_equals_linear_potential():
@@ -68,7 +71,7 @@ def test_log_weight_discrete_only_equals_linear_potential():
         m.vocab, m.prior, m.zeta, feature_index=m.feature_index, lam=m.lam
     )
     s = (1, 2, 0)
-    assert discrete.log_weight(s) == pytest.approx(
+    assert helpers.log_weight(discrete, s) == pytest.approx(
         feats.linear_potential(s, m.feature_index, m.lam)
     )
 
@@ -79,7 +82,64 @@ def test_log_weight_is_component_sum():
     expected = feats.linear_potential(s, m.feature_index, m.lam) + helpers.phi_forward(
         s, m.phi_params
     )[0]
-    assert m.log_weight(s) == pytest.approx(expected, rel=1e-12)
+    assert helpers.log_weight(m, s) == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_chunked_log_weight_batch_equals_one_potential_batch(data):
+    kind = data.draw(st.sampled_from(["discrete", "neural", "mixed"]))
+    V, L = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 7))
+    d = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sents = helpers.shuffled_batch(rng, V, data.draw(st.lists(st.integers(1, L), max_size=30)))
+    index = feats.build_feature_index(sents, feats.compile_templates("w:2"), "00")
+    phi = {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in neural.init_phi_params(V, d).items()}
+    model = TrfModel(
+        _vocab(V), LengthPrior(np.full(L, 1.0 / L)), zeta_init(V, L),
+        feature_index=index if kind != "neural" else None,
+        lam=rng.uniform(-1, 1, index.n_features) if kind != "neural" else None,
+        phi_params=phi if kind != "discrete" else None,
+    )
+    # a budget of 1..(all tokens + 3) real tokens per chunk
+    total = sum(map(len, sents))
+    budget = data.draw(st.integers(1, total + 3))
+    per_token = 16 * (d if kind != "discrete" else 1)
+    chunks = []
+    potential_batch = model.potential_batch
+    model.potential_batch = lambda batch: chunks.append(batch) or potential_batch(batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "SCORE_FLOATS", budget * per_token)
+        got = model.log_weight_batch(sents)
+    want = potential_batch(sents)[0]
+    assert sorted(map(len, sum(chunks, []))) == sorted(map(len, sents))
+    for chunk in chunks:
+        assert len(chunk) == 1 or sum(map(len, chunk)) <= budget
+    if len(chunks) <= 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_chunked_log_weight_batch_covers_each_chunk_shape(monkeypatch):
+    m = _mixed_model(V=3, L=3, d=2, seed=6)
+    rng = np.random.default_rng(6)
+    sents = helpers.shuffled_batch(rng, 3, [1, 2, 3] * 4)  # 24 tokens
+    want = m.potential_batch(sents)[0]
+    per_token = 16 * 2
+    calls = []
+    monkeypatch.setattr(
+        m, "potential_batch", lambda b: calls.append(b) or TrfModel.potential_batch(m, b)
+    )
+    # lengths 1,1,1,1,2,2,2,2,3,3,3,3: every sentence alone, most over the
+    # budget; pairs, then single sentences over it; several; all in one
+    for budget, n_chunks in [(1, 12), (2, 10), (3, 9), (6, 4), (24, 1)]:
+        monkeypatch.setattr(model_mod, "SCORE_FLOATS", budget * per_token)
+        calls.clear()
+        got = m.log_weight_batch(sents)
+        assert len(calls) == n_chunks, budget
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_log_prob_with_oracle_zeta_normalizes_jointly():

@@ -286,3 +286,33 @@ def test_sample_matches_stepping_every_chain():
     ref_sents, ref_log_p = helpers.masked_sample(m, 300, np.random.default_rng(6))
     assert sents == ref_sents
     assert log_p.tobytes() == ref_log_p.tobytes()
+
+
+def _assert_nll_and_grads_bitwise(m, sents):
+    nll, grads, log_p = noise.nll_and_grads(m, sents)
+    ref_nll, ref, ref_log_p = helpers.reference_nll_and_grads(m, sents)
+    assert nll == ref_nll
+    assert log_p.tobytes() == ref_log_p.tobytes()
+    assert grads.keys() == ref.keys()
+    for k in ref:
+        assert grads[k].tobytes() == ref[k].tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "floats", [1, 20, 60, 2**17], ids=["one-row", "one-row-of-V", "3-rows", "default"]
+)
+def test_nll_and_grads_bitwise_equal_reference_at_any_block_size(floats, monkeypatch):
+    # the log-softmax runs in blocks of max(1, floats // V) rows; V = 20
+    monkeypatch.setattr(noise, "SOFTMAX_FLOATS", floats)
+    rng = np.random.default_rng(21)
+    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=21)
+    _assert_nll_and_grads_bitwise(m, helpers.shuffled_batch(rng, 20, [1, 2, 3, 5, 8] * 6))
+
+
+def test_nll_and_grads_bitwise_equal_reference_realistic_size():
+    # 100 sentences are about 800 tokens: two blocks of 2**17 // 240 rows
+    m = _realistic_noise()
+    rng = np.random.default_rng(22)
+    sents, _ = noise.sample(m, 100, rng)
+    assert sum(map(len, sents)) > 2**17 // m.V
+    _assert_nll_and_grads_bitwise(m, sents)
