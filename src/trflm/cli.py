@@ -8,6 +8,7 @@ error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -43,23 +44,10 @@ CONFIG_DEFAULTS = {
     "hidden_dim": 200,
     "n_layers": 1,
     "noise_dim": 200,
-    "alpha": 0.2,
-    "nu": 1.0,
-    "batch_size": 100,
-    "lr_lambda": 0.003,
-    "lr_theta": 0.003,
-    "lr_zeta": 0.01,
-    "lr_noise": 1.0,
-    "halving_threshold": 0.001,
-    "stop_ratio": 0.1,
-    "max_epochs": 100,
-    "seed": 0,
-    "schedule": "dev-halving",
     "resume": 0,
+    **{f.name: f.default for f in fields(DnceConfig)},
 }
 
-_INT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is int}
-_FLOAT_KEYS = {k for k, v in CONFIG_DEFAULTS.items() if type(v) is float}
 # sizes the trainer's config does not check itself
 _SIZE_KEYS = ("vocab_size", "max_train_length", "hidden_dim", "n_layers", "noise_dim")
 
@@ -87,13 +75,9 @@ def load_config(path=None, overrides=()):
         if k not in cfg:
             problems.append("unknown config key %r" % k)
             continue
+        kind = type(CONFIG_DEFAULTS[k])
         try:
-            if k in _INT_KEYS:
-                cfg[k] = int(v)
-            elif k in _FLOAT_KEYS:
-                cfg[k] = float(v)
-            else:
-                cfg[k] = v or None
+            cfg[k] = kind(v) if kind in (int, float) else v or None
         except ValueError:
             problems.append("bad value for %r: %r" % (k, v))
     if problems:
@@ -136,6 +120,14 @@ def _validate_train_config(cfg) -> DnceConfig:
     for key in _SIZE_KEYS:
         if cfg[key] < 1:
             problems.append("%s must be >= 1" % key)
+    if cfg["resume"] not in (0, 1):
+        problems.append("resume must be 0 or 1")
+    elif cfg["resume"] and not cfg.get("checkpoint"):
+        problems.append("resume = 1 needs a checkpoint")
+    for key in ("model_out", "noise_out", "log_out", "checkpoint"):
+        folder = os.path.dirname(cfg[key] or "") or "."
+        if not os.path.isdir(folder):
+            problems.append("%s: directory %r does not exist" % (key, folder))
     if cfg["mode"] not in ("discrete", "neural", "mixed"):
         problems.append("mode must be discrete, neural, or mixed")
     if discrete and cfg["templates"] and cfg["cutoffs"]:
@@ -156,7 +148,7 @@ def _validate_train_config(cfg) -> DnceConfig:
     if problems:
         raise ConfigError("; ".join(problems))
     try:
-        return DnceConfig(**{f.name: cfg[f.name] for f in fields(DnceConfig) if f.name in cfg})
+        return DnceConfig(**{f.name: cfg[f.name] for f in fields(DnceConfig)})
     except TrainerError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -181,6 +173,10 @@ def cmd_train(args):
         for s in corpus_mod.read_corpus(cfg["dev_corpus"], vocab, max_length=L)
         if prior.prob(len(s)) > 0
     ]
+    if not dev_sents:
+        raise corpus_mod.CorpusError(
+            "%s: no sentence has a length seen in training (1..%d)" % (cfg["dev_corpus"], L)
+        )
 
     class_map = None
     if cfg.get("class_map"):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -10,9 +9,6 @@ from itertools import chain
 import numpy as np
 
 UNK_TOKEN = "<unk>"
-
-# A sentence is a tuple of word ids; its length is len(sentence).
-Sentence = tuple
 
 
 class CorpusError(ValueError):
@@ -42,9 +38,6 @@ class Vocabulary:
     def id_of(self, word):
         return self.ids.get(word, self.unk_id)
 
-    def __len__(self):
-        return len(self.words)
-
     def __eq__(self, other):
         return (
             isinstance(other, Vocabulary)
@@ -72,7 +65,7 @@ def build_vocab(corpus_lines, max_size, unk_token=UNK_TOKEN) -> Vocabulary:
     return Vocabulary([unk_token] + kept, unk_token=unk_token)
 
 
-def encode(line: str, vocab: Vocabulary) -> Sentence:
+def encode(line: str, vocab: Vocabulary) -> tuple:
     """Whitespace-tokenize and map to word ids; OOV tokens become unk."""
     tokens = line.split()
     if not tokens:
@@ -116,12 +109,6 @@ class LengthPrior:
             return 0.0
         return float(self.probs[l - 1])
 
-    def log_prob(self, l):
-        p = self.prob(l)
-        if p <= 0.0:
-            raise CorpusError("length %d has zero prior probability" % l)
-        return math.log(p)
-
 
 def length_prior(sentences, L) -> LengthPrior:
     """Count lengths over sentences with 1 <= l <= L; longer ones are skipped."""
@@ -145,9 +132,6 @@ class ClassMap:
 
     word_to_class: np.ndarray  # shape (V,), int
     n_classes: int
-
-    def class_of(self, word_id):
-        return int(self.word_to_class[word_id])
 
     def save(self, path, vocab: Vocabulary):
         with open(path, "w", encoding="utf-8") as fh:

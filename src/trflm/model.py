@@ -123,8 +123,7 @@ class TrfModel:
         return vals, occurrences, cache
 
     def log_prob(self, sentence) -> float:
-        l = len(sentence)
-        return self.prior.log_prob(l) + self.log_weight_batch([sentence])[0] - self.zeta[l - 1]
+        return float(self.log_prob_batch([sentence])[0])
 
     def log_prob_batch(self, sentences) -> np.ndarray:
         lengths = np.array([len(s) for s in sentences], dtype=np.int64)

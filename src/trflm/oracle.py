@@ -43,10 +43,6 @@ class EnumSpace:
     def sentences_of_length(self, l):
         return itertools.product(range(self.V), repeat=l)
 
-    def all_sentences(self):
-        for l in range(1, self.L + 1):
-            yield from self.sentences_of_length(l)
-
 
 def exact_log_z(model, space: EnumSpace) -> np.ndarray:
     """Per-length log normalizers via log-domain accumulation."""

@@ -30,7 +30,7 @@ class ResumeConfigError(TrainerError):
 
 @dataclass
 class DnceConfig:
-    alpha: float = 0.25
+    alpha: float = 0.2
     nu: float = 1.0
     batch_size: int = 100
     lr_lambda: float = 0.003

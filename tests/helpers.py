@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from trflm import corpus, evaluation, features, neural, noise, trainer
+from trflm import corpus, evaluation, features, neural, noise, oracle, trainer
 from trflm.corpus import _xlogx
 
 
@@ -25,6 +25,12 @@ def phi_backward(cache, scale, grad_acc):
     return grad_acc
 
 
+def all_sentences(space: oracle.EnumSpace):
+    """Every sentence of the space, shortest first."""
+    for l in range(1, space.L + 1):
+        yield from space.sentences_of_length(l)
+
+
 def log_weight(model, sentence) -> float:
     """Unnormalized potential lambda^T f + phi of one sentence."""
     return float(model.log_weight_batch([tuple(sentence)])[0])
@@ -42,7 +48,7 @@ def _placement_keys(sentence, template_set, class_map=None):
     every template in one sentence."""
     seqs = {"word": [int(w) for w in sentence]}
     if class_map is not None:
-        seqs["class"] = [class_map.class_of(w) for w in sentence]
+        seqs["class"] = [int(class_map.word_to_class[w]) for w in sentence]
     for tid, t in enumerate(template_set.templates):
         seq = seqs[t.source]
         for p in range(len(seq) - t.span + 1):
@@ -105,8 +111,10 @@ def interpolate(scorers, hypotheses) -> list:
 
 def noise_log_prob(model: noise.NoiseModel, sentence) -> float:
     """log pi_l + autoregressive word-sequence log-probability."""
-    lp_len = model.prior.log_prob(len(sentence))
-    return lp_len + float(noise.seq_log_prob_batch(model, [tuple(sentence)])[0])
+    p_len = model.prior.prob(len(sentence))
+    if p_len <= 0.0:
+        raise corpus.CorpusError("length %d has zero prior probability" % len(sentence))
+    return math.log(p_len) + float(noise.seq_log_prob_batch(model, [tuple(sentence)])[0])
 
 
 def class_bigram_log_likelihood(M, right_word_counts):

@@ -42,7 +42,7 @@ def _random_mixed(V, L, d, rng):
     prior = LengthPrior(pi / pi.sum())
     space = oracle.EnumSpace(V, L)
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
     phi = {
         k: rng.uniform(-0.3, 0.3, v.shape)
         for k, v in neural.init_phi_params(V, d, seed=int(rng.integers(1 << 31))).items()
@@ -147,7 +147,7 @@ def test_criterion_03_dnce_fixed_point():
 
     # full unigram + bigram features represent q exactly with zeta = 0
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
     lam = np.zeros(index.n_features)
     uni = {a: helpers.feature_id(index, 0, (a,)) for a in range(V)}
     for a in range(V):
@@ -170,7 +170,7 @@ def _planted_setup():
     rng = np.random.default_rng(42)
     space = oracle.EnumSpace(V, L)
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
     prior = LengthPrior(np.array([0.15, 0.25, 0.35, 0.25]))
     lam_true = np.random.default_rng(7).uniform(-0.3, 0.3, index.n_features)
     planted = TrfModel(_vocab(V), prior, zeta_init(V, L), feature_index=index, lam=lam_true)
@@ -377,7 +377,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     prior = corpus_mod.length_prior(data, L)
     space = oracle.EnumSpace(V, L)
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
 
     def fresh():
         model = TrfModel(

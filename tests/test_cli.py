@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from trflm import cli
+from trflm import cli, corpus, features, neural, noise, trainer
 from trflm.container import read_container, write_container
-from trflm.model import TrfModel
+from trflm.model import TrfModel, zeta_init
 
 
 @pytest.fixture
@@ -44,6 +45,12 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg["max_epochs"] == 3
     assert cfg["seed"] == 7
     assert cfg["nu"] == 1.0  # untouched default
+
+
+def test_load_config_has_every_trainer_field_with_its_default():
+    cfg = cli.load_config()
+    fs = fields(trainer.DnceConfig)
+    assert {f.name: cfg.get(f.name) for f in fs} == {f.name: f.default for f in fs}
 
 
 def test_load_config_reports_all_problems(tmp_path):
@@ -196,12 +203,21 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
         ("vocab_size=0", "vocab_size must be >= 1"),
         ("max_train_length=0", "max_train_length must be >= 1"),
         ("alpha=0.01", "alpha = 199 noise draws per data sentence, more than 100"),
+        ("average_tail=-1", "average_tail must be >= 0"),
+        ("halve_every=0", "halve_every must be >= 1"),
+        ("resume=7", "resume must be 0 or 1"),
+        ("resume=1", "resume = 1 needs a checkpoint"),
+        ("model_out=no-such-dir/m.trf", "model_out: directory 'no-such-dir' does not exist"),
+        ("noise_out=no-such-dir/n.trf", "noise_out: directory 'no-such-dir' does not exist"),
+        ("log_out=no-such-dir/log.tsv", "log_out: directory 'no-such-dir' does not exist"),
+        ("checkpoint=no-such-dir/ckpt", "checkpoint: directory 'no-such-dir' does not exist"),
     ],
     ids=[
         "schedule", "alpha", "lr_noise", "nu-nan", "lr_theta-inf", "lr_zeta-nan",
         "halving_threshold-nan", "stop_ratio-inf", "batch_size", "max_epochs", "seed",
         "hidden_dim", "noise_dim", "n_layers", "vocab_size", "max_train_length",
-        "noise-draws",
+        "noise-draws", "average_tail", "halve_every", "resume-7", "resume-no-checkpoint",
+        "model_out-dir", "noise_out-dir", "log_out-dir", "checkpoint-dir",
     ],
 )
 def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, setting, message):
@@ -224,6 +240,52 @@ def test_train_no_sentence_within_max_train_length_exit_1(tmp_path, capsys):
     assert _run(argv) == 1
     err = capsys.readouterr().err
     assert "%s: no sentence is as short as max_train_length=2" % train in err
+
+
+def test_train_no_dev_sentence_of_a_training_length_exit_1(tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text("the cat sat\na dog ran\n")
+    dev = tmp_path / "dev.txt"
+    dev.write_text("the cat\nthe cat sat here\n")
+    argv, _ = _train_args(tmp_path, train, dev, "neural")
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "%s: no sentence has a length seen in training (1..3)" % dev in err
+
+
+def test_train_with_averaging_writes_what_trainer_train_writes(tmp_path, tiny_corpus):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(
+        tmp_path, train, dev, "mixed", ["max_epochs=3", "average_tail=3", "halve_every=2"]
+    )
+    assert _run(argv) == 0
+
+    # cmd_train's set-up at _train_args' settings, then trainer.train itself
+    config = trainer.DnceConfig(
+        alpha=0.5, batch_size=10, max_epochs=3, schedule="per-epoch-halving",
+        average_tail=3, halve_every=2,
+    )
+    vocab = corpus.build_vocab(train.read_text().splitlines(), 10000)
+    sents = corpus.read_corpus(train, vocab, max_length=60)
+    L = max(len(s) for s in sents)
+    prior = corpus.length_prior(sents, L)
+    dev_sents = [s for s in corpus.read_corpus(dev, vocab, max_length=L) if prior.prob(len(s)) > 0]
+    tset = features.compile_templates("w:2", class_map_present=False)
+    index = features.build_feature_index(sents, tset, "00")
+    model = TrfModel(
+        vocab, prior, zeta_init(vocab.size, L), feature_index=index,
+        lam=np.zeros(index.n_features), phi_params=neural.init_phi_params(vocab.size, 4, seed=0),
+        template_spec="w:2",
+    )
+    trainer.train(config, sents, dev_sents, model, noise.init_noise_model(vocab.size, 4, prior))
+    model.save(tmp_path / "direct.trf")
+
+    got_manifest, got = read_container(model_out)
+    want_manifest, want = read_container(tmp_path / "direct.trf")
+    assert got_manifest == want_manifest
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
 
 
 @pytest.mark.parametrize(
@@ -541,6 +603,8 @@ _FUZZ_VALUES = {
     "stop_ratio": ["0.1", "0", "nan", "-inf"],
     "max_epochs": ["-1", "0", "1", "2"],
     "seed": ["0", "7", "-1", "x"],
+    "average_tail": ["-1", "0", "2"],
+    "halve_every": ["0", "1", "2"],
     "resume": ["0"],
 }
 

@@ -32,7 +32,7 @@ def _mixed_model(V=3, L=3, d=2, seed=0, scale=0.3):
     prior = LengthPrior(pi / pi.sum())
     space = oracle.EnumSpace(V, L)
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
     lam = rng.uniform(-scale, scale, index.n_features)
     phi_params = {
         k: rng.uniform(-scale, scale, v.shape)
@@ -146,7 +146,7 @@ def test_log_prob_with_oracle_zeta_normalizes_jointly():
     m = _mixed_model(seed=3)
     space = oracle.EnumSpace(3, 3)
     m.zeta = oracle.exact_log_z(m, space)
-    total = sum(math.exp(m.log_prob(s)) for s in space.all_sentences())
+    total = sum(math.exp(m.log_prob(s)) for s in helpers.all_sentences(space))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 

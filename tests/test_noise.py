@@ -160,7 +160,7 @@ def test_sampling_matches_scoring():
     n = 50000
     counts = Counter(noise.sample(m, n, np.random.default_rng(11))[0])
     space = oracle.EnumSpace(2, 2)
-    for s in space.all_sentences():
+    for s in helpers.all_sentences(space):
         p = math.exp(helpers.noise_log_prob(m, s))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(counts[s] / n - p) <= 3 * se + 1e-9

@@ -21,7 +21,7 @@ def _discrete_model(V, L, prior, seed=0, lam_scale=0.0):
     rng = np.random.default_rng(seed)
     space = oracle.EnumSpace(V, L)
     tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(space.all_sentences()), tset, "00")
+    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
     lam = rng.uniform(-lam_scale, lam_scale, index.n_features) if lam_scale else np.zeros(index.n_features)
     return TrfModel(_vocab(V), prior, zeta_init(V, L), feature_index=index, lam=lam)
 
@@ -143,7 +143,7 @@ def test_grad_estimate_matches_exact_enumeration_in_expectation():
     q = {s: alpha * data_probs[s] + (1 - alpha) * pn[s] for s in pn}
 
     tset = feats.compile_templates("w:2")
-    corpus_all = list(space.all_sentences())
+    corpus_all = list(helpers.all_sentences(space))
     index = feats.build_feature_index(corpus_all, tset, "00")
     lam = np.zeros(index.n_features)
     uni = {a: helpers.feature_id(index, 0, (a,)) for a in range(V)}
