@@ -124,10 +124,17 @@ def _validate_train_config(cfg) -> DnceConfig:
         problems.append("resume must be 0 or 1")
     elif cfg["resume"] and not cfg.get("checkpoint"):
         problems.append("resume = 1 needs a checkpoint")
+    elif cfg["resume"] and not os.path.isfile(cfg["checkpoint"]):
+        problems.append("resume = 1: checkpoint %r is not a file" % cfg["checkpoint"])
+    written = {}
     for key in ("model_out", "noise_out", "log_out", "checkpoint"):
         folder = os.path.dirname(cfg[key] or "") or "."
         if not os.path.isdir(folder):
             problems.append("%s: directory %r does not exist" % (key, folder))
+        elif cfg[key]:
+            first = written.setdefault(os.path.realpath(cfg[key]), key)
+            if first != key:
+                problems.append("%s and %s name the same file %r" % (first, key, cfg[key]))
     if cfg["mode"] not in ("discrete", "neural", "mixed"):
         problems.append("mode must be discrete, neural, or mixed")
     if discrete and cfg["templates"] and cfg["cutoffs"]:

@@ -92,20 +92,25 @@ class TrfModel:
     def has_neural(self):
         return self.phi_params is not None
 
-    def log_weight_batch(self, sentences) -> np.ndarray:
-        """Potentials alone, in length-sorted chunks of up to SCORE_FLOATS // 16 d real
-        tokens (d = 1 without phi) or of one longer sentence, each cache freed before the next."""
+    def chunks(self, sentences):
+        """Index arrays, each in input order, of length-sorted chunks of up to SCORE_FLOATS // 16 d
+        real tokens (d = 1 without phi) or of one longer sentence, for potential_batch."""
         lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
         d = self.phi_params["emb"].shape[1] if self.has_neural else 1
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(lengths[order])
-        out = np.empty(len(sentences))
         lo = 0
         while lo < len(order):
             start = ends[lo] - lengths[order[lo]]
             hi = max(np.searchsorted(ends, start + SCORE_FLOATS // (16 * d), "right"), lo + 1)
-            out[order[lo:hi]] = self.potential_batch([sentences[j] for j in order[lo:hi]])[0]
+            yield np.sort(order[lo:hi])
             lo = hi
+
+    def log_weight_batch(self, sentences) -> np.ndarray:
+        """Potentials alone, one chunk at a time."""
+        out = np.empty(len(sentences))
+        for idx in self.chunks(sentences):
+            out[idx] = self.potential_batch([sentences[j] for j in idx])[0]
         return out
 
     def potential_batch(self, sentences):

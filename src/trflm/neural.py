@@ -170,20 +170,16 @@ def phi_forward_batch(sentences, params):
     T, B = ids.shape
     real = real_tokens(n, B)
     e = params["emb"][ids] * real[:, :, None]
-    caches = {"fwd": [], "bwd": []}
-    x = e
-    for layer in range(n_layers):
-        pre = "fwd%d_" % layer
-        x, c = lstm_forward(x, n, params[pre + "W"], params[pre + "U"], params[pre + "b"])
-        caches["fwd"].append(c)
-    hf = x
-    # read backwards, the rows still to start are the ones not alive
-    x = e[::-1]
-    for layer in range(n_layers):
-        pre = "bwd%d_" % layer
-        x, c = lstm_forward(x, n[::-1], params[pre + "W"], params[pre + "U"], params[pre + "b"])
-        caches["bwd"].append(c)
-    hb = x[::-1]
+    caches, h = {}, []
+    # the bwd stack reads the batch backwards: the rows still to start are the ones not alive
+    for direction, step in (("fwd", 1), ("bwd", -1)):
+        x, caches[direction] = e[::step], []
+        for layer in range(n_layers):
+            pre = "%s%d_" % (direction, layer)
+            x, c = lstm_forward(x, n[::step], *(params[pre + k] for k in "WUb"))
+            caches[direction].append(c)
+        h.append(x[::step])
+    hf, hb = h
 
     # hf and hb are zero off their sentence and e is zero on padding, so
     # only the pairs inside each sentence contribute
@@ -222,18 +218,13 @@ def phi_backward_batch(cache, weights):
         dhb[1:] = w * e[:-1]
         de[:-1] += w * hb[1:]
 
-    dx = dhf
-    for layer in range(cache["n_layers"] - 1, -1, -1):
-        pre = "fwd%d_" % layer
-        dW, dU, db, dx = lstm_backward(cache["caches"]["fwd"][layer], dx)
-        grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
-    de += dx
-    dx = dhb[::-1]
-    for layer in range(cache["n_layers"] - 1, -1, -1):
-        pre = "bwd%d_" % layer
-        dW, dU, db, dx = lstm_backward(cache["caches"]["bwd"][layer], dx)
-        grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
-    de += dx[::-1]
+    for direction, dh, step in (("fwd", dhf, 1), ("bwd", dhb, -1)):
+        dx = dh[::step]
+        for layer in range(cache["n_layers"] - 1, -1, -1):
+            pre = "%s%d_" % (direction, layer)
+            dW, dU, db, dx = lstm_backward(cache["caches"][direction][layer], dx)
+            grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
+        de += dx[::step]
 
     real = cache["real"]
     demb = np.zeros((cache["V"], e.shape[2]))

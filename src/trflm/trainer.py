@@ -105,7 +105,8 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     them; the objective reads the noise LM through these alone.
     Sentences in D u B1 contribute +P(C=1) * g, sentences in B2
     contribute -P(C=0) * g, everything scaled by alpha/|D|, where g is
-    (f(x^l), dphi/dtheta, -delta(l = k)).
+    (f(x^l), dphi/dtheta, -delta(l = k)). The batch goes through
+    model.chunks, one chunk's forward cache alive at a time.
     """
     if not D:
         raise TrainerError("empty data minibatch")
@@ -114,19 +115,21 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     n_mix = len(D) + len(B1)
     sents = list(D) + list(B1) + list(B2)
     lengths = np.array([len(s) for s in sents], dtype=np.int64)
-    potential, occurrences, cache = model.potential_batch(sents)
-    p0 = posterior_c0(potential - model.zeta[lengths - 1], log_p_noise, nu)
     scale = alpha / len(D)
-    weights = np.concatenate([scale * (1.0 - p0[:n_mix]), -scale * p0[n_mix:]])
-
-    g_lambda = None
-    if model.has_discrete:
-        g_lambda = feats.batch_gradient(occurrences, weights, model.feature_index.n_features)
-    g_theta = None
-    if model.has_neural:
-        g_theta = neural.phi_backward_batch(cache, weights)
+    g_lambda = g_theta = None
     g_zeta = np.zeros(model.max_length)
-    np.subtract.at(g_zeta, lengths - 1, weights)
+    for idx in model.chunks(sents):
+        potential, occurrences, cache = model.potential_batch([sents[j] for j in idx])
+        p0 = posterior_c0(potential - model.zeta[lengths[idx] - 1], log_p_noise[idx], nu)
+        w = np.where(idx < n_mix, scale * (1.0 - p0), -scale * p0)
+        np.subtract.at(g_zeta, lengths[idx] - 1, w)
+        if model.has_discrete:
+            g = feats.batch_gradient(occurrences, w, model.feature_index.n_features)
+            g_lambda = g if g_lambda is None else g_lambda + g
+        if model.has_neural:
+            g = neural.phi_backward_batch(cache, w)
+            g_theta = g if g_theta is None else {k: g_theta[k] + v for k, v in g.items()}
+        del occurrences, cache  # before the next chunk's forward pass
     return model.named(g_zeta, g_lambda, g_theta)
 
 

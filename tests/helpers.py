@@ -614,6 +614,27 @@ def reference_nll_and_grads(model: noise.NoiseModel, sentences):
     return nll, grads, seq
 
 
+def whole_step_grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu):
+    """The DNCE gradient from one potential_batch call over the whole step,
+    as trainer.grad_estimate took it before it went through model.chunks:
+    the bitwise reference for a step that fits in one chunk."""
+    n_mix = len(D) + len(B1)
+    sents = list(D) + list(B1) + list(B2)
+    lengths = np.array([len(s) for s in sents], dtype=np.int64)
+    potential, occurrences, cache = model.potential_batch(sents)
+    p0 = trainer.posterior_c0(potential - model.zeta[lengths - 1], log_p_noise, nu)
+    scale = alpha / len(D)
+    weights = np.concatenate([scale * (1.0 - p0[:n_mix]), -scale * p0[n_mix:]])
+    g_lambda = g_theta = None
+    if model.has_discrete:
+        g_lambda = features.batch_gradient(occurrences, weights, model.feature_index.n_features)
+    if model.has_neural:
+        g_theta = neural.phi_backward_batch(cache, weights)
+    g_zeta = np.zeros(model.max_length)
+    np.subtract.at(g_zeta, lengths - 1, weights)
+    return model.named(g_zeta, g_lambda, g_theta)
+
+
 def reference_dnce_steps(config, train_sentences, dev_sentences, model, noise_model, max_steps):
     """trainer.train's loop in its earlier step order, kept as the reference:
     the gradient reads D's noise log-probabilities from seq_log_prob_batch,

@@ -233,6 +233,34 @@ def test_train_invalid_trainer_setting_exit_2_before_reading(tmp_path, capsys, s
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["checkpoint={tmp}/m.trf"], "model_out and checkpoint name the same file"),
+        (["noise_out={tmp}/m.trf"], "model_out and noise_out name the same file"),
+        (["log_out={tmp}/./m.trf"], "model_out and log_out name the same file"),
+        (["noise_out={tmp}/n", "checkpoint={tmp}/n"], "noise_out and checkpoint name the same"),
+        (["resume=1", "checkpoint={tmp}/ckpt"], "resume = 1: checkpoint '{tmp}/ckpt' is not a file"),
+        (["resume=1", "checkpoint={tmp}"], "resume = 1: checkpoint '{tmp}' is not a file"),
+    ],
+    ids=["checkpoint-model_out", "noise_out-model_out", "log_out-model_out",
+         "checkpoint-noise_out", "resume-missing-checkpoint", "resume-checkpoint-dir"],
+)
+def test_train_shared_output_or_missing_checkpoint_exit_2_before_reading(
+    tmp_path, capsys, settings, message
+):
+    argv = ["train"]
+    for item in (
+        "train_corpus=%s" % (tmp_path / "missing.txt"),
+        "dev_corpus=%s" % (tmp_path / "missing-dev.txt"),
+        "model_out=%s" % (tmp_path / "m.trf"),
+        *settings,
+    ):
+        argv += ["--set", item.format(tmp=tmp_path)]
+    assert _run(argv) == 2
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+
+
 def test_train_no_sentence_within_max_train_length_exit_1(tmp_path, capsys):
     train = tmp_path / "train.txt"
     train.write_text("the cat sat\na dog ran\n")

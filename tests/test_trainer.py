@@ -1,10 +1,14 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trflm import features as feats
+from trflm import model as model_mod
 from trflm import noise as noise_mod
 from trflm import neural, oracle, trainer
 from trflm.corpus import ClassMap, LengthPrior, Vocabulary, length_prior
@@ -224,6 +228,79 @@ def test_grad_estimate_needs_one_log_prob_per_draw():
     model, noise = _tiny_setup()
     with pytest.raises(trainer.TrainerError):
         trainer.grad_estimate(model, [(1, 2)], [(0,)], [(2, 2)], np.zeros(2), 0.5, 1.0)
+
+
+def _step_model(kind, rng, V, L, d, sents):
+    index = feats.build_feature_index(sents, feats.compile_templates("w:2"), "00")
+    return TrfModel(
+        _vocab(V), LengthPrior(np.full(L, 1.0 / L)), zeta_init(V, L) + rng.normal(0.0, 1.0, L),
+        feature_index=index if kind != "neural" else None,
+        lam=rng.uniform(-1, 1, index.n_features) if kind != "neural" else None,
+        phi_params=neural.init_phi_params(V, d, seed=1) if kind != "discrete" else None,
+    )
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_chunked_grad_estimate_equals_whole_step_pass(data):
+    kind = data.draw(st.sampled_from(["discrete", "neural", "mixed"]))
+    V, L = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 7))
+    d = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sents = helpers.shuffled_batch(rng, V, data.draw(st.lists(st.integers(1, L), min_size=1, max_size=30)))
+    n_d = data.draw(st.integers(1, len(sents)))
+    n_mix = data.draw(st.integers(n_d, len(sents)))
+    model = _step_model(kind, rng, V, L, d, sents)
+    step = (model, sents[:n_d], sents[n_d:n_mix], sents[n_mix:], rng.normal(-2.0, 2.0, len(sents)))
+    want = helpers.whole_step_grad_estimate(*step, 0.4, 1.5)
+    # a budget of 1..(all tokens + 3) real tokens per chunk
+    total = sum(map(len, sents))
+    budget = data.draw(st.integers(1, total + 3))
+    per_token = 16 * (d if kind != "discrete" else 1)
+    chunks = []
+    potential_batch = model.potential_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "SCORE_FLOATS", budget * per_token)
+        mp.setattr(model, "potential_batch", lambda b: chunks.append(b) or potential_batch(b))
+        got = trainer.grad_estimate(*step, 0.4, 1.5)
+    assert sorted(map(len, sum(chunks, []))) == sorted(map(len, sents))
+    for chunk in chunks:
+        assert len(chunk) == 1 or sum(map(len, chunk)) <= budget
+    assert got.keys() == want.keys()
+    for k in want:
+        if len(chunks) == 1:
+            assert got[k].tobytes() == want[k].tobytes(), k
+        else:
+            # an entry where the step's terms cancel carries the rounding of the
+            # terms, not of the entry: measure it against the array's largest
+            scale = np.abs(want[k]).max()
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+
+
+def test_grad_estimate_memory_does_not_grow_with_the_step(monkeypatch):
+    V, L, d = 50, 12, 16
+    rng = np.random.default_rng(7)
+    small = helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=250))
+    large = small + helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=750))
+    model = _step_model("mixed", rng, V, L, d, large)
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", 200 * 16 * d)
+    log_p = rng.normal(-20.0, 5.0, len(large))
+
+    def step(sents):
+        n = len(sents) // 10
+        B1, B2 = sents[n : 5 * n], sents[5 * n :]
+        return trainer.grad_estimate(model, sents[:n], B1, B2, log_p[: len(sents)], 0.2, 1.0)
+
+    step(small)  # warm up lazily allocated state
+    peaks = []
+    for sents in (small, large):
+        tracemalloc.start()
+        try:
+            step(sents)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_adam_zero_gradient_no_move():
