@@ -12,9 +12,10 @@ ones, so that drift in the machine's speed falls on both sides alike.
 The workload's section of ``--out`` (a ``BENCH_<n>.json`` file) is
 written from the runs, and ``command``, ``protocol`` and ``machine`` at
 its top level; other keys in an existing file are kept. Per end-to-end
-metric of BENCHMARK.json, a section gives each side's quartiles, the
-change's median relative to the parent's, the parent's interquartile
-range, and in how many pairs the change was better or tied. On the DNCE
+metric of BENCHMARK.json, a section gives each side's value in every
+pair (pair i at index i - 1) and quartiles, the change's median relative
+to the parent's, the parent's interquartile range, and in how many pairs
+the change was better or tied. On the DNCE
 workloads it adds the same for ``op_ms.p50_interior``: the median step
 interval of a run with each ``train()`` call's first interval left out,
 from the ``step_s`` list of the run's details line. The first interval
@@ -76,6 +77,8 @@ def compare(p, c, unit, better):
     return {
         "unit": unit,
         "better": better,
+        "parent_per_pair": [float(v) for v in p],
+        "change_per_pair": [float(v) for v in c],
         "parent_q1_median_q3": pq,
         "change_q1_median_q3": cq,
         "change_vs_parent_median": (cq[1] - pq[1]) / pq[1] if pq[1] else None,

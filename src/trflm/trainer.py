@@ -314,6 +314,9 @@ def train(
             if max_steps is not None and step_count >= max_steps:
                 break
         state.epoch += 1
+        # the KL step's logits are not needed again until the next epoch's
+        # steps: unmapping them keeps them out of the dev pass's memory
+        noise.drop_logits_buffer()
         dev_ll = dev_log_likelihood(model, dev_sentences)
         state.dev_history.append(dev_ll)
         if config.schedule == "per-epoch-halving":

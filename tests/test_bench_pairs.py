@@ -48,6 +48,15 @@ def test_summarize_synthetic_pairs():
     assert got["all_checks_ok"] and got["parent_correct"] and got["change_correct"]
 
 
+def test_summarize_keeps_each_pairs_values():
+    parent = [_run(1.0, 100.0, 70.0), _run(3.0, 90.0, 71.0)]
+    change = [_run(2.0, 110.0, 70.0), _run(0.5, 80.0, 71.0)]
+    got = bench_pairs.summarize(parent, change, END_TO_END)["metrics"]
+    assert got["setup_s"]["parent_per_pair"] == [1.0, 3.0]
+    assert got["setup_s"]["change_per_pair"] == [2.0, 0.5]
+    assert got["tokens_per_s"]["change_per_pair"] == [110.0, 80.0]
+
+
 def test_summarize_flags_a_moved_dev_nll_and_a_failed_check():
     parent = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 71.0)]
     change = [_run(1.0, 100.0, 70.0), _run(1.0, 100.0, 71.0 + 1e-12, correct=False)]

@@ -316,3 +316,17 @@ def test_nll_and_grads_bitwise_equal_reference_realistic_size():
     sents, _ = noise.sample(m, 100, rng)
     assert sum(map(len, sents)) > 2**17 // m.V
     _assert_nll_and_grads_bitwise(m, sents)
+
+
+def test_kl_steps_reuse_one_logits_buffer_bitwise():
+    # 38, 19, 57 and 76 real tokens: the buffer is kept while a step fits
+    # and otherwise grows at least twofold; every step equals the reference
+    rng = np.random.default_rng(23)
+    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=23)
+    caps = []
+    for k in (2, 1, 3, 4):
+        _assert_nll_and_grads_bitwise(m, helpers.shuffled_batch(rng, 20, [1, 2, 3, 5, 8] * k))
+        caps.append(len(m._logits))
+    assert caps == [38, 38, 76, 76]
+    assert noise.seq_log_prob_batch(m, helpers.shuffled_batch(rng, 20, [8] * 20)).shape == (20,)
+    assert len(m._logits) == 76  # scoring allocates its own logits
