@@ -55,16 +55,18 @@ _SIZE_KEYS = ("vocab_size", "max_train_length", "hidden_dim", "n_layers", "noise
 def load_config(path=None, overrides=()):
     cfg = dict(CONFIG_DEFAULTS)
     pairs = []
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-                k, v = line.split("=", 1)
-                pairs.append((k.strip(), v.strip()))
+    lines = corpus_mod.read_lines(path) if path is not None else ()
+    try:
+        for lineno, line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
+            k, v = line.split("=", 1)
+            pairs.append((k.strip(), v.strip()))
+    except corpus_mod.CorpusError as exc:
+        raise ConfigError(str(exc)) from None
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override %r is not key=value" % item)
@@ -85,13 +87,8 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def _read_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line for line in fh if line.split()]
-
-
 def cmd_cluster(args):
-    lines = _read_lines(args.corpus)
+    lines = [line for _, line in corpus_mod.read_lines(args.corpus)]
     vocab = corpus_mod.build_vocab(lines, args.vocab_size)
     if args.n_classes > vocab.size:
         raise ConfigError(
@@ -138,20 +135,19 @@ def _validate_train_config(cfg) -> DnceConfig:
     if cfg["mode"] not in ("discrete", "neural", "mixed"):
         problems.append("mode must be discrete, neural, or mixed")
     if discrete and cfg["templates"] and cfg["cutoffs"]:
-        spec = cfg["templates"].split(":", 1)[0]
         try:
-            need = feats.compile_templates(cfg["templates"], class_map_present=True).n_cutoffs
+            tset = feats.compile_templates(
+                cfg["templates"], class_map_present=bool(cfg.get("class_map"))
+            )
             feats.parse_cutoffs(cfg["cutoffs"])
         except feats.FeatureError as exc:
             problems.append(str(exc))
         else:
-            if len(cfg["cutoffs"]) != need:
+            if len(cfg["cutoffs"]) != tset.n_cutoffs:
                 problems.append(
                     "cutoff string %r length != %d, one digit per feature order"
-                    % (cfg["cutoffs"], need)
+                    % (cfg["cutoffs"], tset.n_cutoffs)
                 )
-        if any(p in ("c", "cs") for p in spec.split("+")) and not cfg.get("class_map"):
-            problems.append("class features requested but no class_map configured")
     if problems:
         raise ConfigError("; ".join(problems))
     try:
@@ -163,7 +159,7 @@ def _validate_train_config(cfg) -> DnceConfig:
 def cmd_train(args):
     cfg = load_config(args.config, args.set or [])
     dcfg = _validate_train_config(cfg)
-    lines = _read_lines(cfg["train_corpus"])
+    lines = (line for _, line in corpus_mod.read_lines(cfg["train_corpus"]))
     vocab = corpus_mod.build_vocab(lines, cfg["vocab_size"])
     train_sents = corpus_mod.read_corpus(
         cfg["train_corpus"], vocab, max_length=cfg["max_train_length"]

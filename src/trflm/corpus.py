@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -9,10 +10,27 @@ from itertools import chain
 import numpy as np
 
 UNK_TOKEN = "<unk>"
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape decoding kept
 
 
 class CorpusError(ValueError):
     pass
+
+
+def read_lines(path):
+    """(line number, line without its newline) for each nonblank line of a
+    UTF-8 text file. A file that does not decode raises CorpusError naming
+    path:line of the first line that holds a bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.isspace():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        # valid UTF-8 never decodes to a lone surrogate, so the first one is the bad byte
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            bad = next(n for n, line in enumerate(fh, 1) if _ESCAPED.search(line))
+        raise CorpusError("%s:%d: not UTF-8 text" % (path, bad)) from None
 
 
 class Vocabulary:
@@ -83,13 +101,9 @@ def read_corpus(path, vocab: Vocabulary, max_length=None):
     Sentences longer than max_length are omitted, never truncated.
     """
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.split():
-                continue
-            s = encode(line, vocab)
-            if max_length is not None and len(s) > max_length:
-                continue
+    for _, line in read_lines(path):
+        s = encode(line, vocab)
+        if max_length is None or len(s) <= max_length:
             sentences.append(s)
     return sentences
 
@@ -142,28 +156,25 @@ class ClassMap:
     def load(cls, path, vocab: Vocabulary):
         mapping = np.full(vocab.size, -1, dtype=np.int64)
         n_classes = 0
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                where = "%s:%d: " % (path, lineno)
-                if len(fields) != 2:
-                    raise CorpusError(where + "expected 'word<TAB>class id', got %r" % line)
-                word, cid = fields
-                try:
-                    c = int(cid)
-                except ValueError:
-                    c = -1
-                if c < 0:
-                    raise CorpusError(where + "class id %r is not an integer >= 0" % cid)
-                if word not in vocab.ids:
-                    # mapping it to <unk> would overwrite <unk>'s own class
-                    raise CorpusError(where + "word %r is not in the vocabulary" % word)
-                if mapping[vocab.ids[word]] >= 0:
-                    raise CorpusError(where + "word %r is listed twice" % word)
-                mapping[vocab.ids[word]] = c
-                n_classes = max(n_classes, c + 1)
+        for lineno, line in read_lines(path):
+            fields = line.split("\t")
+            where = "%s:%d: " % (path, lineno)
+            if len(fields) != 2:
+                raise CorpusError(where + "expected 'word<TAB>class id', got %r" % line)
+            word, cid = fields
+            try:
+                c = int(cid)
+            except ValueError:
+                c = -1
+            if c < 0:
+                raise CorpusError(where + "class id %r is not an integer >= 0" % cid)
+            if word not in vocab.ids:
+                # mapping it to <unk> would overwrite <unk>'s own class
+                raise CorpusError(where + "word %r is not in the vocabulary" % word)
+            if mapping[vocab.ids[word]] >= 0:
+                raise CorpusError(where + "word %r is listed twice" % word)
+            mapping[vocab.ids[word]] = c
+            n_classes = max(n_classes, c + 1)
         if (mapping < 0).any():
             raise CorpusError("class map file does not cover the vocabulary")
         return cls(mapping, n_classes)

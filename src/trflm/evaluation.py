@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, encode
+from .corpus import CorpusError, encode, read_lines
 
 
 class EvalError(ValueError):
@@ -22,13 +22,6 @@ def perplexity(model, sentences) -> float:
     """
     if not sentences:
         raise EvalError("empty corpus")
-    bad = [
-        i + 1
-        for i, s in enumerate(sentences)
-        if len(s) > model.max_length or model.prior.prob(len(s)) <= 0
-    ]
-    if bad:
-        raise EvalError("lines with unseen sentence length: %s" % bad)
     total_logp = float(model.log_prob_batch(sentences).sum())
     total_tokens = sum(len(s) for s in sentences)
     return math.exp(-total_logp / total_tokens)
@@ -43,14 +36,11 @@ class NBestList:
 def _tab_fields(path, n, layout):
     """(line number, fields) for each nonblank line split into its n tab
     fields; a line with fewer raises EvalError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t", n - 1)
-            if len(fields) < n:
-                raise EvalError("%s:%d: expected %s" % (path, lineno, layout))
-            yield lineno, fields
+    for lineno, line in read_lines(path):
+        fields = line.split("\t", n - 1)
+        if len(fields) < n:
+            raise EvalError("%s:%d: expected %s" % (path, lineno, layout))
+        yield lineno, fields
 
 
 def read_nbest(path):

@@ -18,6 +18,10 @@ from .neural import lstm_backward, lstm_cell, lstm_forward, pack, real_tokens, s
 
 GRAD_CLIP_NORM = 5.0
 BLOCK = 64  # words per block of the sampler's two-level search of the CDF
+# SOFTMAX_FLOATS (1 MiB) only sizes a scratch buffer beside the whole (N, V) logits;
+# the softmax is row-wise, so any block gives the same values. model.SCORE_FLOATS
+# (32 MiB) bounds all that a chunk of TRF scoring keeps alive, and its size sets the
+# GEMM shapes, so it is large: a whole d=16 acceptance-setting DNCE step is one chunk.
 SOFTMAX_FLOATS = 2**17  # floats in a block of rows of the KL step's log-softmax
 
 

@@ -85,12 +85,6 @@ def exact_expectations(model, space: EnumSpace, feature_index) -> np.ndarray:
     return feats.batch_gradient(occurrences, p, feature_index.n_features)
 
 
-def empirical_expectations(sentences, feature_index) -> np.ndarray:
-    occurrences = feats.extract(sentences, feature_index)
-    counts = feats.batch_gradient(occurrences, np.ones(len(sentences)), feature_index.n_features)
-    return counts / max(1, len(sentences))
-
-
 def finite_diff(fn, arrays, epsilon=1e-5) -> dict:
     """Central differences of the scalar fn() with respect to every element
     of the named float64 arrays, perturbed in place: each element is set to

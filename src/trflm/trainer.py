@@ -5,6 +5,7 @@ updates."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -72,14 +73,12 @@ class DnceConfig:
             raise TrainerError("unknown schedule %r" % self.schedule)
         if self.average_tail < 0:
             raise TrainerError("average_tail must be >= 0")
+        if self.average_tail and self.schedule == "dev-halving" and self.stop_ratio > 0:
+            raise TrainerError("average_tail needs per-epoch-halving or stop_ratio <= 0")
 
 
 def minibatch_sizes(alpha, nu, d_size):
     """|B1| = (1-alpha)/alpha |D| and |B2| = nu/alpha |D|, rounded, min 1."""
-    if not 0.0 < alpha < 1.0:
-        raise TrainerError("alpha must be in (0, 1)")
-    if nu <= 0 or d_size < 1:
-        raise TrainerError("nu must be positive and d_size >= 1")
     b1 = max(1, int(math.floor((1.0 - alpha) / alpha * d_size + 0.5)))
     b2 = max(1, int(math.floor(nu / alpha * d_size + 0.5)))
     return b1, b2
@@ -253,7 +252,7 @@ def train(
     resume=False,
     max_steps=None,
 ):
-    """Run DNCE until the schedule stops it; returns the trained model.
+    """Run DNCE until the schedule stops it; returns (model, TrainState).
 
     Per step: draw D by shuffled epoch traversal, sample B1 and B2 from
     the noise model, take one KL step on the noise model on D, then the
@@ -275,12 +274,16 @@ def train(
     n = len(train_sentences)
     steps_per_epoch = math.ceil(n / config.batch_size)
     step_count = state.epoch * steps_per_epoch
-    lr0 = config.lr_theta if model.has_neural else config.lr_lambda
 
     # Polyak tail averaging: the stochastic iterates hover around the
     # optimum at a radius set by the learning rate; averaging the last
     # average_tail iterates shrinks that radius without freezing the run.
-    budget = max_steps if max_steps is not None else config.max_epochs * steps_per_epoch
+    # The window ends at the last step the schedule allows.
+    epochs = config.max_epochs
+    if config.schedule == "per-epoch-halving" and config.stop_ratio > 0:
+        halvings = next(k for k in itertools.count() if 0.5**k < config.stop_ratio)
+        epochs = min(epochs, halvings * config.halve_every)
+    budget = min(epochs * steps_per_epoch, math.inf if max_steps is None else max_steps)
     avg_start = budget - config.average_tail
     averaged = max(0, step_count - max(avg_start, 0)) if config.average_tail > 0 else 0
     if avg_n != averaged:
@@ -290,7 +293,7 @@ def train(
         )
 
     while state.epoch < config.max_epochs:
-        if state.lr_factor * lr0 < config.stop_ratio * lr0:
+        if state.lr_factor < config.stop_ratio:
             break
         t0 = time.time()
         factor = state.lr_factor

@@ -82,6 +82,13 @@ def feature_id(index: features.FeatureIndex, tid, values):
     return _key_ids(index)[(tid, tuple(values))]
 
 
+def empirical_expectations(sentences, index: features.FeatureIndex) -> np.ndarray:
+    """Mean feature counts per sentence."""
+    occurrences = features.extract(sentences, index)
+    counts = features.batch_gradient(occurrences, np.ones(len(sentences)), index.n_features)
+    return counts / max(1, len(sentences))
+
+
 def extract_pairs(sentence, index: features.FeatureIndex):
     """The reference per-sentence extraction: count the placement keys of
     the sentence in a Counter and return the indexed ones as (feature id,

@@ -186,7 +186,7 @@ def test_criterion_04_planted_model_recovery():
     t0 = time.time()
     V, L = 5, 4
     space, index, corpus = _planted_setup()
-    emp = oracle.empirical_expectations(corpus, index)
+    emp = helpers.empirical_expectations(corpus, index)
     emp_pi = np.bincount([len(s) for s in corpus], minlength=L + 1)[1:] / len(corpus)
     prior = LengthPrior(emp_pi)
 

@@ -204,6 +204,7 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
         ("max_train_length=0", "max_train_length must be >= 1"),
         ("alpha=0.01", "alpha = 199 noise draws per data sentence, more than 100"),
         ("average_tail=-1", "average_tail must be >= 0"),
+        ("average_tail=2", "average_tail needs per-epoch-halving or stop_ratio <= 0"),
         ("halve_every=0", "halve_every must be >= 1"),
         ("resume=7", "resume must be 0 or 1"),
         ("resume=1", "resume = 1 needs a checkpoint"),
@@ -216,7 +217,8 @@ def test_train_cutoff_length_mismatch_exit_2(tmp_path, tiny_corpus):
         "schedule", "alpha", "lr_noise", "nu-nan", "lr_theta-inf", "lr_zeta-nan",
         "halving_threshold-nan", "stop_ratio-inf", "batch_size", "max_epochs", "seed",
         "hidden_dim", "noise_dim", "n_layers", "vocab_size", "max_train_length",
-        "noise-draws", "average_tail", "halve_every", "resume-7", "resume-no-checkpoint",
+        "noise-draws", "average_tail", "average_tail-dev-halving", "halve_every", "resume-7",
+        "resume-no-checkpoint",
         "model_out-dir", "noise_out-dir", "log_out-dir", "checkpoint-dir",
     ],
 )
@@ -325,10 +327,11 @@ def test_train_with_averaging_writes_what_trainer_train_writes(tmp_path, tiny_co
         (["templates=ws:2", "cutoffs=00"], "cutoff string '00' length != 3"),
         (["templates="], "missing required config key 'templates'"),
         (["cutoffs="], "missing required config key 'cutoffs'"),
+        (["templates=w+c:2"], "feature type 'c' requires a class map"),
     ],
     ids=[
         "unknown-type", "order-not-integer", "cutoffs-not-digits", "skip-trigram-order",
-        "no-templates", "no-cutoffs",
+        "no-templates", "no-cutoffs", "class-features-without-map",
     ],
 )
 def test_train_invalid_feature_setting_exit_2_before_reading(tmp_path, capsys, settings, message):
@@ -468,6 +471,65 @@ def test_ppl_command(tmp_path, tiny_corpus, capsys):
     out = capsys.readouterr().out
     line = [l for l in out.splitlines() if l.startswith("ppl\t")][0]
     assert float(line.split("\t")[1]) > 1.0
+
+
+@pytest.mark.parametrize(
+    "sentence, message",
+    [("dog", "lengths with zero prior probability: [1]"),
+     ("the cat sat here and there", "lengths outside 1..4: [6]")],
+    ids=["zero-prior", "too-long"],
+)
+def test_ppl_unseen_length_after_blank_lines_exit_1_names_length(
+    tmp_path, tiny_corpus, capsys, sentence, message
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    corpus_file = tmp_path / "test.txt"
+    corpus_file.write_text("the cat sat\n\n\n%s\na dog ran\n" % sentence)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, corpus_file]) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+
+
+_FIRST_LINE = {"nbest": "u1\t0.0\tthe cat sat", "refs": "u1\tthe cat sat", "class_map": "the\t0"}
+
+
+@pytest.mark.parametrize(
+    "reader", ["ppl", "nbest", "refs", "train_corpus", "dev_corpus", "class_map", "cluster"]
+)
+def test_input_not_utf8_exit_1_names_path_and_line(tmp_path, tiny_corpus, capsys, reader):
+    # line 3 holds a Latin-1 byte and follows a blank line
+    train, dev = tiny_corpus
+    first = _FIRST_LINE.get(reader, "the cat sat").encode()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(first + b"\n\n\xe9" + first + b"\n")
+    train_argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    if reader in ("ppl", "nbest", "refs"):
+        assert _run(train_argv) == 0
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.0\tthe cat sat\n")
+    argv = {
+        "ppl": ["ppl", model_out, bad],
+        "nbest": ["rescore", bad, model_out],
+        "refs": ["rescore", nbest, model_out, "--refs", bad],
+        "train_corpus": _train_args(tmp_path, bad, dev, "discrete")[0],
+        "dev_corpus": _train_args(tmp_path, train, bad, "discrete")[0],
+        "class_map": _train_args(
+            tmp_path, train, dev, "discrete", ["templates=w+c:2", "class_map=%s" % bad]
+        )[0],
+        "cluster": ["cluster", bad, tmp_path / "classes.txt", "--n-classes", 2],
+    }[reader]
+    capsys.readouterr()
+    assert _run(argv) == 1
+    assert "error: %s:3: not UTF-8 text" % bad in capsys.readouterr().err
+
+
+def test_config_not_utf8_exit_2_names_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"alpha = 0.5\n\n\xe9seed = 1\n")
+    assert _run(["train", "--config", cfg]) == 2
+    assert "config error: %s:3: not UTF-8 text" % cfg in capsys.readouterr().err
 
 
 def test_ppl_missing_model_exit_1(tmp_path):

@@ -247,3 +247,26 @@ def test_read_corpus_skips_long_sentences(tmp_path):
     vocab = corpus.build_vocab(["a b c d"], max_size=10)
     sents = corpus.read_corpus(path, vocab, max_length=3)
     assert [len(s) for s in sents] == [2, 1]
+
+
+def test_read_lines_numbers_nonblank_lines_without_newlines(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes("a b\n\n  \t\nc\r\nd é\n".encode("utf-8"))
+    assert list(corpus.read_lines(path)) == [(1, "a b"), (4, "c"), (5, "d é")]
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"a\n\n\xffb\n", 3),
+        (b"a\r\n\r\nb\xe9\r\n", 3),  # Latin-1, CRLF line ends
+        (b"a\rb\rc \xc3\n", 3),  # a bare CR ends a line in text mode too
+        (b"ok\n" * 5000 + b"\xe2\x82\n", 5001),  # past the first decoded chunk, truncated at EOF
+    ],
+    ids=["lf", "crlf", "cr", "late-truncated"],
+)
+def test_read_lines_names_the_first_line_that_is_not_utf8(tmp_path, content, line):
+    path = tmp_path / "c.txt"
+    path.write_bytes(content)
+    with pytest.raises(corpus.CorpusError, match=r"c\.txt:%d: not UTF-8 text$" % line):
+        list(corpus.read_lines(path))

@@ -41,13 +41,6 @@ def test_minibatch_sizes_minimum_one():
     assert b1 >= 1 and b2 >= 1
 
 
-def test_minibatch_sizes_bad_alpha():
-    with pytest.raises(trainer.TrainerError):
-        trainer.minibatch_sizes(1.0, 1.0, 10)
-    with pytest.raises(trainer.TrainerError):
-        trainer.minibatch_sizes(0.0, 1.0, 10)
-
-
 def test_posterior_equal_scores():
     assert trainer.posterior_c0(-3.0, -3.0, 1.0) == pytest.approx(0.5)
     assert trainer.posterior_c0(-3.0, -3.0, 4.0) == pytest.approx(0.2)
@@ -522,6 +515,44 @@ def test_train_stops_when_lr_floor_reached():
     _, state = trainer.train(cfg, data, data[:5], model, noise)
     # factor halves each epoch: 1, .5, .25, .125, .0625 -> stops entering epoch 5
     assert state.epoch == 4
+
+
+def test_average_tail_ends_at_the_lr_floor(monkeypatch):
+    # the floor stops this 50-epoch run after 4 epochs, 8 steps; the average
+    # is of the last 3 of those, not of steps 98-100, which never run
+    rng = np.random.default_rng(2)
+    V, L = 3, 2
+    data = _small_corpus(rng, V, L, 20)
+    prior = length_prior(data, L)
+    iterates = []
+    step = trainer.AdamState.step
+
+    def recording_step(self, params, grads, lrs):
+        step(self, params, grads, lrs)
+        iterates.append(params["lam"].copy())
+
+    monkeypatch.setattr(trainer.AdamState, "step", recording_step)
+    lams = {}
+    for tail in (0, 3):
+        iterates.clear()
+        model = _discrete_model(V, L, prior, seed=1)
+        cfg = trainer.DnceConfig(
+            alpha=0.5, nu=1.0, batch_size=10, max_epochs=50, seed=3,
+            schedule="per-epoch-halving", stop_ratio=0.1, average_tail=tail,
+        )
+        noise = noise_mod.init_noise_model(V, 3, prior, seed=2)
+        _, state = trainer.train(cfg, data, data[:5], model, noise)
+        assert state.epoch == 4 and len(iterates) == 8
+        lams[tail] = model.lam
+    assert (lams[0] == iterates[-1]).all()
+    assert (lams[3] == (iterates[-3] + iterates[-2] + iterates[-1]) / 3).all()
+
+
+def test_average_tail_refused_where_dev_scores_set_the_last_step():
+    with pytest.raises(trainer.TrainerError, match="average_tail needs per-epoch-halving"):
+        trainer.DnceConfig(average_tail=2)
+    trainer.DnceConfig(average_tail=2, stop_ratio=0.0)
+    trainer.DnceConfig(average_tail=2, schedule="per-epoch-halving")
 
 
 def test_paper_default_config():
