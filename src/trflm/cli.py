@@ -139,15 +139,9 @@ def _validate_train_config(cfg) -> DnceConfig:
             tset = feats.compile_templates(
                 cfg["templates"], class_map_present=bool(cfg.get("class_map"))
             )
-            feats.parse_cutoffs(cfg["cutoffs"])
+            feats.checked_cutoffs(tset, cfg["cutoffs"])
         except feats.FeatureError as exc:
             problems.append(str(exc))
-        else:
-            if len(cfg["cutoffs"]) != tset.n_cutoffs:
-                problems.append(
-                    "cutoff string %r length != %d, one digit per feature order"
-                    % (cfg["cutoffs"], tset.n_cutoffs)
-                )
     if problems:
         raise ConfigError("; ".join(problems))
     try:

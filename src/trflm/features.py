@@ -88,6 +88,16 @@ def parse_cutoffs(cutoff_str: str):
     return [int(c) for c in cutoff_str]
 
 
+def checked_cutoffs(template_set: TemplateSet, cutoffs) -> list:
+    """cutoffs as a list (a digit string is parsed), refused unless it has
+    exactly one count per order up to template_set.n_cutoffs."""
+    if isinstance(cutoffs, str):
+        cutoffs = parse_cutoffs(cutoffs)
+    if len(cutoffs) != template_set.n_cutoffs:
+        raise FeatureError("need %d cutoffs, got %d" % (template_set.n_cutoffs, len(cutoffs)))
+    return cutoffs
+
+
 _CODE_LIMIT = 2**62  # level codes stay below this, so folding never overflows
 _END = np.iinfo(np.int64).max  # ends each level table, so a search stays in it
 
@@ -200,10 +210,7 @@ def build_feature_index(
     One template at a time: its placements are extract's, and folding
     their value columns ranks equal keys together, in value order.
     """
-    if isinstance(cutoffs, str):
-        cutoffs = parse_cutoffs(cutoffs)
-    if len(cutoffs) < template_set.n_cutoffs:
-        raise FeatureError("need %d cutoffs, got %d" % (template_set.n_cutoffs, len(cutoffs)))
+    cutoffs = checked_cutoffs(template_set, cutoffs)
     flat = _flatten(sentences, template_set, class_map)
     key_arrays = []
     for t in template_set.templates:

@@ -127,6 +127,28 @@ class TrfModel:
             vals += phis
         return vals, occurrences, cache
 
+    def gradient(self, sentences, weigh) -> dict:
+        """sum_j w_j (f(x_j), dphi(x_j)/dtheta, -delta(l = l_j)), keyed like
+        params(): the DNCE gradient for whatever weights w the caller gives.
+        weigh(idx, score) returns the weights of the sentences idx from their
+        score (potential - zeta_l). The batch goes through chunks, one
+        chunk's forward cache alive at a time."""
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        g_lambda = g_theta = None
+        g_zeta = np.zeros(self.max_length)
+        for idx in self.chunks(sentences):
+            potential, occurrences, cache = self.potential_batch([sentences[j] for j in idx])
+            w = weigh(idx, potential - self.zeta[lengths[idx] - 1])
+            np.subtract.at(g_zeta, lengths[idx] - 1, w)
+            if self.has_discrete:
+                g = feats.batch_gradient(occurrences, w, self.feature_index.n_features)
+                g_lambda = g if g_lambda is None else g_lambda + g
+            if self.has_neural:
+                g = neural.phi_backward_batch(cache, w)
+                g_theta = g if g_theta is None else {k: g_theta[k] + v for k, v in g.items()}
+            del occurrences, cache  # before the next chunk's forward pass
+        return self.named(g_zeta, g_lambda, g_theta)
+
     def log_prob(self, sentence) -> float:
         return float(self.log_prob_batch([sentence])[0])
 

@@ -53,10 +53,6 @@ def n_layers_of(params):
     return n
 
 
-def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def lstm_cell(a, h, c, U, b):
     """One step of the gated cell over a batch, gates packed i|f|o|g.
 

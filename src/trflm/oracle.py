@@ -44,14 +44,15 @@ class EnumSpace:
         return itertools.product(range(self.V), repeat=l)
 
 
+def _log_weights(model, space: EnumSpace):
+    """Each length's sentences and their potentials, shortest first."""
+    sentences = (list(space.sentences_of_length(l)) for l in range(1, space.L + 1))
+    return [(sents, model.log_weight_batch(sents)) for sents in sentences]
+
+
 def exact_log_z(model, space: EnumSpace) -> np.ndarray:
     """Per-length log normalizers via log-domain accumulation."""
-    zeta = np.empty(space.L)
-    for l in range(1, space.L + 1):
-        sents = list(space.sentences_of_length(l))
-        lw = model.log_weight_batch(sents)
-        zeta[l - 1] = _logsumexp(lw)
-    return zeta
+    return np.array([_logsumexp(lw) for _, lw in _log_weights(model, space)])
 
 
 def _logsumexp(values):
@@ -62,15 +63,14 @@ def _logsumexp(values):
 
 def exact_sentence_probs(model, space: EnumSpace, zeta=None):
     """dict (sentence tuple) -> exact probability under the model."""
+    log_weights = _log_weights(model, space)
     if zeta is None:
-        zeta = exact_log_z(model, space)
+        zeta = [_logsumexp(lw) for _, lw in log_weights]
     probs = {}
-    for l in range(1, space.L + 1):
+    for l, (sents, lw) in enumerate(log_weights, 1):
         pi_l = model.prior.prob(l)
         if pi_l == 0.0:
             continue
-        sents = list(space.sentences_of_length(l))
-        lw = model.log_weight_batch(sents)
         p = pi_l * np.exp(lw - zeta[l - 1])
         for s, ps in zip(sents, p):
             probs[s] = float(ps)
@@ -137,65 +137,50 @@ def noise_sentence_probs(noise_model, space: EnumSpace):
     return probs
 
 
+def _noise_scored(model, noise_model, space: EnumSpace):
+    """Per length l the model's prior allows: (l, the sentences of length l,
+    their noise word-sequence log-probabilities)."""
+    for l in range(1, space.L + 1):
+        if model.prior.prob(l) > 0.0:
+            sents = list(space.sentences_of_length(l))
+            yield l, sents, seq_log_prob_batch(noise_model, sents)
+
+
 def exact_dnce_objective(model, noise_model, data_probs, alpha, nu, space: EnumSpace):
     """The exact discrimination objective, summing over every sentence.
 
     data_probs maps sentence tuples to empirical data probabilities;
     the mixture q = alpha * p_data + (1 - alpha) * p_noise.
     """
-    pn = noise_sentence_probs(noise_model, space)
     J = 0.0
-    for l in range(1, space.L + 1):
-        pi_l = model.prior.prob(l)
-        if pi_l == 0.0:
-            continue
-        sents = list(space.sentences_of_length(l))
+    for l, sents, seq_lp in _noise_scored(model, noise_model, space):
+        pi_n = noise_model.prior.prob(l)
         score_m = model.log_weight_batch(sents) - model.zeta[l - 1]
-        seq_lp = seq_log_prob_batch(noise_model, sents)
         for s, sm, sn in zip(sents, score_m, seq_lp):
-            q = alpha * data_probs.get(s, 0.0) + (1.0 - alpha) * pn[s]
+            pn = pi_n * math.exp(sn)
+            q = alpha * data_probs.get(s, 0.0) + (1.0 - alpha) * pn
             delta = sm - sn - math.log(nu)
             log_p0 = -np.logaddexp(0.0, -delta)  # log sigmoid(delta)
             log_p1 = -np.logaddexp(0.0, delta)
-            J += q * log_p0 + nu * pn[s] * log_p1
+            J += q * log_p0 + nu * pn * log_p1
     return float(J)
 
 
 def exact_dnce_gradient(model, noise_model, data_probs, alpha, nu, space: EnumSpace):
     """Exact ascent gradient of the objective w.r.t. (lambda, theta, zeta),
-    keyed like model.params(). Per-sentence weights:
-        + q(x) P(C=1|x)   for the mixture term
-        - nu p_n(x) P(C=0|x) for the noise term
-    applied to (f(x), dphi/dtheta, -delta(l)).
-    """
-    pn = noise_sentence_probs(noise_model, space)
-    enumerated, all_weights = [], np.zeros(0)  # lambda's gradient is one pass over them all
-    g_theta = neural.zero_grads(model.phi_params) if model.has_neural else None
-    g_zeta = np.zeros(space.L)
-    for l in range(1, space.L + 1):
-        pi_l = model.prior.prob(l)
-        if pi_l == 0.0:
-            continue
-        sents = list(space.sentences_of_length(l))
-        score_m = model.log_weight_batch(sents) - model.zeta[l - 1]
-        seq_lp = seq_log_prob_batch(noise_model, sents)
-        weights = np.empty(len(sents))
-        for j, s in enumerate(sents):
-            p0 = posterior_c0(score_m[j], seq_lp[j], nu)
-            q = alpha * data_probs.get(s, 0.0) + (1.0 - alpha) * pn[s]
-            weights[j] = q * (1.0 - p0) - nu * pn[s] * p0
-        enumerated += sents
-        all_weights = np.concatenate([all_weights, weights])
-        if model.has_neural:
-            _, cache = neural.phi_forward_batch(sents, model.phi_params)
-            for k, g in neural.phi_backward_batch(cache, weights).items():
-                g_theta[k] += g
-        g_zeta[l - 1] -= weights.sum()
-    g_lam = None
-    if model.has_discrete:
-        occurrences = feats.extract(enumerated, model.feature_index)
-        g_lam = feats.batch_gradient(occurrences, all_weights, model.feature_index.n_features)
-    return model.named(g_zeta, g_lam, g_theta)
+    keyed like model.params(): model.gradient over every sentence of a length
+    the model's prior allows, weighted q(x) P(C=1|x) - nu p_n(x) P(C=0|x)."""
+    scored = list(_noise_scored(model, noise_model, space))
+    sents = [s for _, group, _ in scored for s in group]
+    seq_lp = np.concatenate([lp for _, _, lp in scored])
+    pn = np.concatenate([noise_model.prior.prob(l) * np.exp(lp) for l, _, lp in scored])
+    q = alpha * np.array([data_probs.get(s, 0.0) for s in sents]) + (1.0 - alpha) * pn
+
+    def weigh(idx, score_m):
+        p0 = posterior_c0(score_m, seq_lp[idx], nu)
+        return q[idx] * (1.0 - p0) - nu * pn[idx] * p0
+
+    return model.gradient(sents, weigh)
 
 
 def self_check(V, L, d, seed):

@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import features as feats
-from . import neural
 from . import noise as noise_mod
 from .container import read_container, write_container
 
@@ -102,34 +100,21 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     log_p_noise holds the noise word-sequence log-probabilities of D, B1
     and B2 in that order, as noise_train_step and noise.sample return
     them; the objective reads the noise LM through these alone.
-    Sentences in D u B1 contribute +P(C=1) * g, sentences in B2
-    contribute -P(C=0) * g, everything scaled by alpha/|D|, where g is
-    (f(x^l), dphi/dtheta, -delta(l = k)). The batch goes through
-    model.chunks, one chunk's forward cache alive at a time.
+    model.gradient sums the step with weights +P(C=1) on D u B1 and
+    -P(C=0) on B2, everything scaled by alpha/|D|.
     """
     if not D:
         raise TrainerError("empty data minibatch")
     if len(log_p_noise) != len(D) + len(B1) + len(B2):
         raise TrainerError("need one noise log-probability per sentence of D, B1 and B2")
     n_mix = len(D) + len(B1)
-    sents = list(D) + list(B1) + list(B2)
-    lengths = np.array([len(s) for s in sents], dtype=np.int64)
     scale = alpha / len(D)
-    g_lambda = g_theta = None
-    g_zeta = np.zeros(model.max_length)
-    for idx in model.chunks(sents):
-        potential, occurrences, cache = model.potential_batch([sents[j] for j in idx])
-        p0 = posterior_c0(potential - model.zeta[lengths[idx] - 1], log_p_noise[idx], nu)
-        w = np.where(idx < n_mix, scale * (1.0 - p0), -scale * p0)
-        np.subtract.at(g_zeta, lengths[idx] - 1, w)
-        if model.has_discrete:
-            g = feats.batch_gradient(occurrences, w, model.feature_index.n_features)
-            g_lambda = g if g_lambda is None else g_lambda + g
-        if model.has_neural:
-            g = neural.phi_backward_batch(cache, w)
-            g_theta = g if g_theta is None else {k: g_theta[k] + v for k, v in g.items()}
-        del occurrences, cache  # before the next chunk's forward pass
-    return model.named(g_zeta, g_lambda, g_theta)
+
+    def weigh(idx, score_m):
+        p0 = posterior_c0(score_m, log_p_noise[idx], nu)
+        return np.where(idx < n_mix, scale * (1.0 - p0), -scale * p0)
+
+    return model.gradient(list(D) + list(B1) + list(B2), weigh)
 
 
 class AdamState:

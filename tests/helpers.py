@@ -15,6 +15,11 @@ def phi_forward(sentence, params):
     return float(vals[0]), cache
 
 
+def zero_grads(params):
+    """Zero arrays shaped like params, to accumulate phi gradients into."""
+    return {k: np.zeros_like(v) for k, v in params.items()}
+
+
 def phi_backward(cache, scale, grad_acc):
     """Accumulate scale * dphi/dtheta into grad_acc (dict of arrays)."""
     grads = neural.phi_backward_batch(cache, np.array([scale]))

@@ -324,7 +324,7 @@ def test_train_with_averaging_writes_what_trainer_train_writes(tmp_path, tiny_co
         (["templates=x:2"], "unknown feature type 'x'"),
         (["templates=w:x"], "max order must be an integer, got 'x'"),
         (["cutoffs=0a"], "cutoff string must be digits, got '0a'"),
-        (["templates=ws:2", "cutoffs=00"], "cutoff string '00' length != 3"),
+        (["templates=ws:2", "cutoffs=00"], "need 3 cutoffs, got 2"),
         (["templates="], "missing required config key 'templates'"),
         (["cutoffs="], "missing required config key 'cutoffs'"),
         (["templates=w+c:2"], "feature type 'c' requires a class map"),

@@ -65,6 +65,14 @@ def test_build_index_cutoff_strictly_greater():
     assert index.n_features == 0
 
 
+@pytest.mark.parametrize("cutoffs", ["0009", [0, 0, 9]])
+def test_build_index_refuses_extra_cutoffs(cutoffs):
+    # w:2 has two orders; digits past them would be ignored
+    tset = feats.compile_templates("w:2")
+    with pytest.raises(feats.FeatureError, match="need 2 cutoffs, got %d" % len(cutoffs)):
+        feats.build_feature_index([(1, 2), (1, 2)], tset, cutoffs)
+
+
 def test_build_index_empty_templates():
     index = feats.build_feature_index([(1, 2)], feats.TemplateSet([], 1), [0])
     assert index.n_features == 0

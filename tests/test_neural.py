@@ -145,7 +145,7 @@ def test_gradient_check_random_configs():
 def test_backward_scale_zero_leaves_accumulator():
     params = _random_params(3, 2, seed=4)
     _, cache = helpers.phi_forward((0, 1, 2), params)
-    acc = neural.zero_grads(params)
+    acc = helpers.zero_grads(params)
     helpers.phi_backward(cache, 0.0, acc)
     assert all((v == 0).all() for v in acc.values())
 
@@ -153,10 +153,10 @@ def test_backward_scale_zero_leaves_accumulator():
 def test_backward_accumulation_linearity():
     params = _random_params(3, 2, seed=6)
     _, cache = helpers.phi_forward((0, 1, 2), params)
-    acc_ab = neural.zero_grads(params)
+    acc_ab = helpers.zero_grads(params)
     helpers.phi_backward(cache, 0.3, acc_ab)
     helpers.phi_backward(cache, 0.9, acc_ab)
-    acc_sum = neural.zero_grads(params)
+    acc_sum = helpers.zero_grads(params)
     helpers.phi_backward(cache, 1.2, acc_sum)
     for k in acc_ab:
         assert np.allclose(acc_ab[k], acc_sum[k], atol=1e-12)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trflm import features as feats
-from trflm import oracle
+from trflm import model as model_mod
+from trflm import neural, oracle
 from trflm.corpus import LengthPrior, Vocabulary
 from trflm.model import TrfModel, zeta_init
+from trflm.noise import init_noise_model
 
 import helpers
 
@@ -176,3 +180,55 @@ def test_gradient_error_refuses_mismatched_gradients():
     ):
         with pytest.raises(oracle.OracleError):
             oracle.gradient_error(fn, arrays, wrong, floor=1e-6)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_exact_dnce_gradient_is_chunk_invariant_and_skips_zero_prior_lengths(data):
+    kind = data.draw(st.sampled_from(["discrete", "neural", "mixed"]))
+    V, L = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    d = data.draw(st.integers(1, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    space = oracle.EnumSpace(V, L)
+    everything = list(helpers.all_sentences(space))
+    pi = rng.random(L) + 0.1
+    skipped = data.draw(st.integers(1, L))
+    pi[skipped - 1] = 0.0
+    index = feats.build_feature_index(everything, feats.compile_templates("w:2"), "00")
+    model = TrfModel(
+        _vocab(V), LengthPrior(pi / pi.sum()), zeta_init(V, L) + rng.normal(0.0, 1.0, L),
+        feature_index=index if kind != "neural" else None,
+        lam=rng.uniform(-1, 1, index.n_features) if kind != "neural" else None,
+        phi_params=neural.init_phi_params(V, d, seed=1) if kind != "discrete" else None,
+    )
+    noise = init_noise_model(V, 2, LengthPrior(np.full(L, 1.0 / L)), seed=2)
+    for k in noise.params:
+        noise.params[k] = rng.uniform(-0.5, 0.5, noise.params[k].shape)
+    data_probs = {everything[j]: 0.05 for j in rng.integers(0, len(everything), 20)}
+    args = (model, noise, data_probs, 0.4, 1.5, space)
+    want = oracle.exact_dnce_gradient(*args)
+
+    # a budget of 1..(every scored token) real tokens per chunk
+    total = sum(len(s) for s in everything if len(s) != skipped)
+    budget = data.draw(st.integers(1, total))
+    chunks = []
+    potential_batch = model.potential_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "SCORE_FLOATS", budget * 16 * (d if kind != "discrete" else 1))
+        mp.setattr(model, "potential_batch", lambda b: chunks.append(b) or potential_batch(b))
+        got = oracle.exact_dnce_gradient(*args)
+    assert got.keys() == want.keys()
+    for k in want:
+        if len(chunks) == 1:
+            assert got[k].tobytes() == want[k].tobytes(), k
+        else:
+            # an entry where the terms cancel carries the rounding of the
+            # terms, not of the entry: measure it against the array's largest
+            scale = np.abs(want[k]).max()
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+
+    assert want["zeta"][skipped - 1] == 0.0
+    err = oracle.gradient_error(
+        lambda: oracle.exact_dnce_objective(*args), model.params(), want, floor=1e-5
+    )
+    assert err < 1e-4
