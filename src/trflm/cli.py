@@ -153,11 +153,10 @@ def _validate_train_config(cfg) -> DnceConfig:
 def cmd_train(args):
     cfg = load_config(args.config, args.set or [])
     dcfg = _validate_train_config(cfg)
-    lines = (line for _, line in corpus_mod.read_lines(cfg["train_corpus"]))
+    # one pass over the file serves the vocabulary and the encoding
+    lines = [line for _, line in corpus_mod.read_lines(cfg["train_corpus"])]
     vocab = corpus_mod.build_vocab(lines, cfg["vocab_size"])
-    train_sents = corpus_mod.read_corpus(
-        cfg["train_corpus"], vocab, max_length=cfg["max_train_length"]
-    )
+    train_sents = corpus_mod.encode_lines(lines, vocab, max_length=cfg["max_train_length"])
     if not train_sents:
         raise corpus_mod.CorpusError(
             "%s: no sentence is as short as max_train_length=%d"

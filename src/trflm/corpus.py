@@ -100,8 +100,13 @@ def read_corpus(path, vocab: Vocabulary, max_length=None):
 
     Sentences longer than max_length are omitted, never truncated.
     """
+    return encode_lines((line for _, line in read_lines(path)), vocab, max_length)
+
+
+def encode_lines(lines, vocab: Vocabulary, max_length=None):
+    """read_corpus on lines already read: the nonblank lines of a file."""
     sentences = []
-    for _, line in read_lines(path):
+    for line in lines:
         s = encode(line, vocab)
         if max_length is None or len(s) <= max_length:
             sentences.append(s)

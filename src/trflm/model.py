@@ -29,6 +29,19 @@ class ModelError(ValueError):
     pass
 
 
+def _accumulate(total, g):
+    """total + g added into total's arrays (g an array, or a dict of them
+    keyed like total); g itself when total is None."""
+    if total is None:
+        return g
+    if isinstance(g, dict):
+        for k, v in g.items():
+            total[k] += v
+    else:
+        total += g
+    return total
+
+
 def zeta_init(V, L) -> np.ndarray:
     """zeta_l = l * log V: exact for the all-zero-potential model."""
     if V < 1:
@@ -140,12 +153,13 @@ class TrfModel:
             potential, occurrences, cache = self.potential_batch([sentences[j] for j in idx])
             w = weigh(idx, potential - self.zeta[lengths[idx] - 1])
             np.subtract.at(g_zeta, lengths[idx] - 1, w)
+            # a chunk's gradient is added into the first chunk's arrays and
+            # kept no longer, so it is gone before the next part is computed
             if self.has_discrete:
-                g = feats.batch_gradient(occurrences, w, self.feature_index.n_features)
-                g_lambda = g if g_lambda is None else g_lambda + g
+                n_features = self.feature_index.n_features
+                g_lambda = _accumulate(g_lambda, feats.batch_gradient(occurrences, w, n_features))
             if self.has_neural:
-                g = neural.phi_backward_batch(cache, w)
-                g_theta = g if g_theta is None else {k: g_theta[k] + v for k, v in g.items()}
+                g_theta = _accumulate(g_theta, neural.phi_backward_batch(cache, w))
             del occurrences, cache  # before the next chunk's forward pass
         return self.named(g_zeta, g_lambda, g_theta)
 

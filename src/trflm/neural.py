@@ -10,21 +10,58 @@ their sentence at any step are a prefix of the batch and every recurrent
 step computes on that prefix only. Results come back in input order, and
 per-sentence results do not depend on how sentences are grouped beyond
 rounding.
+
+The two directions are independent. With at least two CPUs allowed and a
+batch of at least CONCURRENT_WORK real tokens x d^2, the bwd direction of
+each layer runs on one persistent worker thread while the calling thread
+runs the fwd one; numpy's array operations and BLAS release the
+interpreter lock, so the two overlap. Each direction does the operations
+it does alone, and the results are combined in the same fixed order (fwd,
+then bwd), so potentials and gradients are bit-identical either way. The
+worker's large arrays are made on the calling thread, each step writes
+into a work array made once per layer, and a backward layer uses its
+input-gradient array as scratch, so the worker adds only its own BLAS
+buffer, thread and small heap: a few MB of peak memory (see README.md).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+
+# Real tokens x d^2 of a batch from which its two directions run concurrently.
+# On a 2-CPU VM with one BLAS thread, batches above it ran 1.5-1.9 times as
+# fast (d = 200, 1282 tokens: 5.1e7); below it the hand-off can cost more
+# than it saves: 80-360-token rescoring calls at d = 200 (3e6-1.4e7) ran 13%
+# slower in the benchmark's score pairs, a d = 16 step of 300 sentences
+# (1.8e6) gained nothing, and d <= 64 batches of up to 1300 tokens ran up
+# to 1.5 times as slow while the host was busy.
+CONCURRENT_WORK = 2 * 10**7
 
 
 class NeuralError(ValueError):
     pass
 
 
-def _sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x, out=None, work=None):
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows.
+
+    The result goes to out if given, which may be x itself. work, if given,
+    is a 1-d float array of at least 2 * x.size elements that holds the
+    intermediates in place of new arrays."""
+    if work is None:
+        work = np.empty(2 * x.size)
+    e = work[: x.size].reshape(x.shape)
+    den = work[x.size : 2 * x.size].reshape(x.shape)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=den)
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, den, out=out)
 
 
 def init_phi_params(V, d, n_layers=1, seed=0):
@@ -53,58 +90,82 @@ def n_layers_of(params):
     return n
 
 
-def lstm_cell(a, h, c, U, b):
+def lstm_cell(a, h, c, U, b, out=None):
     """One step of the gated cell over a batch, gates packed i|f|o|g.
 
     a holds x @ W for the batch and is overwritten with the gate
-    activations; returns the new hidden and cell states.
+    activations; returns the new hidden and cell states. out, if given, is
+    (h_new, c_new, work): the states are written into h_new and c_new, and
+    work, a 1-d float array of at least 6 * len(a) * d elements, holds the
+    step's intermediates, so that the step makes no new array the size of
+    its rows.
     """
-    d = h.shape[1]
-    a += h @ U
+    k, d = h.shape
+    h_new, c_new, work = out or (np.empty((k, d)), np.empty((k, d)), np.empty(6 * k * d))
+    a += np.matmul(h, U, out=work[: 4 * k * d].reshape(k, 4 * d))
     a += b
-    a[:, : 3 * d] = _sigmoid(a[:, : 3 * d])
+    _sigmoid(a[:, : 3 * d], out=a[:, : 3 * d], work=work)
     np.tanh(a[:, 3 * d :], out=a[:, 3 * d :])
     i, f, o, g = a[:, :d], a[:, d : 2 * d], a[:, 2 * d : 3 * d], a[:, 3 * d :]
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
+    c_new = np.multiply(f, c, out=c_new)  # f * c + i * g
+    c_new += np.multiply(i, g, out=work[: k * d].reshape(k, d))
+    h_new = np.tanh(c_new, out=h_new)  # o * tanh(c_new)
+    h_new *= o
+    return h_new, c_new
 
 
-def lstm_forward(x, n, W, U, b):
-    """Run a gated recurrent layer over x (T, B, d_in) where only the rows
-    [:n[t]] are alive at step t.
+def lstm_forward(x, n, W, U, b, out=None):
+    """Run a gated recurrent layer over x (T, B, d), as wide as the layer,
+    where only the rows [:n[t]] are alive at step t.
 
     Each row must be alive on one unbroken run of steps, so n is
     non-increasing for sentences sorted longest first and non-decreasing
     for the same batch read backwards. A row keeps its state (zero before
     its first step) while it is not alive. Returns the hidden states
     (T, B, d), zero wherever a row is not alive, and the reverse-mode cache.
+    out, if given, holds the arrays forward_arrays makes, to be used in
+    place of new ones.
     """
     T, B, _ = x.shape
     d = U.shape[0]
-    real = real_tokens(n, B)
+    gates, hs, cs, work = out or forward_arrays(n, B, d)
     # x @ W at every live position as one GEMM, in step order, so the rows
-    # of step t are gates[off[t]:off[t + 1]]; each step adds h @ U, then b
-    gates = x[real] @ W
+    # of step t are gates[off[t]:off[t + 1]]; each step adds h @ U, then b.
+    # The GEMM's operand, x[real], is gathered into cs, zeroed again after
+    operand = _gather(x, n, cs.reshape(T * B, d))
+    np.matmul(operand, W, out=gates)
+    operand.fill(0.0)
     off = np.concatenate([[0], np.cumsum(n)])
-    hs = np.zeros((T, B, d))
-    cs = np.zeros((T, B, d))
     zero = np.zeros((B, d))
     for t in range(T):
         k = n[t]
         h, c = (hs[t - 1, :k], cs[t - 1, :k]) if t else (zero[:k], zero[:k])
-        hs[t, :k], cs[t, :k] = lstm_cell(gates[off[t] : off[t + 1]], h, c, U, b)
-    cache = {"x": x, "n": n, "real": real, "off": off, "W": W, "U": U}
+        lstm_cell(gates[off[t] : off[t + 1]], h, c, U, b, out=(hs[t, :k], cs[t, :k], work))
+    cache = {"x": x, "n": n, "off": off, "W": W, "U": U}
     cache.update(gates=gates, hs=hs, cs=cs)
     return hs, cache
 
 
-def lstm_backward(cache, dhs):
+def forward_arrays(n, B, d):
+    """New arrays for lstm_forward: gates (real tokens, 4d), zeroed hs and
+    cs (T, B, d), and the cell's work array."""
+    T, N = len(n), int(n.sum())
+    return np.empty((N, 4 * d)), np.zeros((T, B, d)), np.zeros((T, B, d)), np.empty(6 * B * d)
+
+
+def lstm_backward(cache, dhs, dx=None, da=None):
     """Reverse-mode pass for lstm_forward; dhs is the gradient w.r.t. hs,
-    read only where a row is alive."""
-    x, n, real, off = cache["x"], cache["n"], cache["real"], cache["off"]
+    read only where a row is alive. Returns (dW, dU, db, dx).
+
+    dx, if given, is the C-ordered array the input gradient is written to;
+    it may be dhs itself, which is read only before dx is written. da, if
+    given, is the (real tokens, 4d) array the gate gradients go to.
+    """
+    x, n, off = cache["x"], cache["n"], cache["off"]
     W, U, gates, hs, cs = cache["W"], cache["U"], cache["gates"], cache["hs"], cache["cs"]
     T, B, d = hs.shape
-    da = np.empty_like(gates)
+    da = np.empty_like(gates) if da is None else da
+    dx = np.empty(x.shape) if dx is None else dx
     dh_next = np.zeros((B, d))
     dc_next = np.zeros((B, d))
     zero = np.zeros((B, d))
@@ -123,11 +184,36 @@ def lstm_backward(cache, dhs):
         da_t[:, 3 * d :] = dc * i * (1.0 - g * g)
         dh_next[:k] = da_t @ U.T
         dc_next[:k] = dc * f
-    # the weight and input gradients over all live positions at once
-    h_prev = np.concatenate([zero[: n[0]], hs[:-1][real[1:]]])
-    dx = np.zeros(x.shape)
-    dx[real] = da @ W.T
-    return x[real].T @ da, h_prev.T @ da, da.sum(axis=0), dx
+    # the weight and input gradients over all live positions at once, with
+    # dx's memory as the (real tokens, d) scratch of each product's operand
+    rows = dx.reshape(T * B, -1)
+    dW = _gather(x, n, rows).T @ da
+    dU = _gather(hs, n, rows, shift=1).T @ da
+    np.matmul(da, W.T, out=rows[: off[-1]])
+    _spread(rows, n, B)
+    return dW, dU, da.sum(axis=0), dx
+
+
+def _gather(x, n, out, shift=0):
+    """Into out and returned: the rows x[t - shift, :n[t]] for each step t,
+    in step order (zero where t - shift < 0). With shift 0 that is x[real]."""
+    off = 0
+    for t, k in enumerate(n):
+        out[off : off + k] = x[t - shift, :k] if t >= shift else 0.0
+        off += k
+    return out[:off]
+
+
+def _spread(rows, n, B):
+    """Move the per-step rows packed at the top of rows (T * B, d) to their
+    places, step t at [t * B, t * B + n[t]], and zero the rest. Each block
+    moves down or stays, so going from the last step back reads every block
+    before it is overwritten."""
+    off = np.concatenate([[0], np.cumsum(n)])
+    for t in range(len(n) - 1, -1, -1):
+        k = n[t]
+        rows[t * B : t * B + k] = rows[off[t] : off[t] + k]
+        rows[t * B + k : (t + 1) * B] = 0.0
 
 
 def sort_by_length(lengths):
@@ -157,6 +243,52 @@ def real_tokens(n, B):
     return np.arange(B) < n[:, None]
 
 
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _work(n, d):
+    return int(n.sum()) * d * d
+
+
+# the thread that runs the bwd direction, made at the first concurrent call
+# (and again in a forked child, which has the executor but not its thread)
+_worker = None
+_worker_pid = None
+
+
+def _both_directions(fn, fwd_args, bwd_args, bwd_arrays, work):
+    """(fn(*fwd_args), fn(*bwd_args)).
+
+    With two CPUs allowed and work (real tokens x d^2) of at least
+    CONCURRENT_WORK, the bwd call runs on the worker thread while this one
+    makes the fwd call. The bwd call then also gets the keyword arguments
+    bwd_arrays() returns: its large arrays, made on this thread so that
+    they come from the heap the rest of the program uses, not from one the
+    worker would grow and keep for itself.
+    """
+    global _worker, _worker_pid
+    if work < CONCURRENT_WORK or _cpus() < 2:
+        return fn(*fwd_args), fn(*bwd_args)
+    if _worker_pid != os.getpid():  # first use, or a forked child without the thread
+        _worker, _worker_pid = ThreadPoolExecutor(1, "trflm-phi"), os.getpid()
+    bwd = _worker.submit(fn, *bwd_args, **bwd_arrays())
+    try:
+        fwd = fn(*fwd_args)
+    except BaseException:
+        bwd.exception()  # the worker is done with the shared arrays before this unwinds
+        raise
+    return fwd, bwd.result()
+
+
+def _layer(params, direction, layer):
+    pre = "%s%d_" % (direction, layer)
+    return params[pre + "W"], params[pre + "U"], params[pre + "b"]
+
+
 def phi_forward_batch(sentences, params):
     """Potential values for a batch of sentences plus the reverse-mode cache."""
     if not sentences:
@@ -166,16 +298,21 @@ def phi_forward_batch(sentences, params):
     T, B = ids.shape
     real = real_tokens(n, B)
     e = params["emb"][ids] * real[:, :, None]
-    caches, h = {}, []
+    d = e.shape[2]
     # the bwd stack reads the batch backwards: the rows still to start are the ones not alive
-    for direction, step in (("fwd", 1), ("bwd", -1)):
-        x, caches[direction] = e[::step], []
-        for layer in range(n_layers):
-            pre = "%s%d_" % (direction, layer)
-            x, c = lstm_forward(x, n[::step], *(params[pre + k] for k in "WUb"))
-            caches[direction].append(c)
-        h.append(x[::step])
-    hf, hb = h
+    hf, hb, nb = e, e[::-1], n[::-1]
+    caches = {"fwd": [], "bwd": []}
+    for layer in range(n_layers):
+        (hf, cf), (hb, cb) = _both_directions(
+            lstm_forward,
+            (hf, n, *_layer(params, "fwd", layer)),
+            (hb, nb, *_layer(params, "bwd", layer)),
+            lambda: {"out": forward_arrays(nb, B, d)},
+            _work(n, d),
+        )
+        caches["fwd"].append(cf)
+        caches["bwd"].append(cb)
+    hb = hb[::-1]
 
     # hf and hb are zero off their sentence and e is zero on padding, so
     # only the pairs inside each sentence contribute
@@ -202,28 +339,39 @@ def phi_forward_batch(sentences, params):
 def phi_backward_batch(cache, weights):
     """Gradient of sum_j weights[j] * phi_j w.r.t. all parameters."""
     e, hf, hb = cache["e"], cache["hf"], cache["hb"]
-    T = e.shape[0]
+    T, _, d = e.shape
     w = np.asarray(weights, dtype=np.float64)[cache["order"]][None, :, None]
-    grads = {}
-    de = np.zeros_like(e)
-    dhf = np.zeros_like(hf)
-    dhb = np.zeros_like(hb)
+    # each direction's gradient w.r.t. its hidden states, in its own step
+    # order; its layers write their input gradients over it, top down
+    dxf = np.zeros(hf.shape)
+    dxb = np.zeros(hb.shape)
     if T > 1:
-        dhf[:-1] = w * e[1:]
-        de[1:] += w * hf[:-1]
-        dhb[1:] = w * e[:-1]
-        de[:-1] += w * hb[1:]
-
-    for direction, dh, step in (("fwd", dhf, 1), ("bwd", dhb, -1)):
-        dx = dh[::step]
-        for layer in range(cache["n_layers"] - 1, -1, -1):
+        dxf[:-1] = w * e[1:]
+        dxb[::-1][1:] = w * e[:-1]
+    gf, gb = {}, {}
+    for layer in range(cache["n_layers"] - 1, -1, -1):
+        cf, cb = cache["caches"]["fwd"][layer], cache["caches"]["bwd"][layer]
+        (*wf, dxf), (*wb, dxb) = _both_directions(
+            lstm_backward,
+            (cf, dxf, dxf),
+            (cb, dxb, dxb),
+            lambda: {"da": np.empty_like(cb["gates"])},
+            _work(cf["n"], d),
+        )
+        for grads, direction, g in ((gf, "fwd", wf), (gb, "bwd", wb)):
             pre = "%s%d_" % (direction, layer)
-            dW, dU, db, dx = lstm_backward(cache["caches"][direction][layer], dx)
-            grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = dW, dU, db
-        de += dx[::step]
+            grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = g
+    # made once both directions are done, so that it is not alive while they run
+    de = np.zeros_like(e)
+    if T > 1:
+        de[1:] += w * hf[:-1]
+        de[:-1] += w * hb[1:]
+    de += dxf
+    de += dxb[::-1]
+    grads = {**gf, **gb}
 
     real = cache["real"]
-    demb = np.zeros((cache["V"], e.shape[2]))
+    demb = np.zeros((cache["V"], d))
     np.add.at(demb, cache["ids"][real], de[real])
     grads["emb"] = demb
     return grads

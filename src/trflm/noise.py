@@ -189,7 +189,7 @@ def nll_and_grads(model: NoiseModel, sentences):
     grads = {"Wo": h.T @ dlogits, "bo": dlogits.sum(axis=0)}
     dhs = np.zeros(cache["hs"].shape)
     dhs[real] = dlogits @ model.params["Wo"].T
-    dW, dU, db, dx = lstm_backward(cache, dhs)
+    dW, dU, db, dx = lstm_backward(cache, dhs, dx=dhs)
     grads["W"], grads["U"], grads["b"] = dW, dU, db
     demb = np.zeros_like(model.params["emb"])
     np.add.at(demb, inputs[real], dx[real])

@@ -173,6 +173,21 @@ def test_train_each_mode_produces_loadable_model(tmp_path, tiny_corpus, mode):
     assert np.isfinite(model.log_prob((1, 2)))
 
 
+def test_train_reads_the_training_corpus_once(tmp_path, tiny_corpus, monkeypatch):
+    train, dev = tiny_corpus
+    paths, read_lines = [], corpus.read_lines
+
+    def counted(path):
+        paths.append(str(path))
+        return read_lines(path)
+
+    monkeypatch.setattr(corpus, "read_lines", counted)
+    argv, _ = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    assert paths.count(str(train)) == 1
+    assert paths.count(str(dev)) == 1
+
+
 def test_train_missing_required_keys_exit_2(tmp_path):
     assert _run(["train", "--set", "mode=discrete"]) == 2
 

@@ -1,9 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trflm import neural, oracle
+from trflm import model, neural, oracle
 
 import helpers
 
@@ -52,6 +55,21 @@ def test_sigmoid_bit_identical_to_masked_reference():
         [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2, np.inf, -np.inf],
     ])
     assert neural._sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+
+def test_sigmoid_into_out_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.normal(0.0, 5.0, 3000), [0.0, -0.0, 745.2, -745.2, np.inf, -np.inf]])
+    ref = _masked_sigmoid(x).tobytes()
+    out = np.empty_like(x)
+    assert neural._sigmoid(x, out=out) is out
+    assert out.tobytes() == ref
+    assert neural._sigmoid(x, work=np.empty(2 * x.size)).tobytes() == ref
+    # over a strided slice of its own input, as lstm_cell calls it
+    a = np.stack([x, x, x], axis=1)
+    gates = a[:, :2]
+    assert neural._sigmoid(gates, out=gates) is gates
+    assert [a[:, j].tobytes() for j in range(3)] == [ref, ref, x.tobytes()]
 
 
 def test_phi_length_one_is_zero():
@@ -227,3 +245,124 @@ def test_pack_sorts_longest_first_and_counts_live_rows():
     assert order.tolist() == [1, 3, 2, 0]  # stable among equal lengths
     assert n.tolist() == [4, 3, 2]
     assert ids.T.tolist() == [[2, 3, 4], [7, 8, 9], [5, 6, 0], [1, 0, 0]]
+
+
+# The two directions of the BiLSTM run one after the other, or the bwd one
+# on the worker thread; CONCURRENT_WORK and the allowed CPUs pick the path.
+
+
+def _phi_on_path(sents, params, weights, concurrent):
+    """Potential and gradient bytes from one path, and whether any layer
+    of the bwd direction ran on a thread other than this one."""
+    caller, elsewhere = threading.current_thread(), []
+
+    def noted(fn):
+        def call(*args, **kwargs):
+            elsewhere.append(threading.current_thread() is not caller)
+            return fn(*args, **kwargs)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neural, "CONCURRENT_WORK", 0 if concurrent else math.inf)
+        mp.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(neural, "lstm_forward", noted(neural.lstm_forward))
+        mp.setattr(neural, "lstm_backward", noted(neural.lstm_backward))
+        vals, cache = neural.phi_forward_batch(sents, params)
+        grads = neural.phi_backward_batch(cache, weights)
+    return vals.tobytes(), [(k, v.tobytes()) for k, v in grads.items()], any(elsewhere)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_layers=st.integers(1, 2),
+    d=st.integers(1, 6),
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=9),
+    seed=st.integers(0, 2**16),
+)
+@example(n_layers=1, d=3, lengths=[1], seed=0)  # B = 1 and T = 1
+@example(n_layers=2, d=2, lengths=[4], seed=1)  # B = 1
+@example(n_layers=2, d=4, lengths=[1, 1, 1], seed=2)  # T = 1
+def test_concurrent_directions_bit_identical_to_serial(n_layers, d, lengths, seed):
+    rng = np.random.default_rng(seed)
+    params = _random_params(9, d, n_layers=n_layers, seed=seed)
+    sents = helpers.shuffled_batch(rng, 9, lengths)
+    weights = rng.normal(size=len(sents))
+    serial = _phi_on_path(sents, params, weights, concurrent=False)
+    concurrent = _phi_on_path(sents, params, weights, concurrent=True)
+    assert serial[2] is False and concurrent[2] is True
+    assert concurrent[:2] == serial[:2]
+
+
+def _worker_failure(params, sents, call):
+    """The exception call(params, sents) raises on the serial and on the
+    concurrent path, as (type, message) each."""
+    seen = []
+    for work in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "CONCURRENT_WORK", work)
+            mp.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+            with pytest.raises(Exception) as info:
+                call(params, sents)
+        seen.append((info.type, str(info.value)))
+    return seen
+
+
+def test_worker_exception_reaches_caller_with_its_type_and_message():
+    sents = [(0, 1, 2), (2, 1)]
+    params = _random_params(3, 2, seed=4)
+    params["bwd0_W"] = np.zeros((2, 9))  # 4d = 8 gate columns expected
+    serial, concurrent = _worker_failure(
+        params, sents, lambda p, s: neural.phi_forward_batch(s, p)
+    )
+    assert concurrent == serial
+
+    good = _random_params(3, 2, seed=4)
+    _, cache = neural.phi_forward_batch(sents, good)
+    cache["caches"]["bwd"][0]["U"] = np.zeros((3, 8))  # a shape mismatch in the bwd pass
+    serial, concurrent = _worker_failure(
+        good, sents, lambda p, s: neural.phi_backward_batch(cache, np.ones(len(s)))
+    )
+    assert concurrent == serial
+    assert issubclass(concurrent[0], ValueError)
+    # the worker still serves the next call
+    assert _phi_on_path(sents, good, np.ones(2), concurrent=True)[2]
+
+
+def _threads_after(monkeypatch, sents, params, cpus):
+    """threading.active_count() after a forward and backward pass that
+    starts from no worker, with the given allowed CPUs."""
+    monkeypatch.setattr(neural, "_worker", None)
+    monkeypatch.setattr(neural, "_worker_pid", None)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _, cache = neural.phi_forward_batch(sents, params)
+    neural.phi_backward_batch(cache, np.ones(len(sents)))
+    return threading.active_count()
+
+
+def test_small_work_or_one_cpu_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(19)
+    params = _random_params(20, 8, seed=19)
+    sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    before = threading.active_count()
+    assert _work_of(sents, 8) < neural.CONCURRENT_WORK
+    assert _threads_after(monkeypatch, sents, params, cpus=2) == before
+    monkeypatch.setattr(neural, "CONCURRENT_WORK", 0)
+    assert _threads_after(monkeypatch, sents, params, cpus=1) == before
+    assert neural._worker is None
+    try:  # the same call with two CPUs starts the one worker thread
+        assert _threads_after(monkeypatch, sents, params, cpus=2) == before + 1
+    finally:
+        neural._worker.shutdown()
+
+
+def _work_of(sents, d):
+    return sum(map(len, sents)) * d * d
+
+
+def test_size_rule_keeps_d16_chunks_serial_and_takes_d200_chunks_concurrent():
+    # a scoring chunk holds at most SCORE_FLOATS // (16 d) real tokens
+    def full_chunk_work(d):
+        return model.SCORE_FLOATS // (16 * d) * d * d
+
+    assert full_chunk_work(16) < neural.CONCURRENT_WORK <= full_chunk_work(200)
