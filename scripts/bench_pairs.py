@@ -4,7 +4,10 @@
         --seconds 20 --out BENCH_8.json
 
 The parent revision is exported with ``git archive`` into a temporary
-directory; the change is the working tree this script lives in. Pair i
+directory, and the change, the working tree this script lives in, is
+copied into another: its tracked and untracked files, not the ignored ones
+(``git ls-files``). Both sides thus run from fresh copies alike, with no
+bytecode cache or benchmark output of earlier runs. Pair i
 runs ``perfbench/run.py --workload <w> --seed i --seconds <s>`` once on
 each side, the parent first in odd pairs and the change first in even
 ones, so that drift in the machine's speed falls on both sides alike.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -57,6 +61,23 @@ def run_once(tree: Path, workload, seed, seconds):
     result = json.loads(lines[-1])
     result["details"] = line("details\t") or {}
     return line("machine\t"), result
+
+
+def export(rev, dest: Path):
+    """Write the tree of a git revision into dest, or with rev None the
+    working tree's tracked and untracked files, without the ignored ones."""
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(dest)
+        return
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode().split("\0")
+    for name in listed:
+        if name and (ROOT / name).is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def quartiles(values):
@@ -142,13 +163,12 @@ def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_runs, change_runs, machine = [], [], None
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = subprocess.run(
-            ["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True
-        ).stdout
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
+        export(args.parent, Path(parent_tree))
+        export(None, Path(change_tree))
         for i in range(1, args.pairs + 1):
-            sides = [("parent", Path(tmp)), ("change", ROOT)]
+            sides = [("parent", Path(parent_tree)), ("change", Path(change_tree))]
             for side, tree in sides if i % 2 else sides[::-1]:
                 machine, result = run_once(tree, args.workload, i, args.seconds)
                 (parent_runs if side == "parent" else change_runs).append(result)

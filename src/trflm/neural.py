@@ -11,13 +11,14 @@ step computes on that prefix only. Results come back in input order, and
 per-sentence results do not depend on how sentences are grouped beyond
 rounding.
 
-The two directions are independent. With at least two CPUs allowed and a
-batch of at least CONCURRENT_WORK real tokens x d^2, the bwd direction of
-each layer runs on one persistent worker thread while the calling thread
-runs the fwd one; numpy's array operations and BLAS release the
-interpreter lock, so the two overlap. Each direction does the operations
-it does alone, and the results are combined in the same fixed order (fwd,
-then bwd), so potentials and gradients are bit-identical either way. The
+The two directions are independent. With a batch of at least
+CONCURRENT_WORK real tokens x d^2, the bwd direction of each layer runs on
+one persistent worker thread while the calling thread runs the fwd one
+(overlap, whose rule also asks for two allowed CPUs and a BLAS that runs
+one thread); numpy's array operations and BLAS release the interpreter
+lock, so the two overlap. Each direction does the operations it does
+alone, and the results are combined in the same fixed order (fwd, then
+bwd), so potentials and gradients are bit-identical either way. The
 worker's large arrays are made on the calling thread, each step writes
 into a work array made once per layer, and a backward layer uses its
 input-gradient array as scratch, so the worker adds only its own BLAS
@@ -26,6 +27,9 @@ buffer, thread and small heap: a few MB of peak memory (see README.md).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -250,38 +254,67 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_getter():
+    """The thread-count call of the OpenBLAS bundled with numpy, with its
+    library, or None where there is none."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return lib, get
+    return None
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs a product on, or None if that cannot be read."""
+    found = _blas_getter()
+    return None if found is None else found[1]()
+
+
 def _work(n, d):
     return int(n.sum()) * d * d
 
 
-# the thread that runs the bwd direction, made at the first concurrent call
-# (and again in a forked child, which has the executor but not its thread)
+# the one worker thread, made at the first concurrent call (and again in a
+# forked child, which has the executor but not its thread)
 _worker = None
 _worker_pid = None
 
 
-def _both_directions(fn, fwd_args, bwd_args, bwd_arrays, work):
-    """(fn(*fwd_args), fn(*bwd_args)).
+def overlap(away, home, fits, away_arrays):
+    """(away(), home()), two calls neither of which writes what the other reads.
 
-    With two CPUs allowed and work (real tokens x d^2) of at least
-    CONCURRENT_WORK, the bwd call runs on the worker thread while this one
-    makes the fwd call. The bwd call then also gets the keyword arguments
-    bwd_arrays() returns: its large arrays, made on this thread so that
-    they come from the heap the rest of the program uses, not from one the
-    worker would grow and keep for itself.
+    They run one after the other on this thread, away first, unless all of
+    these hold: fits (the caller's size rule for the pair), at least two
+    allowed CPUs, and a BLAS that runs one thread. A BLAS that runs more
+    already spreads each product over the CPUs, and two threads calling it
+    at once ran slower than one (three d = 200 steps at two BLAS threads
+    on 2 CPUs: 5.0-5.3 s concurrent against 4.1-4.5 s serial). Then away
+    runs on the worker thread while this one calls home, and away also
+    gets the keyword arguments away_arrays() returns: its large arrays,
+    made on this thread so that they come from the heap the rest of the
+    program uses, not from one the worker would grow and keep for itself.
     """
     global _worker, _worker_pid
-    if work < CONCURRENT_WORK or _cpus() < 2:
-        return fn(*fwd_args), fn(*bwd_args)
+    if not (fits and _cpus() >= 2 and _blas_threads() == 1):
+        return away(), home()
     if _worker_pid != os.getpid():  # first use, or a forked child without the thread
-        _worker, _worker_pid = ThreadPoolExecutor(1, "trflm-phi"), os.getpid()
-    bwd = _worker.submit(fn, *bwd_args, **bwd_arrays())
+        _worker, _worker_pid = ThreadPoolExecutor(1, "trflm-worker"), os.getpid()
+    there = _worker.submit(away, **away_arrays())
     try:
-        fwd = fn(*fwd_args)
+        here = home()
     except BaseException:
-        bwd.exception()  # the worker is done with the shared arrays before this unwinds
+        there.exception()  # the worker is done with the shared arrays before this unwinds
         raise
-    return fwd, bwd.result()
+    return there.result(), here
 
 
 def _layer(params, direction, layer):
@@ -303,12 +336,11 @@ def phi_forward_batch(sentences, params):
     hf, hb, nb = e, e[::-1], n[::-1]
     caches = {"fwd": [], "bwd": []}
     for layer in range(n_layers):
-        (hf, cf), (hb, cb) = _both_directions(
-            lstm_forward,
-            (hf, n, *_layer(params, "fwd", layer)),
-            (hb, nb, *_layer(params, "bwd", layer)),
+        (hb, cb), (hf, cf) = overlap(
+            functools.partial(lstm_forward, hb, nb, *_layer(params, "bwd", layer)),
+            functools.partial(lstm_forward, hf, n, *_layer(params, "fwd", layer)),
+            _work(n, d) >= CONCURRENT_WORK,
             lambda: {"out": forward_arrays(nb, B, d)},
-            _work(n, d),
         )
         caches["fwd"].append(cf)
         caches["bwd"].append(cb)
@@ -351,12 +383,11 @@ def phi_backward_batch(cache, weights):
     gf, gb = {}, {}
     for layer in range(cache["n_layers"] - 1, -1, -1):
         cf, cb = cache["caches"]["fwd"][layer], cache["caches"]["bwd"][layer]
-        (*wf, dxf), (*wb, dxb) = _both_directions(
-            lstm_backward,
-            (cf, dxf, dxf),
-            (cb, dxb, dxb),
+        (*wb, dxb), (*wf, dxf) = overlap(
+            functools.partial(lstm_backward, cb, dxb, dxb),
+            functools.partial(lstm_backward, cf, dxf, dxf),
+            _work(cf["n"], d) >= CONCURRENT_WORK,
             lambda: {"da": np.empty_like(cb["gates"])},
-            _work(cf["n"], d),
         )
         for grads, direction, g in ((gf, "fwd", wf), (gb, "bwd", wb)):
             pre = "%s%d_" % (direction, layer)

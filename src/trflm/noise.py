@@ -5,6 +5,11 @@ LM consumes an internal BOS symbol to condition the first word; no
 end-of-sentence factor exists because length is priced entirely by pi.
 Scoring, sampling, and the KL training step all run batched over padded
 sentences sorted by length, computing only on the real tokens.
+
+A DNCE step draws its noise sentences and takes the KL step under the
+parameters from before the step. sample reads only its model and rng, so
+trainer.noise_phase can run it on a worker thread, over copies of the
+parameters, while the KL step updates them in place, bit for bit.
 """
 
 from __future__ import annotations
@@ -115,7 +120,12 @@ def seq_log_prob_batch(model: NoiseModel, sentences) -> np.ndarray:
     return _forward(model, sentences)[0] if sentences else np.zeros(0)
 
 
-def sample(model: NoiseModel, count, rng):
+def sample_arrays(model: NoiseModel, count):
+    """The two (count, V) work arrays of sample, for its `work` argument."""
+    return np.empty((count, model.V)), np.empty((count, model.V))
+
+
+def sample(model: NoiseModel, count, rng, work=None):
     """Draw `count` sentences: length from pi, then words autoregressively.
 
     Returns (sentences, log_p), where log_p[j] is draw j's word-sequence
@@ -124,7 +134,9 @@ def sample(model: NoiseModel, count, rng):
     the draws to rounding. Deterministic given the rng state: lengths
     first, then one uniform per chain per step in fixed chain order. The
     chains are stepped longest first, so only the prefix of chains that
-    have not reached their length computes at each step.
+    have not reached their length computes at each step. `work`, if
+    given, is what sample_arrays(model, count) returns, to be used in place
+    of new arrays.
     """
     if count <= 0:
         return [], np.zeros(0)
@@ -138,8 +150,7 @@ def sample(model: NoiseModel, count, rng):
     log_p = np.zeros(count)
     prev = np.full(count, model.bos_id, dtype=np.int64)
     # (count, V) work buffers, the live rows filled in place at every step
-    logp_buf = np.empty((count, model.V))
-    exp_buf = np.empty((count, model.V))
+    logp_buf, exp_buf = sample_arrays(model, count) if work is None else work
     starts = np.arange(0, model.V, BLOCK)
     for t in range(T):
         k = n[t]

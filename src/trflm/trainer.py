@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import model as model_mod
+from . import neural
 from . import noise as noise_mod
 from .container import read_container, write_container
 
@@ -115,6 +117,37 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
         return np.where(idx < n_mix, scale * (1.0 - p0), -scale * p0)
 
     return model.gradient(list(D) + list(B1) + list(B2), weigh)
+
+
+def noise_phase(noise, D, count, lr, rng):
+    """Draw `count` noise sentences and take the noise LM's KL step on D,
+    both under the noise parameters from before the step; returns
+    (log_p_d, drawn, log_p_drawn), D's word-sequence log-probabilities from
+    the KL step and the draws with theirs.
+
+    The draw and the step run through neural.overlap: the draw, then the
+    step; or, when the V-wide arrays of both (the draw's two (count, V) and
+    the step's (N, V) logits for N tokens of D) fit in model.SCORE_FLOATS,
+    the draw on the worker thread while this thread takes the step. The
+    worker's draw then reads copies of the parameters made here before the
+    step, and the rng is used by the draw alone, so the results are
+    bit-identical either way.
+    """
+    fits = (2 * count + sum(map(len, D))) * noise.V <= model_mod.SCORE_FLOATS
+
+    def worker_arrays():
+        params = {k: v.copy() for k, v in noise.params.items()}
+        return {"model": noise_mod.NoiseModel(params, noise.prior, noise.V),
+                "work": noise_mod.sample_arrays(noise, count)}
+
+    (drawn, log_p_drawn), log_p_d = neural.overlap(
+        # on the worker, model and work are what worker_arrays returns
+        lambda model=noise, **work: noise_mod.sample(model, count, rng, **work),
+        lambda: noise_mod.noise_train_step(noise, D, lr),
+        fits,
+        worker_arrays,
+    )
+    return log_p_d, drawn, log_p_drawn
 
 
 class AdamState:
@@ -239,12 +272,14 @@ def train(
 ):
     """Run DNCE until the schedule stops it; returns (model, TrainState).
 
-    Per step: draw D by shuffled epoch traversal, sample B1 and B2 from
-    the noise model, take one KL step on the noise model on D, then the
-    Adam ascent updates to lambda, theta and zeta. The KL step returns
-    D's noise log-probabilities from its own forward pass, under the
-    parameters the draws used, so the gradient is the one that scoring D
-    before the KL step gives. Per epoch: evaluate the dev surrogate,
+    Per step: draw D by shuffled epoch traversal; sample B1 and B2 from
+    the noise model and take one KL step on the noise model on D, both
+    under the noise parameters from before the step (noise_phase, which
+    runs the two concurrently where it can); then the Adam ascent updates
+    to lambda, theta and zeta. The KL step returns D's noise
+    log-probabilities from its own forward pass, under the parameters the
+    draws used, so the gradient is the one that scoring D before the KL
+    step gives. Per epoch: evaluate the dev surrogate,
     apply the halving schedule, and checkpoint if a path is given.
     """
     if not train_sentences or not dev_sentences:
@@ -287,8 +322,7 @@ def train(
         for b in range(steps_per_epoch):
             D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
             b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
-            drawn, log_p_drawn = noise_mod.sample(noise, b1 + b2, rng)
-            log_p_d = noise_mod.noise_train_step(noise, D, config.lr_noise)
+            log_p_d, drawn, log_p_drawn = noise_phase(noise, D, b1 + b2, config.lr_noise, rng)
             log_p_noise = np.concatenate([log_p_d, log_p_drawn])
             grads = grad_estimate(
                 model, D, drawn[:b1], drawn[b1:], log_p_noise, config.alpha, config.nu

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,33 @@ def test_summarize_adds_interior_step_median_from_details():
 def test_summarize_needs_matched_pairs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([_run(1.0, 1.0, 1.0)], [], END_TO_END)
+
+
+def test_export_copies_the_working_tree_as_git_sees_it(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "pkg" / "gone.py").write_text("deleted after the commit\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "kept.pyc").write_text("ignored\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench_pairs, "ROOT", repo)
+        bench_pairs.export(None, dest)
+        bench_pairs.export("HEAD", tmp_path / "head")
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited\n"
+    assert (tmp_path / "head" / "pkg" / "gone.py").is_file()
+    assert (tmp_path / "head" / "pkg" / "kept.py").read_text() == "committed\n"

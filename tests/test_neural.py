@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trflm import model, neural, oracle
+from trflm import model, neural, oracle, trainer
+from trflm import noise as noise_mod
+from trflm.corpus import length_prior
 
 import helpers
 
@@ -366,3 +368,38 @@ def test_size_rule_keeps_d16_chunks_serial_and_takes_d200_chunks_concurrent():
         return model.SCORE_FLOATS // (16 * d) * d * d
 
     assert full_chunk_work(16) < neural.CONCURRENT_WORK <= full_chunk_work(200)
+
+
+def test_blas_thread_count_is_read_from_the_library():
+    # the tests run with one BLAS thread (conftest.py)
+    assert neural._blas_threads() == 1
+
+
+@pytest.mark.parametrize("blas", [2, None])
+def test_multithreaded_or_unknown_blas_starts_no_thread(monkeypatch, blas):
+    # a BLAS that runs more than one thread, or whose count cannot be read,
+    # keeps the BiLSTM directions and the noise phase serial
+    rng = np.random.default_rng(23)
+    params = _random_params(20, 8, seed=23)
+    sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    noise = noise_mod.init_noise_model(20, 3, length_prior(sents, 8), seed=1)
+
+    def threads_after(blas_threads):
+        monkeypatch.setattr(neural, "_worker", None)
+        monkeypatch.setattr(neural, "_worker_pid", None)
+        monkeypatch.setattr(neural, "_blas_threads", lambda: blas_threads)
+        _, cache = neural.phi_forward_batch(sents, params)
+        neural.phi_backward_batch(cache, np.ones(len(sents)))
+        trainer.noise_phase(noise, sents[:10], 30, 0.5, rng)
+        return threading.active_count()
+
+    monkeypatch.setattr(neural, "CONCURRENT_WORK", 0)
+    monkeypatch.setattr(model, "SCORE_FLOATS", math.inf)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    before = threading.active_count()
+    assert threads_after(blas) == before
+    assert neural._worker is None
+    try:  # the same calls with one BLAS thread start the one worker thread
+        assert threads_after(1) == before + 1
+    finally:
+        neural._worker.shutdown()

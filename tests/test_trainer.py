@@ -1,5 +1,6 @@
 import copy
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -561,3 +562,192 @@ def test_paper_default_config():
     assert (cfg.lr_lambda, cfg.lr_theta, cfg.lr_zeta, cfg.lr_noise) == (
         0.003, 0.003, 0.01, 1.0,
     )
+
+
+# The noise phase draws B1 u B2 and takes the KL step on D, one after the
+# other or the draw on the worker thread; the allowed CPUs and the size
+# rule against model.SCORE_FLOATS pick the path.
+
+
+def _force_noise_path(monkeypatch, concurrent):
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", math.inf if concurrent else 0)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
+
+
+def _noise_phase_on_path(monkeypatch, concurrent, V, d, lengths, alpha, nu, seed):
+    """The noise phase's outputs as bytes, on one path, and whether the
+    draw ran on a thread other than this one."""
+    rng = np.random.default_rng(seed)
+    D = helpers.shuffled_batch(rng, V, lengths)
+    prior = length_prior(D, max(lengths))
+    noise = noise_mod.init_noise_model(V, d, prior, seed=seed + 1)
+    caller, elsewhere = threading.current_thread(), []
+    sample = noise_mod.sample
+
+    def noted(*args, **kwargs):
+        elsewhere.append(threading.current_thread() is not caller)
+        return sample(*args, **kwargs)
+
+    _force_noise_path(monkeypatch, concurrent)
+    monkeypatch.setattr(noise_mod, "sample", noted)
+    b1, b2 = trainer.minibatch_sizes(alpha, nu, len(D))
+    log_p_d, drawn, log_p_drawn = trainer.noise_phase(noise, D, b1 + b2, 0.5, rng)
+    monkeypatch.undo()
+    out = {
+        "drawn": drawn,
+        "log_p_drawn": log_p_drawn.tobytes(),
+        "log_p_d": log_p_d.tobytes(),
+        "params": [(k, v.tobytes()) for k, v in noise.params.items()],
+        "rng": rng.bit_generator.state,
+    }
+    return out, elsewhere == [concurrent]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    V=st.integers(1, 12),
+    d=st.integers(1, 5),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    alpha=st.sampled_from([0.2, 0.5, 0.9]),
+    nu=st.sampled_from([0.1, 1.0, 3.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_noise_phase_concurrent_bit_identical_to_serial(V, d, lengths, alpha, nu, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        serial, serial_path = _noise_phase_on_path(mp, False, V, d, lengths, alpha, nu, seed)
+        concurrent, concurrent_path = _noise_phase_on_path(mp, True, V, d, lengths, alpha, nu, seed)
+    assert serial_path and concurrent_path
+    assert concurrent == serial
+    # and both are the draw from the parameters before the step, then the step
+    rng = np.random.default_rng(seed)
+    D = helpers.shuffled_batch(rng, V, lengths)
+    noise = noise_mod.init_noise_model(V, d, length_prior(D, max(lengths)), seed=seed + 1)
+    b1, b2 = trainer.minibatch_sizes(alpha, nu, len(D))
+    drawn, log_p_drawn = noise_mod.sample(noise, b1 + b2, rng)
+    log_p_d = noise_mod.noise_train_step(noise, D, 0.5)
+    assert (drawn, log_p_drawn.tobytes(), log_p_d.tobytes()) == (
+        serial["drawn"], serial["log_p_drawn"], serial["log_p_d"])
+    assert [(k, v.tobytes()) for k, v in noise.params.items()] == serial["params"]
+
+
+def test_noise_phase_draws_the_old_parameters_after_the_kl_step(monkeypatch):
+    # on the concurrent path the KL step is done before the draw starts; the
+    # draw still reads the parameters from before it, as on the serial path
+    rng = np.random.default_rng(3)
+    D = helpers.shuffled_batch(rng, 7, [1, 2, 3, 4, 5, 3])
+    prior = length_prior(D, 5)
+
+    def run(concurrent):
+        noise = noise_mod.init_noise_model(7, 3, prior, seed=8)
+        draw_rng = np.random.default_rng(21)
+        stepped = threading.Event()
+        step, sample = noise_mod.noise_train_step, noise_mod.sample
+
+        def step_then_signal(*args):
+            out = step(*args)
+            stepped.set()
+            return out
+
+        def sample_after_step(*args, **kwargs):
+            assert stepped.wait(timeout=30)
+            return sample(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _force_noise_path(mp, concurrent)
+            if concurrent:
+                mp.setattr(noise_mod, "noise_train_step", step_then_signal)
+                mp.setattr(noise_mod, "sample", sample_after_step)
+            _, drawn, log_p = trainer.noise_phase(noise, D, 40, 2.0, draw_rng)
+        assert not concurrent or stepped.is_set()
+        return drawn, log_p.tobytes(), [v.tobytes() for v in noise.params.values()]
+
+    assert run(True) == run(False)
+
+
+def test_noise_phase_worker_exception_reaches_caller_and_worker_serves_on(monkeypatch):
+    rng = np.random.default_rng(4)
+    D = helpers.shuffled_batch(rng, 5, [2, 3, 1])
+    noise = noise_mod.init_noise_model(5, 2, length_prior(D, 3), seed=1)
+    _force_noise_path(monkeypatch, True)
+    caller, threads = threading.current_thread(), []
+    sample = noise_mod.sample
+
+    def failing(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise KeyError("no draw today")
+
+    monkeypatch.setattr(noise_mod, "sample", failing)
+    with pytest.raises(KeyError) as info:
+        trainer.noise_phase(noise, D, 6, 0.5, rng)
+    assert info.value.args == ("no draw today",)
+    assert threads and threads[0] is not caller
+
+    def noted(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(noise_mod, "sample", noted)
+    _, drawn, log_p = trainer.noise_phase(noise, D, 6, 0.5, rng)
+    assert len(drawn) == len(log_p) == 6
+    assert threads[1] is threads[0]
+
+
+def test_noise_phase_size_rule_takes_the_d16_step_concurrently_and_keeps_the_paper_step_serial(
+    monkeypatch,
+):
+    # the benchmark's two DNCE steps at V = 1998: 100 sentences of about 9.5
+    # words, with 200 draws (dnce-small, alpha = nu = 0.5) and 900 (dnce-paper,
+    # alpha = 0.2, nu = 1); the noise LM's own d does not enter the rule
+    V = 1998
+    rng = np.random.default_rng(6)
+    D = helpers.shuffled_batch(rng, V, rng.integers(5, 15, size=100))
+    noise = noise_mod.init_noise_model(V, 2, length_prior(D, 14), seed=2)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
+    caller, where = threading.current_thread(), []
+    sample = noise_mod.sample
+
+    def noted(*args, **kwargs):
+        where.append(threading.current_thread() is not caller)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(noise_mod, "sample", noted)
+    for alpha, nu in ((0.5, 0.5), (0.2, 1.0)):
+        trainer.noise_phase(noise, D, sum(trainer.minibatch_sizes(alpha, nu, 100)), 0.5, rng)
+    assert where == [True, False]
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_train_calls_the_noise_module_once_per_step_positionally(monkeypatch, concurrent):
+    # perfbench's StepClock wraps noise_mod.noise_train_step(noise, D, lr) and
+    # counts its calls as steps
+    rng = np.random.default_rng(2)
+    V, L = 6, 4
+    data = _small_corpus(rng, V, L, 25)
+    prior = length_prior(data, L)
+    model = _discrete_model(V, L, prior, seed=1)
+    noise = noise_mod.init_noise_model(V, 3, prior, seed=2)
+    cfg = trainer.DnceConfig(alpha=0.5, nu=1.0, batch_size=10, lr_noise=0.3, max_epochs=2,
+                             seed=3, schedule="per-epoch-halving")
+    _force_noise_path(monkeypatch, concurrent)
+    steps, samples = [], []
+    step, sample = noise_mod.noise_train_step, noise_mod.sample
+
+    def step_positional(*args, **kwargs):
+        steps.append((args, kwargs))
+        return step(*args, **kwargs)
+
+    def sample_counted(*args, **kwargs):
+        samples.append(threading.current_thread())
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(noise_mod, "noise_train_step", step_positional)
+    monkeypatch.setattr(noise_mod, "sample", sample_counted)
+    trainer.train(cfg, data, data[:5], model, noise, max_steps=5)
+    assert len(steps) == len(samples) == 5
+    for args, kwargs in steps:
+        assert kwargs == {} and len(args) == 3
+        assert args[0] is noise and args[2] == cfg.lr_noise
+    assert [len(args[1]) for args, _ in steps] == [10, 10, 5, 10, 10]  # 25 sentences an epoch
+    assert all((t is not threading.current_thread()) == concurrent for t in samples)
