@@ -7,14 +7,15 @@ the phase that makes it.
 The set-up, model and config are the ones perfbench/run.py uses for the
 workload (one BLAS thread, batch size 100, the workload's steps per call).
 Each row is one call of ``noise.sample``, ``noise_train_step``,
-``noise_phase`` (the two of them), ``grad_estimate`` or the dev pass
-(``dev_log_likelihood``), in the order the calls end, with VmHWM and VmRSS
-from /proc/self/status in MB before and after it. VmHWM never falls, so the
-phase whose row raises it is where the peak was reached. Where the noise
-phase runs concurrently (trainer.noise_phase), ``sample`` runs on the worker
-thread while ``noise_train_step`` runs, so their two rows overlap and only
-the ``noise_phase`` row brackets the phase. The last line gives the
-high-water mark after the set-up and at the end.
+``grad_estimate`` or the dev pass (``dev_log_likelihood``), in the order
+the calls end, with VmHWM and VmRSS from /proc/self/status in MB before and
+after it. VmHWM never falls (the kernel sums it from approximate counters,
+so a row may read a few tenths of a MB below the one before), so the phase
+whose row raises it is where the peak was reached. The noise phase (trainer.noise_phase) is one ``sample``
+call, which brackets the whole draw; the KL step runs inside it, after
+every block of the draw or while the worker thread steps blocks, so the
+``noise_train_step`` row nests in the ``sample`` row. The last line gives
+the high-water mark after the set-up and at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PHASES = (
     ("noise_mod", "sample"),
     ("noise_mod", "noise_train_step"),
-    ("trainer_mod", "noise_phase"),
     ("trainer_mod", "grad_estimate"),
     ("trainer_mod", "dev_log_likelihood"),
 )

@@ -290,7 +290,8 @@ _worker_pid = None
 
 
 def overlap(away, home, fits, away_arrays):
-    """(away(), home()), two calls neither of which writes what the other reads.
+    """(away(), home()), two calls neither of which writes what the other
+    reads, other than under a lock.
 
     They run one after the other on this thread, away first, unless all of
     these hold: fits (the caller's size rule for the pair), at least two

@@ -125,29 +125,33 @@ def noise_phase(noise, D, count, lr, rng):
     (log_p_d, drawn, log_p_drawn), D's word-sequence log-probabilities from
     the KL step and the draws with theirs.
 
-    The draw and the step run through neural.overlap: the draw, then the
-    step; or, when the V-wide arrays of both (the draw's two (count, V) and
-    the step's (N, V) logits for N tokens of D) fit in model.SCORE_FLOATS,
-    the draw on the worker thread while this thread takes the step. The
-    worker's draw then reads copies of the parameters made here before the
-    step, and the rng is used by the draw alone, so the results are
-    bit-identical either way.
+    The draw is one noise_mod.sample call, and the step runs within it: its
+    runner runs the draw's blocks and the step through neural.overlap,
+    every block, then the step; or, when the V-wide arrays of both threads
+    (two blocks' two (R, V) work arrays and the step's (N, V) logits for N
+    tokens of D) fit in model.SCORE_FLOATS, the worker thread steps blocks
+    while this thread takes the step and then steps the blocks that are
+    left. Both threads then draw from copies of the parameters made here
+    before the step, and the rng is read before either starts, so the
+    results are bit-identical either way.
     """
-    fits = (2 * count + sum(map(len, D))) * noise.V <= model_mod.SCORE_FLOATS
+    log_p_d = []  # the step's return value
 
-    def worker_arrays():
-        params = {k: v.copy() for k, v in noise.params.items()}
-        return {"model": noise_mod.NoiseModel(params, noise.prior, noise.V),
-                "work": noise_mod.sample_arrays(noise, count)}
+    def runner(draw):
+        fits = (4 * draw.rows + sum(map(len, D))) * noise.V <= model_mod.SCORE_FLOATS
 
-    (drawn, log_p_drawn), log_p_d = neural.overlap(
-        # on the worker, model and work are what worker_arrays returns
-        lambda model=noise, **work: noise_mod.sample(model, count, rng, **work),
-        lambda: noise_mod.noise_train_step(noise, D, lr),
-        fits,
-        worker_arrays,
-    )
-    return log_p_d, drawn, log_p_drawn
+        def worker_arrays():
+            draw.detach()
+            return {"work": draw.work_arrays()}
+
+        def step_then_draw():
+            log_p_d.append(noise_mod.noise_train_step(noise, D, lr))
+            draw.run_blocks()
+
+        neural.overlap(draw.run_blocks, step_then_draw, fits, worker_arrays)
+
+    drawn, log_p_drawn = noise_mod.sample(noise, count, rng, runner)
+    return log_p_d[0], drawn, log_p_drawn
 
 
 class AdamState:

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -330,3 +333,76 @@ def test_kl_steps_reuse_one_logits_buffer_bitwise():
     assert caps == [38, 38, 76, 76]
     assert noise.seq_log_prob_batch(m, helpers.shuffled_batch(rng, 20, [8] * 20)).shape == (20,)
     assert len(m._logits) == 76  # scoring allocates its own logits
+
+
+def _lone_rows(lengths, R):
+    """Steps at which a block of R chains, sorted longest first, has one
+    live chain while the draw has more."""
+    lengths = np.sort(lengths)[::-1]
+    return [
+        (lo, t)
+        for lo in range(0, len(lengths), R)
+        for t in range(lengths[lo])
+        if (lengths[lo : lo + R] > t).sum() == 1 and (lengths > t).sum() > 1
+    ]
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_sample_in_blocks_of_few_chains_matches_both_references(R, monkeypatch):
+    # 300 chains in blocks of 1-3: one-chain blocks and blocks whose live
+    # rows drop to one while the draw has more must step as two-row products
+    m = _realistic_noise()
+    monkeypatch.setattr(noise, "SAMPLE_FLOATS", R * m.V)
+    for ref in (helpers.reference_sample, helpers.masked_sample):
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        sents, log_p = noise.sample(m, 300, rng)
+        ref_sents, ref_log_p = ref(m, 300, ref_rng)
+        assert sents == ref_sents
+        assert log_p.tobytes() == ref_log_p.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _lone_rows(np.array([len(s) for s in sents]), R)
+
+
+def test_sample_memory_stays_at_its_blocks_as_the_draw_grows():
+    # V = 1998 as in the benchmark: blocks of R = 262 chains, whose two (R, V)
+    # work arrays are 8.4 MB, against 2 * count * V floats (38 MB at 1200)
+    # for a draw in one block
+    V = 1998
+    w = np.array([1, 1, 2, 3, 5, 8, 10, 12, 12, 10, 8, 6, 4, 3.0])
+    m = noise.init_noise_model(V, 8, LengthPrior(w / w.sum()), seed=32)
+    R = noise.SAMPLE_FLOATS // V
+    noise.sample(m, 10, np.random.default_rng(0))  # warm up lazily allocated state
+    peaks = []
+    for count in (300, 600, 1200):
+        tracemalloc.start()
+        try:
+            noise.sample(m, count, np.random.default_rng(count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.15 * 2 * R * V * 8, peaks
+    assert peaks[2] < 1.05 * peaks[0], peaks
+
+
+def test_draw_blocks_shared_by_many_threads_run_once_each(monkeypatch):
+    # four threads on one Draw, switching often: every block must be taken
+    # by exactly one thread, or log_p (accumulated per step) and the rows
+    # of the draws would differ from the draw on one thread
+    m = _realistic_noise()
+    want_sents, want_log_p = noise.sample(m, 120, np.random.default_rng(7))
+    monkeypatch.setattr(noise, "SAMPLE_FLOATS", 2 * m.V)  # 60 blocks of 2 chains
+    draw = noise.Draw(m, 120, np.random.default_rng(7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw.run_blocks) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sents, log_p = draw.result()
+    assert sents == want_sents
+    assert log_p.tobytes() == want_log_p.tobytes()

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import threading
 import tracemalloc
 
@@ -564,9 +565,11 @@ def test_paper_default_config():
     )
 
 
-# The noise phase draws B1 u B2 and takes the KL step on D, one after the
-# other or the draw on the worker thread; the allowed CPUs and the size
-# rule against model.SCORE_FLOATS pick the path.
+# The noise phase draws B1 u B2 in blocks of chains and takes the KL step on
+# D: every block, then the step; or the worker thread steps blocks while the
+# caller takes the step and then steps the blocks that are left. The allowed
+# CPUs, the BLAS threads and the size rule against model.SCORE_FLOATS pick
+# the path.
 
 
 def _force_noise_path(monkeypatch, concurrent):
@@ -575,22 +578,67 @@ def _force_noise_path(monkeypatch, concurrent):
     monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
 
 
-def _noise_phase_on_path(monkeypatch, concurrent, V, d, lengths, alpha, nu, seed):
-    """The noise phase's outputs as bytes, on one path, and whether the
-    draw ran on a thread other than this one."""
+class _NoiseSchedule:
+    """Spies on the noise phases a test runs: the KL steps, as they return,
+    and the draw's blocks, as they start, each with whether it ran on a
+    thread other than the caller's. On the concurrent path each KL step
+    first waits until the worker has begun a block of its phase's draw, so
+    that the worker is seen to draw whatever the timing."""
+
+    def __init__(self, monkeypatch, concurrent):
+        self.concurrent = concurrent
+        self.events = []
+        caller, began = threading.current_thread(), threading.Event()
+        sample, step = noise_mod.sample, noise_mod.noise_train_step
+        step_block = noise_mod.Draw.step_block
+
+        def sample_noted(*args, **kwargs):
+            began.clear()  # before the phase's worker starts
+            return sample(*args, **kwargs)
+
+        def step_noted(*args, **kwargs):
+            assert not concurrent or began.wait(timeout=30)
+            out = step(*args, **kwargs)
+            self.events.append(("step", threading.current_thread() is not caller))
+            return out
+
+        def block_noted(draw, *args):
+            away = threading.current_thread() is not caller
+            self.events.append(("block", away))
+            if away:
+                began.set()
+            return step_block(draw, *args)
+
+        monkeypatch.setattr(noise_mod, "sample", sample_noted)
+        monkeypatch.setattr(noise_mod, "noise_train_step", step_noted)
+        monkeypatch.setattr(noise_mod.Draw, "step_block", block_noted)
+
+    def kept(self, phases):
+        """Whether `phases` noise phases ran on the chosen path: serially,
+        every block on the caller and then the step; concurrently, the
+        worker steps blocks in each phase, and the caller steps blocks only
+        after its KL step has returned."""
+        here = "".join("S" if kind == "step" else "B" for kind, away in self.events if not away)
+        there = [kind for kind, away in self.events if away]
+        if not self.concurrent:
+            return not there and re.fullmatch("(B+S){%d}" % phases, here) is not None
+        return (
+            set(there) == {"block"} and len(there) >= phases
+            and re.fullmatch("(SB*){%d}" % phases, here) is not None
+        )
+
+
+def _noise_phase_on_path(monkeypatch, concurrent, V, d, lengths, alpha, nu, seed, R=None):
+    """The noise phase's outputs as bytes, on one path with blocks of R
+    chains (the default if None), and whether it ran on that path."""
     rng = np.random.default_rng(seed)
     D = helpers.shuffled_batch(rng, V, lengths)
     prior = length_prior(D, max(lengths))
     noise = noise_mod.init_noise_model(V, d, prior, seed=seed + 1)
-    caller, elsewhere = threading.current_thread(), []
-    sample = noise_mod.sample
-
-    def noted(*args, **kwargs):
-        elsewhere.append(threading.current_thread() is not caller)
-        return sample(*args, **kwargs)
-
     _force_noise_path(monkeypatch, concurrent)
-    monkeypatch.setattr(noise_mod, "sample", noted)
+    if R is not None:
+        monkeypatch.setattr(noise_mod, "SAMPLE_FLOATS", R * V)
+    schedule = _NoiseSchedule(monkeypatch, concurrent)
     b1, b2 = trainer.minibatch_sizes(alpha, nu, len(D))
     log_p_d, drawn, log_p_drawn = trainer.noise_phase(noise, D, b1 + b2, 0.5, rng)
     monkeypatch.undo()
@@ -601,7 +649,7 @@ def _noise_phase_on_path(monkeypatch, concurrent, V, d, lengths, alpha, nu, seed
         "params": [(k, v.tobytes()) for k, v in noise.params.items()],
         "rng": rng.bit_generator.state,
     }
-    return out, elsewhere == [concurrent]
+    return out, schedule.kept(1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,11 +660,13 @@ def _noise_phase_on_path(monkeypatch, concurrent, V, d, lengths, alpha, nu, seed
     alpha=st.sampled_from([0.2, 0.5, 0.9]),
     nu=st.sampled_from([0.1, 1.0, 3.0]),
     seed=st.integers(0, 2**16),
+    R=st.sampled_from([1, 2, 3, None]),
 )
-def test_noise_phase_concurrent_bit_identical_to_serial(V, d, lengths, alpha, nu, seed):
+def test_noise_phase_concurrent_bit_identical_to_serial(V, d, lengths, alpha, nu, seed, R):
     with pytest.MonkeyPatch.context() as mp:
-        serial, serial_path = _noise_phase_on_path(mp, False, V, d, lengths, alpha, nu, seed)
-        concurrent, concurrent_path = _noise_phase_on_path(mp, True, V, d, lengths, alpha, nu, seed)
+        serial, serial_path = _noise_phase_on_path(mp, False, V, d, lengths, alpha, nu, seed, R)
+        concurrent, concurrent_path = _noise_phase_on_path(
+            mp, True, V, d, lengths, alpha, nu, seed, R)
     assert serial_path and concurrent_path
     assert concurrent == serial
     # and both are the draw from the parameters before the step, then the step
@@ -632,8 +682,10 @@ def test_noise_phase_concurrent_bit_identical_to_serial(V, d, lengths, alpha, nu
 
 
 def test_noise_phase_draws_the_old_parameters_after_the_kl_step(monkeypatch):
-    # on the concurrent path the KL step is done before the draw starts; the
-    # draw still reads the parameters from before it, as on the serial path
+    # on the concurrent path the worker's blocks wait until the KL step is
+    # done, and the caller's come after it; all of them still read the
+    # parameters from before it, as on the serial path. 40 draws in blocks
+    # of 3 chains make 14 blocks.
     rng = np.random.default_rng(3)
     D = helpers.shuffled_batch(rng, 7, [1, 2, 3, 4, 5, 3])
     prior = length_prior(D, 5)
@@ -642,24 +694,27 @@ def test_noise_phase_draws_the_old_parameters_after_the_kl_step(monkeypatch):
         noise = noise_mod.init_noise_model(7, 3, prior, seed=8)
         draw_rng = np.random.default_rng(21)
         stepped = threading.Event()
-        step, sample = noise_mod.noise_train_step, noise_mod.sample
+        caller, blocks = threading.current_thread(), []
+        step, step_block = noise_mod.noise_train_step, noise_mod.Draw.step_block
 
         def step_then_signal(*args):
             out = step(*args)
             stepped.set()
             return out
 
-        def sample_after_step(*args, **kwargs):
+        def block_after_step(draw, *args):
             assert stepped.wait(timeout=30)
-            return sample(*args, **kwargs)
+            blocks.append(threading.current_thread() is not caller)
+            return step_block(draw, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             _force_noise_path(mp, concurrent)
+            mp.setattr(noise_mod, "SAMPLE_FLOATS", 3 * 7)
             if concurrent:
                 mp.setattr(noise_mod, "noise_train_step", step_then_signal)
-                mp.setattr(noise_mod, "sample", sample_after_step)
+                mp.setattr(noise_mod.Draw, "step_block", block_after_step)
             _, drawn, log_p = trainer.noise_phase(noise, D, 40, 2.0, draw_rng)
-        assert not concurrent or stepped.is_set()
+        assert not concurrent or (stepped.is_set() and len(blocks) == 14 and any(blocks))
         return drawn, log_p.tobytes(), [v.tobytes() for v in noise.params.values()]
 
     assert run(True) == run(False)
@@ -671,51 +726,66 @@ def test_noise_phase_worker_exception_reaches_caller_and_worker_serves_on(monkey
     noise = noise_mod.init_noise_model(5, 2, length_prior(D, 3), seed=1)
     _force_noise_path(monkeypatch, True)
     caller, threads = threading.current_thread(), []
-    sample = noise_mod.sample
+    began = threading.Event()
+    step, step_block = noise_mod.noise_train_step, noise_mod.Draw.step_block
 
-    def failing(*args, **kwargs):
+    def step_after_worker_began(*args):
+        assert began.wait(timeout=30)
+        return step(*args)
+
+    def failing(draw, *args):
         threads.append(threading.current_thread())
+        began.set()
         raise KeyError("no draw today")
 
-    monkeypatch.setattr(noise_mod, "sample", failing)
+    monkeypatch.setattr(noise_mod, "noise_train_step", step_after_worker_began)
+    monkeypatch.setattr(noise_mod.Draw, "step_block", failing)
     with pytest.raises(KeyError) as info:
         trainer.noise_phase(noise, D, 6, 0.5, rng)
     assert info.value.args == ("no draw today",)
     assert threads and threads[0] is not caller
 
-    def noted(*args, **kwargs):
+    def noted(draw, *args):
         threads.append(threading.current_thread())
-        return sample(*args, **kwargs)
+        began.set()
+        return step_block(draw, *args)
 
-    monkeypatch.setattr(noise_mod, "sample", noted)
+    began.clear()
+    monkeypatch.setattr(noise_mod.Draw, "step_block", noted)
     _, drawn, log_p = trainer.noise_phase(noise, D, 6, 0.5, rng)
     assert len(drawn) == len(log_p) == 6
     assert threads[1] is threads[0]
 
 
-def test_noise_phase_size_rule_takes_the_d16_step_concurrently_and_keeps_the_paper_step_serial(
-    monkeypatch,
-):
+def test_noise_phase_size_rule_takes_both_benchmark_steps_concurrently(monkeypatch):
     # the benchmark's two DNCE steps at V = 1998: 100 sentences of about 9.5
-    # words, with 200 draws (dnce-small, alpha = nu = 0.5) and 900 (dnce-paper,
-    # alpha = 0.2, nu = 1); the noise LM's own d does not enter the rule
+    # words, with 200 draws (dnce-small, alpha = nu = 0.5: one block of 200
+    # chains) and 900 (dnce-paper, alpha = 0.2, nu = 1: blocks of 262). The
+    # rule holds (4 R + N) V to SCORE_FLOATS, so the paper step fits while D
+    # has up to 1051 tokens; 100 sentences of 12-14 words do not. The noise
+    # LM's own d does not enter the rule.
     V = 1998
     rng = np.random.default_rng(6)
     D = helpers.shuffled_batch(rng, V, rng.integers(5, 15, size=100))
+    long_D = helpers.shuffled_batch(rng, V, rng.integers(12, 15, size=100))
     noise = noise_mod.init_noise_model(V, 2, length_prior(D, 14), seed=2)
     monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
-    caller, where = threading.current_thread(), []
-    sample = noise_mod.sample
+    detached = []
+    detach = noise_mod.Draw.detach
 
-    def noted(*args, **kwargs):
-        where.append(threading.current_thread() is not caller)
-        return sample(*args, **kwargs)
+    def noted(draw):
+        detached.append(draw.rows)
+        return detach(draw)
 
-    monkeypatch.setattr(noise_mod, "sample", noted)
-    for alpha, nu in ((0.5, 0.5), (0.2, 1.0)):
-        trainer.noise_phase(noise, D, sum(trainer.minibatch_sizes(alpha, nu, 100)), 0.5, rng)
-    assert where == [True, False]
+    monkeypatch.setattr(noise_mod.Draw, "detach", noted)
+    where = []
+    for batch, alpha, nu in ((D, 0.5, 0.5), (D, 0.2, 1.0), (long_D, 0.2, 1.0)):
+        before = len(detached)
+        trainer.noise_phase(noise, batch, sum(trainer.minibatch_sizes(alpha, nu, 100)), 0.5, rng)
+        where.append(len(detached) > before)
+    assert where == [True, True, False]
+    assert detached == [200, 262]
 
 
 @pytest.mark.parametrize("concurrent", [False, True])
@@ -731,6 +801,8 @@ def test_train_calls_the_noise_module_once_per_step_positionally(monkeypatch, co
     cfg = trainer.DnceConfig(alpha=0.5, nu=1.0, batch_size=10, lr_noise=0.3, max_epochs=2,
                              seed=3, schedule="per-epoch-halving")
     _force_noise_path(monkeypatch, concurrent)
+    monkeypatch.setattr(noise_mod, "SAMPLE_FLOATS", 4 * V)  # a step's 10-20 draws in 3-5 blocks
+    schedule = _NoiseSchedule(monkeypatch, concurrent)
     steps, samples = [], []
     step, sample = noise_mod.noise_train_step, noise_mod.sample
 
@@ -750,4 +822,5 @@ def test_train_calls_the_noise_module_once_per_step_positionally(monkeypatch, co
         assert kwargs == {} and len(args) == 3
         assert args[0] is noise and args[2] == cfg.lr_noise
     assert [len(args[1]) for args, _ in steps] == [10, 10, 5, 10, 10]  # 25 sentences an epoch
-    assert all((t is not threading.current_thread()) == concurrent for t in samples)
+    assert all(t is threading.current_thread() for t in samples)
+    assert schedule.kept(5)
