@@ -1,21 +1,35 @@
-"""Print the process's memory high-water mark around each phase of one DNCE
-train() call, so that a move in the benchmark's peak_rss_mb can be put on
-the phase that makes it.
+"""Print the process's memory high-water mark around each phase of one
+benchmark workload, so that a move in the benchmark's peak_rss_mb can be
+put on the phase that makes it.
 
     python3 scripts/rss_phases.py --workload dnce-paper --seed 1
+    python3 scripts/rss_phases.py --workload score --seed 1 --seconds 20
 
 The set-up, model and config are the ones perfbench/run.py uses for the
-workload (one BLAS thread, batch size 100, the workload's steps per call).
-Each row is one call of ``noise.sample``, ``noise_train_step``,
-``grad_estimate`` or the dev pass (``dev_log_likelihood``), in the order
-the calls end, with VmHWM and VmRSS from /proc/self/status in MB before and
-after it. VmHWM never falls (the kernel sums it from approximate counters,
-so a row may read a few tenths of a MB below the one before), so the phase
-whose row raises it is where the peak was reached. The noise phase (trainer.noise_phase) is one ``sample``
-call, which brackets the whole draw; the KL step runs inside it, after
-every block of the draw or while the worker thread steps blocks, so the
-``noise_train_step`` row nests in the ``sample`` row. The last line gives
-the high-water mark after the set-up and at the end.
+workload (one BLAS thread). Each row is one call of a phase, in the order
+the calls end, with VmHWM and VmRSS from /proc/self/status in MB before
+and after it; the calls of a phase in MERGED that follow one another make
+one row, from before the first to after the last (its ``calls`` column).
+VmHWM never falls (the kernel sums it from approximate counters, so a row
+may read a few tenths of a MB below the one before), so the phase whose
+row raises it is where the peak was reached.
+
+- ``dnce-*``: one train() call of the workload's steps, batch size 100.
+  The phases are ``noise.sample``, ``noise_train_step``, ``grad_estimate``
+  and the dev pass (``dev_log_likelihood``). The noise phase
+  (trainer.noise_phase) is one ``sample`` call, which brackets the whole
+  draw; the KL step runs inside it, after every block of the draw or while
+  the worker thread steps blocks, so the ``noise_train_step`` row nests in
+  the ``sample`` row.
+- ``score``: the benchmark's scoring run for ``--seconds``. The phases are
+  the set-up (``load_corpus``, ``seeded_paper_model``, ``save``, then the
+  five timed ``TrfModel.load`` calls), each perplexity window
+  (``ppl_window``), the rescoring calls (``rescore_corpus``, one row for
+  the warm-up and the measured loop, which follow one another) and the
+  output checks (``score_checks``).
+
+The last line gives the high-water mark before the first phase and at the
+end.
 """
 
 from __future__ import annotations
@@ -27,12 +41,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = (
-    ("noise_mod", "sample"),
-    ("noise_mod", "noise_train_step"),
-    ("trainer_mod", "grad_estimate"),
-    ("trainer_mod", "dev_log_likelihood"),
-)
+PHASES = {
+    "dnce": (
+        ("noise_mod", "sample"),
+        ("noise_mod", "noise_train_step"),
+        ("trainer_mod", "grad_estimate"),
+        ("trainer_mod", "dev_log_likelihood"),
+    ),
+    "score": (
+        ("bench", "load_corpus"),
+        ("bench", "seeded_paper_model"),
+        ("TrfModel", "save"),
+        ("TrfModel", "load"),
+        ("bench", "ppl_window"),
+        ("eval_mod", "rescore_corpus"),
+        ("bench", "score_checks"),
+    ),
+}
+MERGED = {"rescore_corpus"}  # one call an utterance
 
 
 def status_mb():
@@ -47,20 +73,39 @@ def status_mb():
 
 
 def wrap(fn, name, rows):
+    """fn, recording its phase into rows; in a MERGED phase, a call that
+    ends right after a call of the same phase extends that call's row."""
+
     def measured(*args, **kwargs):
         before = status_mb()
         try:
             return fn(*args, **kwargs)
         finally:
-            rows.append((name, *before, *status_mb()))
+            after = status_mb()
+            if name in MERGED and rows and rows[-1][0] == name:
+                _, calls, hwm0, rss0, _, _ = rows[-1]
+                rows[-1] = (name, calls + 1, hwm0, rss0, *after)
+            else:
+                rows.append((name, 1, *before, *after))
 
     return measured
 
 
+def run_dnce(bench, workload, seed):
+    spec = bench.DNCE[workload]
+    c = bench.load_corpus(spec.shape)
+    model, noise = bench.dnce_models(c, spec.shape, seed)
+    cfg = bench.trainer_mod.DnceConfig(seed=seed, batch_size=100, **spec.config)
+    return lambda: bench.trainer_mod.train(
+        cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps
+    )
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="scripts/rss_phases.py")
-    p.add_argument("--workload", choices=("dnce-small", "dnce-paper"), default="dnce-paper")
+    p.add_argument("--workload", choices=("dnce-small", "dnce-paper", "score"), default="dnce-paper")
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seconds", type=float, default=20.0, help="score only: the run's length")
     args = p.parse_args(argv)
     # the benchmark's thread setting; BLAS reads it once, at numpy's import
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -68,27 +113,35 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import bench
 
-    spec = bench.DNCE[args.workload]
-    c = bench.load_corpus(spec.shape)
-    model, noise = bench.dnce_models(c, spec.shape, args.seed)
-    cfg = bench.trainer_mod.DnceConfig(seed=args.seed, batch_size=100, **spec.config)
-    after_setup = status_mb()[0]
+    if args.workload == "score":
+        bench.OUT.mkdir(exist_ok=True)
+        work = lambda: bench.run_score(args.workload, args.seed, args.seconds, bench.Session(None))
+        phases = PHASES["score"]
+    else:
+        work = run_dnce(bench, args.workload, args.seed)
+        phases = PHASES["dnce"]
+    first = status_mb()[0]
     rows = []
-    owners = {"noise_mod": bench.noise_mod, "trainer_mod": bench.trainer_mod}
-    saved = [(owners[o], a, getattr(owners[o], a)) for o, a in PHASES]
-    for owner, attr, fn in saved:
-        setattr(owner, attr, wrap(fn, attr, rows))
+    owners = {
+        "bench": bench,
+        "noise_mod": bench.noise_mod,
+        "trainer_mod": bench.trainer_mod,
+        "eval_mod": bench.eval_mod,
+        "TrfModel": bench.model_mod.TrfModel,
+    }
+    # put back from the owner's __dict__, so that a classmethod stays one
+    saved = [(owners[o], a, vars(owners[o])[a]) for o, a in phases]
+    for owner, attr, _ in saved:
+        setattr(owner, attr, wrap(getattr(owner, attr), attr, rows))
     try:
-        bench.trainer_mod.train(
-            cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps
-        )
+        work()
     finally:
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
-    print("phase\tVmHWM_before\tVmHWM_after\tVmRSS_before\tVmRSS_after\t(MB)")
-    for name, hwm0, rss0, hwm1, rss1 in rows:
-        print("%s\t%.1f\t%.1f\t%.1f\t%.1f" % (name, hwm0, hwm1, rss0, rss1))
-    print("VmHWM after set-up %.1f MB, at the end %.1f MB" % (after_setup, status_mb()[0]))
+    print("phase\tcalls\tVmHWM_before\tVmHWM_after\tVmRSS_before\tVmRSS_after\t(MB)")
+    for name, calls, hwm0, rss0, hwm1, rss1 in rows:
+        print("%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f" % (name, calls, hwm0, hwm1, rss0, rss1))
+    print("VmHWM before the first phase %.1f MB, at the end %.1f MB" % (first, status_mb()[0]))
     return 0
 
 

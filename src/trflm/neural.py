@@ -19,10 +19,11 @@ one thread); numpy's array operations and BLAS release the interpreter
 lock, so the two overlap. Each direction does the operations it does
 alone, and the results are combined in the same fixed order (fwd, then
 bwd), so potentials and gradients are bit-identical either way. The
-worker's large arrays are made on the calling thread, each step writes
-into a work array made once per layer, and a backward layer uses its
-input-gradient array as scratch, so the worker adds only its own BLAS
-buffer, thread and small heap: a few MB of peak memory (see README.md).
+worker's forward arrays are made on the calling thread, each step writes
+into a work array made once per layer, and a backward layer writes its
+gate gradients over the gates and its input gradient over its output
+gradient, so the worker adds only its own BLAS buffer, thread and small
+heap (see README.md). A backward pass thus uses its forward cache up.
 """
 
 from __future__ import annotations
@@ -157,37 +158,46 @@ def forward_arrays(n, B, d):
     return np.empty((N, 4 * d)), np.zeros((T, B, d)), np.zeros((T, B, d)), np.empty(6 * B * d)
 
 
-def lstm_backward(cache, dhs, dx=None, da=None):
+def lstm_backward(cache, dhs, dx=None):
     """Reverse-mode pass for lstm_forward; dhs is the gradient w.r.t. hs,
     read only where a row is alive. Returns (dW, dU, db, dx).
 
     dx, if given, is the C-ordered array the input gradient is written to;
-    it may be dhs itself, which is read only before dx is written. da, if
-    given, is the (real tokens, 4d) array the gate gradients go to.
+    it may be dhs itself, which is read only before dx is written. The gate
+    gradients are written over the cache's gates, each step's rows once the
+    step has read them for the last time, so the pass uses the cache up: it
+    takes the gates out of it, and a second pass raises NeuralError.
     """
+    if "gates" not in cache:
+        raise NeuralError("the cache was used up by a backward pass; run the forward pass again")
     x, n, off = cache["x"], cache["n"], cache["off"]
-    W, U, gates, hs, cs = cache["W"], cache["U"], cache["gates"], cache["hs"], cache["cs"]
+    W, U, hs, cs = cache["W"], cache["U"], cache["hs"], cache["cs"]
     T, B, d = hs.shape
-    da = np.empty_like(gates) if da is None else da
+    # checked before the gates are taken, so a call that fails leaves the cache as it was
+    if W.shape != (x.shape[2], 4 * d) or U.shape != (d, 4 * d) or dhs.shape != hs.shape:
+        raise NeuralError("weights or gradient do not fit the cache of a %d-wide layer" % d)
+    da = cache.pop("gates")
     dx = np.empty(x.shape) if dx is None else dx
     dh_next = np.zeros((B, d))
     dc_next = np.zeros((B, d))
     zero = np.zeros((B, d))
     for t in range(T - 1, -1, -1):
         k = n[t]
-        a = gates[off[t] : off[t + 1]]
+        a = da[off[t] : off[t + 1]]
         i, f, o, g = a[:, :d], a[:, d : 2 * d], a[:, 2 * d : 3 * d], a[:, 3 * d :]
         c_prev = cs[t - 1, :k] if t else zero[:k]
         dh = dhs[t, :k] + dh_next[:k]
         tc = np.tanh(cs[t, :k])
         dc = dc_next[:k] + dh * o * (1.0 - tc * tc)
-        da_t = da[off[t] : off[t + 1]]
-        da_t[:, :d] = dc * g * i * (1.0 - i)
-        da_t[:, d : 2 * d] = dc * c_prev * f * (1.0 - f)
-        da_t[:, 2 * d : 3 * d] = dh * tc * o * (1.0 - o)
-        da_t[:, 3 * d :] = dc * i * (1.0 - g * g)
-        dh_next[:k] = da_t @ U.T
+        # each right side is whole before its write; i's gradient waits in
+        # da_i because g's still reads i
+        da_i = dc * g * i * (1.0 - i)
         dc_next[:k] = dc * f
+        f[...] = dc * c_prev * f * (1.0 - f)
+        o[...] = dh * tc * o * (1.0 - o)
+        g[...] = dc * i * (1.0 - g * g)
+        i[...] = da_i
+        dh_next[:k] = a @ U.T
     # the weight and input gradients over all live positions at once, with
     # dx's memory as the (real tokens, d) scratch of each product's operand
     rows = dx.reshape(T * B, -1)
@@ -378,9 +388,9 @@ def phi_backward_batch(cache, weights):
     # order; its layers write their input gradients over it, top down
     dxf = np.zeros(hf.shape)
     dxb = np.zeros(hb.shape)
-    if T > 1:
-        dxf[:-1] = w * e[1:]
-        dxb[::-1][1:] = w * e[:-1]
+    for t in range(T - 1):  # by rows: a product broadcast over all of e buffers as much again
+        np.multiply(w[0], e[t + 1], out=dxf[t])
+        np.multiply(w[0], e[t], out=dxb[T - 2 - t])
     gf, gb = {}, {}
     for layer in range(cache["n_layers"] - 1, -1, -1):
         cf, cb = cache["caches"]["fwd"][layer], cache["caches"]["bwd"][layer]
@@ -388,11 +398,12 @@ def phi_backward_batch(cache, weights):
             functools.partial(lstm_backward, cb, dxb, dxb),
             functools.partial(lstm_backward, cf, dxf, dxf),
             _work(cf["n"], d) >= CONCURRENT_WORK,
-            lambda: {"da": np.empty_like(cb["gates"])},
+            dict,
         )
-        for grads, direction, g in ((gf, "fwd", wf), (gb, "bwd", wb)):
+        for grads, direction, g, c in ((gf, "fwd", wf, cf), (gb, "bwd", wb, cb)):
             pre = "%s%d_" % (direction, layer)
             grads[pre + "W"], grads[pre + "U"], grads[pre + "b"] = g
+            del c["x"], c["hs"], c["cs"]  # spent; the top layer's hs live on as hf and hb
     # made once both directions are done, so that it is not alive while they run
     de = np.zeros_like(e)
     if T > 1:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,15 +172,54 @@ def test_backward_scale_zero_leaves_accumulator():
 
 
 def test_backward_accumulation_linearity():
+    # a backward pass uses its cache up, so each one has a fresh forward pass
     params = _random_params(3, 2, seed=6)
-    _, cache = helpers.phi_forward((0, 1, 2), params)
+
+    def fresh():
+        return helpers.phi_forward((0, 1, 2), params)[1]
+
     acc_ab = helpers.zero_grads(params)
-    helpers.phi_backward(cache, 0.3, acc_ab)
-    helpers.phi_backward(cache, 0.9, acc_ab)
+    helpers.phi_backward(fresh(), 0.3, acc_ab)
+    helpers.phi_backward(fresh(), 0.9, acc_ab)
     acc_sum = helpers.zero_grads(params)
-    helpers.phi_backward(cache, 1.2, acc_sum)
+    helpers.phi_backward(fresh(), 1.2, acc_sum)
     for k in acc_ab:
         assert np.allclose(acc_ab[k], acc_sum[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_second_backward_on_a_spent_cache_raises(monkeypatch, concurrent):
+    # the first pass wrote its gate gradients over the cache's gates
+    monkeypatch.setattr(neural, "CONCURRENT_WORK", 0 if concurrent else math.inf)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    sents = [(0, 1, 2), (2, 1)]
+    params = _random_params(3, 2, n_layers=2, seed=4)
+    _, cache = neural.phi_forward_batch(sents, params)
+    neural.phi_backward_batch(cache, np.ones(2))
+    with pytest.raises(neural.NeuralError, match="run the forward pass again"):
+        neural.phi_backward_batch(cache, np.ones(2))
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_backward_makes_no_gate_sized_array(monkeypatch, concurrent):
+    # forward plus backward on one chunk peak below the forward cache plus
+    # one (real tokens, 4d) array: the gate gradients go over the gates
+    monkeypatch.setattr(neural, "CONCURRENT_WORK", 0 if concurrent else math.inf)
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    d, lengths = 16, [12] * 40  # one length, so the batch has no padding
+    rng = np.random.default_rng(29)
+    params = _random_params(50, d, seed=29)
+    sents = helpers.shuffled_batch(rng, 50, lengths)
+    weights = rng.normal(size=len(sents))
+    tracemalloc.start()
+    try:
+        _, cache = neural.phi_forward_batch(sents, params)
+        kept = tracemalloc.get_traced_memory()[0]
+        neural.phi_backward_batch(cache, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kept + sum(lengths) * 4 * d * 8, (peak, kept)
 
 
 def test_backward_shape_mismatch():

@@ -384,6 +384,29 @@ def test_sample_memory_stays_at_its_blocks_as_the_draw_grows():
     assert peaks[2] < 1.05 * peaks[0], peaks
 
 
+def test_kl_step_makes_no_gate_sized_array():
+    # nll_and_grads peaks below what its forward pass keeps plus one (real
+    # tokens, 4d) array: the backward writes its gate gradients over the gates
+    V, d, lengths = 20, 16, [12] * 40
+    w = np.ones(12)
+    m = _random_noise(V, d, LengthPrior(w / w.sum()), seed=33)
+    rng = np.random.default_rng(33)
+    sents = [tuple(int(x) for x in rng.integers(0, V, size=l)) for l in lengths]
+    noise.nll_and_grads(m, sents)  # maps the logits buffer
+    tracemalloc.start()
+    try:
+        forward = noise._forward(m, sents, reuse=True)
+        kept = tracemalloc.get_traced_memory()[0]
+        del forward
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        noise.nll_and_grads(m, sents)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < kept + sum(lengths) * 4 * d * 8, (peak, kept)
+
+
 def test_draw_blocks_shared_by_many_threads_run_once_each(monkeypatch):
     # four threads on one Draw, switching often: every block must be taken
     # by exactly one thread, or log_p (accumulated per step) and the rows
