@@ -7,16 +7,21 @@ put on the phase that makes it.
 
 The set-up, model and config are the ones perfbench/run.py uses for the
 workload (one BLAS thread). Each row is one call of a phase, in the order
-the calls end, with VmHWM and VmRSS from /proc/self/status in MB before
-and after it; the calls of a phase in MERGED that follow one another make
-one row, from before the first to after the last (its ``calls`` column).
+the calls end, with VmHWM and VmRSS from /proc/self/status in MB and the
+process's minor page faults (``ru_minflt`` of getrusage, all threads)
+before and after it; the calls of a phase in MERGED that follow one another
+make one row, from before the first to after the last (its ``calls``
+column).
 VmHWM never falls (the kernel sums it from approximate counters, so a row
 may read a few tenths of a MB below the one before), so the phase whose
 row raises it is where the peak was reached.
 
-- ``dnce-*``: one train() call of the workload's steps, batch size 100.
-  The phases are ``noise.sample``, ``noise_train_step``, ``grad_estimate``
-  and the dev pass (``dev_log_likelihood``). The noise phase
+- ``dnce-*``: a perplexity window on the fresh model, one train() call of
+  the workload's steps, batch size 100, and a perplexity window on the
+  trained model, as the benchmark's windows (``ppl_window``, the
+  workload's PPL_REPS perplexity calls over dev each). The phases of the
+  train() call are ``noise.sample``, ``noise_train_step``,
+  ``grad_estimate`` and the dev pass (``dev_log_likelihood``). The noise phase
   (trainer.noise_phase) is one ``sample`` call, which brackets the whole
   draw; the KL step runs inside it, after every block of the draw or while
   the worker thread steps blocks, so the ``noise_train_step`` row nests in
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -47,6 +53,7 @@ PHASES = {
         ("noise_mod", "noise_train_step"),
         ("trainer_mod", "grad_estimate"),
         ("trainer_mod", "dev_log_likelihood"),
+        ("bench", "ppl_window"),
     ),
     "score": (
         ("bench", "load_corpus"),
@@ -72,19 +79,24 @@ def status_mb():
     return fields["VmHWM"], fields["VmRSS"]
 
 
+def reading():
+    """(VmHWM, VmRSS, minor page faults) of this process."""
+    return (*status_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+
 def wrap(fn, name, rows):
     """fn, recording its phase into rows; in a MERGED phase, a call that
     ends right after a call of the same phase extends that call's row."""
 
     def measured(*args, **kwargs):
-        before = status_mb()
+        before = reading()
         try:
             return fn(*args, **kwargs)
         finally:
-            after = status_mb()
+            after = reading()
             if name in MERGED and rows and rows[-1][0] == name:
-                _, calls, hwm0, rss0, _, _ = rows[-1]
-                rows[-1] = (name, calls + 1, hwm0, rss0, *after)
+                _, calls, *before = rows[-1][:5]
+                rows[-1] = (name, calls + 1, *before, *after)
             else:
                 rows.append((name, 1, *before, *after))
 
@@ -96,9 +108,15 @@ def run_dnce(bench, workload, seed):
     c = bench.load_corpus(spec.shape)
     model, noise = bench.dnce_models(c, spec.shape, seed)
     cfg = bench.trainer_mod.DnceConfig(seed=seed, batch_size=100, **spec.config)
-    return lambda: bench.trainer_mod.train(
-        cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps
-    )
+
+    def work():
+        bench.ppl_window(model, c.dev, bench.PPL_REPS[workload], [])
+        bench.trainer_mod.train(
+            cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps
+        )
+        bench.ppl_window(model, c.dev, bench.PPL_REPS[workload], [])
+
+    return work
 
 
 def main(argv=None):
@@ -138,9 +156,11 @@ def main(argv=None):
     finally:
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
-    print("phase\tcalls\tVmHWM_before\tVmHWM_after\tVmRSS_before\tVmRSS_after\t(MB)")
-    for name, calls, hwm0, rss0, hwm1, rss1 in rows:
-        print("%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f" % (name, calls, hwm0, hwm1, rss0, rss1))
+    print("phase\tcalls\tVmHWM_before\tVmHWM_after\tVmRSS_before\tVmRSS_after"
+          "\tminflt_before\tminflt_after\t(Vm* in MB)")
+    for name, calls, hwm0, rss0, flt0, hwm1, rss1, flt1 in rows:
+        print("%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d"
+              % (name, calls, hwm0, hwm1, rss0, rss1, flt0, flt1))
     print("VmHWM before the first phase %.1f MB, at the end %.1f MB" % (first, status_mb()[0]))
     return 0
 

@@ -22,7 +22,9 @@ from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 
 _PHI = "phi."  # name prefix of the neural potential's arrays in params()
 _KEYS = "keys."  # "keys.<template id>": that template's feature keys, one row each
-SCORE_FLOATS = 2**22  # forward cache a scoring chunk may keep, at 16 d floats a token
+# forward cache a gradient chunk may keep, at 16 d floats a token; scoring cuts the
+# same chunks but keeps no cache, and its two input tables must fit in it too
+SCORE_FLOATS = 2**22
 
 
 class ModelError(ValueError):
@@ -107,36 +109,47 @@ class TrfModel:
 
     def chunks(self, sentences):
         """Index arrays, each in input order, of length-sorted chunks of up to SCORE_FLOATS // 16 d
-        real tokens (d = 1 without phi) or of one longer sentence, for potential_batch."""
+        real tokens (d = 1 without phi) or of one longer sentence, for potential_batch. 16 d
+        floats a token sizes a gradient chunk's forward cache; a scoring chunk keeps far less."""
         lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
         d = self.phi_params["emb"].shape[1] if self.has_neural else 1
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(lengths[order])
+        del lengths  # not kept while the chunks are used: a chunk starts where the last ended
         lo = 0
         while lo < len(order):
-            start = ends[lo] - lengths[order[lo]]
+            start = ends[lo - 1] if lo else 0
             hi = max(np.searchsorted(ends, start + SCORE_FLOATS // (16 * d), "right"), lo + 1)
             yield np.sort(order[lo:hi])
             lo = hi
 
     def log_weight_batch(self, sentences) -> np.ndarray:
-        """Potentials alone, one chunk at a time."""
+        """Potentials alone, one chunk at a time, forward-only; with
+        neural.input_tables when the call has at least as many real tokens
+        as a table has rows (V >= 2) and both tables fit in SCORE_FLOATS."""
+        tables = None
+        if self.has_neural:
+            V, d = self.phi_params["emb"].shape
+            if 2 <= V <= sum(map(len, sentences)) and 8 * V * d <= SCORE_FLOATS:
+                tables = neural.input_tables(self.phi_params)
         out = np.empty(len(sentences))
         for idx in self.chunks(sentences):
-            out[idx] = self.potential_batch([sentences[j] for j in idx])[0]
+            batch = [sentences[j] for j in idx]
+            out[idx] = self.potential_batch(batch, forward_only=True, tables=tables)[0]
         return out
 
-    def potential_batch(self, sentences):
+    def potential_batch(self, sentences, forward_only=False, tables=None):
         """Unnormalized potentials of a batch with what their gradients need:
         (values, feature occurrences as extract gives them, phi cache);
-        the parts the model lacks are None."""
+        the parts the model lacks are None, and so is the cache when
+        forward_only (neural.phi_forward_batch)."""
         vals = np.zeros(len(sentences))
         occurrences = cache = None
         if self.has_discrete:
             occurrences = feats.extract(sentences, self.feature_index)
             vals += feats.batch_potential(occurrences, self.lam, len(sentences))
         if self.has_neural:
-            phis, cache = neural.phi_forward_batch(sentences, self.phi_params)
+            phis, cache = neural.phi_forward_batch(sentences, self.phi_params, forward_only, tables)
             vals += phis
         return vals, occurrences, cache
 
@@ -175,7 +188,8 @@ class TrfModel:
         if (priors <= 0).any():
             bad = sorted(set(int(l) for l in lengths[priors <= 0]))
             raise CorpusError("lengths with zero prior probability: %s" % bad)
-        return np.log(priors) + self.log_weight_batch(sentences) - self.zeta[lengths - 1]
+        # scored before the log-priors are made, so they are not alive meanwhile
+        return self.log_weight_batch(sentences) + np.log(priors) - self.zeta[lengths - 1]
 
     def save(self, path):
         manifest = {

@@ -24,6 +24,11 @@ into a work array made once per layer, and a backward layer writes its
 gate gradients over the gates and its input gradient over its output
 gradient, so the worker adds only its own BLAS buffer, thread and small
 heap (see README.md). A backward pass thus uses its forward cache up.
+
+Scoring runs the same recurrence forward-only, keeping only each layer's
+hidden states; layer 0 may gather each step's input gates from a per-call
+(V, 4d) table, emb @ W, whose rows are the same GEMM rows, so potentials
+are bit-identical to the cached pass.
 """
 
 from __future__ import annotations
@@ -54,19 +59,24 @@ class NeuralError(ValueError):
 def _sigmoid(x, out=None, work=None):
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows.
 
-    The result goes to out if given, which may be x itself. work, if given,
-    is a 1-d float array of at least 2 * x.size elements that holds the
-    intermediates in place of new arrays."""
-    if work is None:
-        work = np.empty(2 * x.size)
+    The result goes to out if given, which may be x itself, and which holds
+    the denominator until then. work, if given, is a 1-d float array of at
+    least x.size elements that holds the numerator in place of a new array.
+    numpy runs an operation on a strided view (the cell's gate columns)
+    through a buffer of up to 8192 elements per strided operand; here each
+    operation has at most one."""
+    out = np.empty(x.shape) if out is None else out
+    work = np.empty(x.size) if work is None else work
     e = work[: x.size].reshape(x.shape)
-    den = work[x.size : 2 * x.size].reshape(x.shape)
+    pos = x >= 0  # read before out, which may be x, is written
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.add(1.0, e, out=den)
-    np.copyto(e, 1.0, where=x >= 0)
-    return np.divide(e, den, out=out)
+    den = np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=pos)
+    np.divide(e, den, out=e)
+    out[...] = e
+    return out
 
 
 def init_phi_params(V, d, n_layers=1, seed=0):
@@ -100,13 +110,13 @@ def lstm_cell(a, h, c, U, b, out=None):
 
     a holds x @ W for the batch and is overwritten with the gate
     activations; returns the new hidden and cell states. out, if given, is
-    (h_new, c_new, work): the states are written into h_new and c_new, and
-    work, a 1-d float array of at least 6 * len(a) * d elements, holds the
-    step's intermediates, so that the step makes no new array the size of
-    its rows.
+    (h_new, c_new, work): the states are written into h_new and c_new, which
+    may be h and c, and work, a 1-d float array of at least 4 * len(a) * d
+    elements, holds the step's intermediates, so that the step makes no new
+    array the size of its rows.
     """
     k, d = h.shape
-    h_new, c_new, work = out or (np.empty((k, d)), np.empty((k, d)), np.empty(6 * k * d))
+    h_new, c_new, work = out or (np.empty((k, d)), np.empty((k, d)), np.empty(4 * k * d))
     a += np.matmul(h, U, out=work[: 4 * k * d].reshape(k, 4 * d))
     a += b
     _sigmoid(a[:, : 3 * d], out=a[:, : 3 * d], work=work)
@@ -119,7 +129,7 @@ def lstm_cell(a, h, c, U, b, out=None):
     return h_new, c_new
 
 
-def lstm_forward(x, n, W, U, b, out=None):
+def lstm_forward(x, n, W, U, b, out=None, forward_only=False):
     """Run a gated recurrent layer over x (T, B, d), as wide as the layer,
     where only the rows [:n[t]] are alive at step t.
 
@@ -127,35 +137,52 @@ def lstm_forward(x, n, W, U, b, out=None):
     non-increasing for sentences sorted longest first and non-decreasing
     for the same batch read backwards. A row keeps its state (zero before
     its first step) while it is not alive. Returns the hidden states
-    (T, B, d), zero wherever a row is not alive, and the reverse-mode cache.
+    (T, B, d), zero wherever a row is not alive, and the reverse-mode cache,
+    or None when forward_only: then the cell state lives in one (B, d) row,
+    which each step updates in place, and only the hidden states are kept.
+
+    x may instead be (T, B) word ids, with W a per-word table of input
+    gates (input_tables): the rows W[x[t, :n[t]]] are then step t's input
+    gates, gathered into a (B, 4d) work array, in place of the rows of x @ W.
+    The ids are not checked; an id past the table's end reads its last row.
     out, if given, holds the arrays forward_arrays makes, to be used in
     place of new ones.
     """
-    T, B, _ = x.shape
+    T, B = x.shape[:2]
     d = U.shape[0]
-    gates, hs, cs, work = out or forward_arrays(n, B, d)
-    # x @ W at every live position as one GEMM, in step order, so the rows
-    # of step t are gates[off[t]:off[t + 1]]; each step adds h @ U, then b.
-    # The GEMM's operand, x[real], is gathered into cs, zeroed again after
-    operand = _gather(x, n, cs.reshape(T * B, d))
-    np.matmul(operand, W, out=gates)
-    operand.fill(0.0)
+    gates, hs, cs, work = out or forward_arrays(n, B, d, forward_only, x.ndim == 2)
     off = np.concatenate([[0], np.cumsum(n)])
-    zero = np.zeros((B, d))
+    if x.ndim == 3:
+        # x @ W at every live position as one GEMM, in step order, so the rows
+        # of step t are gates[off[t]:off[t + 1]]; each step adds h @ U, then b.
+        # The GEMM's operand, x[real], is gathered into hs, zeroed again after
+        operand = _gather(x, n, hs.reshape(T * B, d))
+        np.matmul(operand, W, out=gates)
+        operand.fill(0.0)
     for t in range(T):
         k = n[t]
-        h, c = (hs[t - 1, :k], cs[t - 1, :k]) if t else (zero[:k], zero[:k])
-        lstm_cell(gates[off[t] : off[t + 1]], h, c, U, b, out=(hs[t, :k], cs[t, :k], work))
+        # at t = 0 the states read are hs[-1] and cs[-1], still zero; the
+        # cell reads h and c before it writes, so they may be the ones it writes
+        h, c = hs[t - 1, :k], cs[(t - 1) % len(cs), :k]
+        a = (gates[off[t] : off[t + 1]] if x.ndim == 3
+             else np.take(W, x[t, :k], axis=0, out=gates[:k], mode="clip"))
+        lstm_cell(a, h, c, U, b, out=(hs[t, :k], cs[t % len(cs), :k], work))
+    if forward_only:
+        return hs, None
     cache = {"x": x, "n": n, "off": off, "W": W, "U": U}
     cache.update(gates=gates, hs=hs, cs=cs)
     return hs, cache
 
 
-def forward_arrays(n, B, d):
-    """New arrays for lstm_forward: gates (real tokens, 4d), zeroed hs and
-    cs (T, B, d), and the cell's work array."""
+def forward_arrays(n, B, d, forward_only=False, table=False):
+    """New arrays for lstm_forward: the input gates, zeroed hs (T, B, d),
+    zeroed cs, and the cell's work array. The gates are (real tokens, 4d),
+    or (B, 4d) step rows when they come from a table; cs is (T, B, d), or
+    one (1, B, d) row when forward_only."""
     T, N = len(n), int(n.sum())
-    return np.empty((N, 4 * d)), np.zeros((T, B, d)), np.zeros((T, B, d)), np.empty(6 * B * d)
+    gates = np.empty((B if table else N, 4 * d))
+    cs = np.zeros((1 if forward_only else T, B, d))
+    return gates, np.zeros((T, B, d)), cs, np.empty(4 * B * d)
 
 
 def lstm_backward(cache, dhs, dx=None):
@@ -333,8 +360,27 @@ def _layer(params, direction, layer):
     return params[pre + "W"], params[pre + "U"], params[pre + "b"]
 
 
-def phi_forward_batch(sentences, params):
-    """Potential values for a batch of sentences plus the reverse-mode cache."""
+def input_tables(params):
+    """(fwd, bwd): layer 0's input gates for every word, emb @ W, one (V, 4d)
+    GEMM each, so a row equals that word's row of any x @ W of two rows or
+    more (a one-row product runs through gemv, so V must be 2 or more)."""
+    emb = params["emb"]
+    V, d = emb.shape
+    bwd, fwd = overlap(
+        functools.partial(np.matmul, emb, params["bwd0_W"]),
+        functools.partial(np.matmul, emb, params["fwd0_W"]),
+        V * d * d >= CONCURRENT_WORK,
+        lambda: {"out": np.empty((V, 4 * d))},
+    )
+    return fwd, bwd
+
+
+def phi_forward_batch(sentences, params, forward_only=False, tables=None):
+    """Potential values for a batch of sentences plus the reverse-mode cache.
+
+    When forward_only, the cache is None, and layer 0 takes its input gates
+    from tables, input_tables(params), if given (a backward pass needs
+    x @ W); the values are the same."""
     if not sentences:
         return np.zeros(0), None
     n_layers = n_layers_of(params)
@@ -347,11 +393,15 @@ def phi_forward_batch(sentences, params):
     hf, hb, nb = e, e[::-1], n[::-1]
     caches = {"fwd": [], "bwd": []}
     for layer in range(n_layers):
+        (Wf, Uf, bf), (Wb, Ub, bb) = _layer(params, "fwd", layer), _layer(params, "bwd", layer)
+        table = forward_only and layer == 0 and tables is not None
+        if table:
+            (hf, Wf), (hb, Wb) = (ids, tables[0]), (ids[::-1], tables[1])
         (hb, cb), (hf, cf) = overlap(
-            functools.partial(lstm_forward, hb, nb, *_layer(params, "bwd", layer)),
-            functools.partial(lstm_forward, hf, n, *_layer(params, "fwd", layer)),
+            functools.partial(lstm_forward, hb, nb, Wb, Ub, bb, forward_only=forward_only),
+            functools.partial(lstm_forward, hf, n, Wf, Uf, bf, forward_only=forward_only),
             _work(n, d) >= CONCURRENT_WORK,
-            lambda: {"out": forward_arrays(nb, B, d)},
+            lambda: {"out": forward_arrays(nb, B, d, forward_only, table)},
         )
         caches["fwd"].append(cf)
         caches["bwd"].append(cb)
@@ -365,6 +415,8 @@ def phi_forward_batch(sentences, params):
         vals += np.einsum("tbd,tbd->b", hb[1:], e[:-1])
     out = np.empty(B)
     out[order] = vals
+    if forward_only:
+        return out, None
     cache = {
         "ids": ids,
         "real": real,

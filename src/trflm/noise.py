@@ -37,10 +37,10 @@ BLOCK = 64  # words per block of the sampler's two-level search of the CDF
 #   but R sets the GEMM shapes and how a draw splits between two threads: the d=16
 #   acceptance setting's 200 chains stay one block, as they were one draw before,
 #   and the paper setting's 900 make four.
-# - model.SCORE_FLOATS (32 MiB) bounds all that a chunk of TRF scoring keeps alive,
-#   and its size sets the GEMM shapes, so it is large: a whole d=16 DNCE step is one
-#   chunk. trainer.noise_phase holds the noise phase's V-wide arrays on two threads
-#   to it as well.
+# - model.SCORE_FLOATS (32 MiB) bounds a TRF gradient chunk's forward cache (scoring
+#   keeps less), and its size sets the GEMM shapes, so it is large: a whole d=16 DNCE
+#   step is one chunk. Scoring's input tables and trainer.noise_phase's V-wide arrays
+#   on two threads are held to it as well.
 SOFTMAX_FLOATS = 2**17  # floats in a block of rows of the KL step's log-softmax
 SAMPLE_FLOATS = 2**19  # floats in each of a sampler block's two work arrays
 

@@ -1,5 +1,6 @@
 import math
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_chunked_log_weight_batch_equals_one_potential_batch(data):
     per_token = 16 * (d if kind != "discrete" else 1)
     chunks = []
     potential_batch = model.potential_batch
-    model.potential_batch = lambda batch: chunks.append(batch) or potential_batch(batch)
+    # the per-chunk call of log_weight_batch, which scores forward-only
+    model.potential_batch = lambda batch, **kw: chunks.append(batch) or potential_batch(batch, **kw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_mod, "SCORE_FLOATS", budget * per_token)
         got = model.log_weight_batch(sents)
@@ -129,7 +131,7 @@ def test_chunked_log_weight_batch_covers_each_chunk_shape(monkeypatch):
     per_token = 16 * 2
     calls = []
     monkeypatch.setattr(
-        m, "potential_batch", lambda b: calls.append(b) or TrfModel.potential_batch(m, b)
+        m, "potential_batch", lambda b, **kw: calls.append(b) or TrfModel.potential_batch(m, b, **kw)
     )
     # lengths 1,1,1,1,2,2,2,2,3,3,3,3: every sentence alone, most over the
     # budget; pairs, then single sentences over it; several; all in one
@@ -140,6 +142,64 @@ def test_chunked_log_weight_batch_covers_each_chunk_shape(monkeypatch):
         assert len(calls) == n_chunks, budget
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert got.tobytes() == want.tobytes()
+
+
+def test_scoring_builds_input_tables_only_for_calls_with_v_tokens_that_fit(monkeypatch):
+    m = _mixed_model(V=3, L=3, d=2, seed=8)
+    built = []
+    input_tables = neural.input_tables
+    monkeypatch.setattr(neural, "input_tables", lambda p: built.append(p) or input_tables(p))
+
+    def built_for(sents, model=m):
+        built.clear()
+        got = model.log_weight_batch(sents)
+        assert got.tobytes() == model.potential_batch(sents)[0].tobytes()
+        return len(built)
+
+    # one word: the table would be a one-row (gemv) product
+    phi = {k: np.random.default_rng(8).uniform(-1, 1, v.shape) for k, v in neural.init_phi_params(1, 4).items()}
+    one = TrfModel(_vocab(1), LengthPrior(np.full(3, 1 / 3)), zeta_init(1, 3), phi_params=phi)
+    assert built_for([(0, 0, 0), (0, 0)], one) == 0
+
+    # the paper setting's V = 1998 at d = 200 fits; the CLI default V = 10000 does not
+    assert 8 * 1998 * 200 <= model_mod.SCORE_FLOATS < 8 * 10000 * 200
+    assert built_for([(1,), (2,)]) == 0  # 2 real tokens, V = 3
+    assert built_for([(1, 2), (0,)]) == 1
+    # both tables, 8 V d floats, must fit in SCORE_FLOATS
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", 8 * 3 * 2)
+    assert built_for([(1, 2), (0,)]) == 1
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", 8 * 3 * 2 - 1)
+    assert built_for([(1, 2), (0,)]) == 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_only_scoring_peak_falls_and_stays_within_the_budget(monkeypatch):
+    # one layer, as the CLI default; V = 1000 at d = 16: the tables (8 V d
+    # floats) do not fit, so layer 0 takes its gates from x @ W
+    V, L, d, budget = 1000, 12, 16, 400
+    rng = np.random.default_rng(12)
+    phi = neural.init_phi_params(V, d, seed=12)
+    m = TrfModel(_vocab(V), LengthPrior(np.full(L, 1.0 / L)), zeta_init(V, L), phi_params=phi)
+    sents = helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=300))
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", budget * 16 * d)
+    assert 8 * V * d > model_mod.SCORE_FLOATS and sum(map(len, sents)) >= V
+
+    def cached():  # the path gradient takes: each chunk's forward cache, then dropped
+        for idx in m.chunks(sents):
+            m.potential_batch([sents[j] for j in idx])
+
+    m.log_weight_batch(sents)  # warm up lazily allocated state
+    forward_only, with_cache = _traced_peak(lambda: m.log_weight_batch(sents)), _traced_peak(cached)
+    assert forward_only < 0.75 * with_cache, (forward_only, with_cache)
+    assert forward_only <= 8 * model_mod.SCORE_FLOATS, forward_only
 
 
 def test_log_prob_with_oracle_zeta_normalizes_jointly():

@@ -336,6 +336,64 @@ def test_concurrent_directions_bit_identical_to_serial(n_layers, d, lengths, see
     assert concurrent[:2] == serial[:2]
 
 
+# Scoring runs forward-only: no reverse-mode cache, and layer 0's input gates
+# from per-call tables when given. overlap runs the bwd direction on the
+# worker, with arrays made here, or serially (a BLAS of two threads), where
+# lstm_forward makes its own.
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_layers=st.integers(1, 2),
+    d=st.integers(1, 6),
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=9),
+    tables=st.booleans(),
+    concurrent=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n_layers=1, d=3, lengths=[1], tables=True, concurrent=False, seed=0)  # B = T = 1
+@example(n_layers=1, d=3, lengths=[1], tables=True, concurrent=True, seed=0)
+@example(n_layers=2, d=2, lengths=[4], tables=True, concurrent=True, seed=1)  # B = 1
+@example(n_layers=2, d=2, lengths=[4], tables=True, concurrent=False, seed=1)
+@example(n_layers=1, d=4, lengths=[6, 1, 1], tables=True, concurrent=False, seed=2)  # one live row
+@example(n_layers=2, d=4, lengths=[6, 2, 1], tables=False, concurrent=True, seed=3)
+def test_forward_only_potentials_bit_identical_to_cached(
+    n_layers, d, lengths, tables, concurrent, seed
+):
+    rng = np.random.default_rng(seed)
+    params = _random_params(9, d, n_layers=n_layers, seed=seed)
+    sents = helpers.shuffled_batch(rng, 9, lengths)
+    want, _ = neural.phi_forward_batch(sents, params)
+    caller, elsewhere = threading.current_thread(), []
+    forward = neural.lstm_forward
+
+    def noted(*args, **kwargs):
+        elsewhere.append(threading.current_thread() is not caller)
+        return forward(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neural, "CONCURRENT_WORK", 0)
+        mp.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(neural, "_blas_threads", lambda: 1 if concurrent else 2)
+        mp.setattr(neural, "lstm_forward", noted)
+        made = neural.input_tables(params) if tables else None
+        got, cache = neural.phi_forward_batch(sents, params, True, made)
+    assert cache is None
+    assert any(elsewhere) is concurrent
+    assert got.tobytes() == want.tobytes()
+
+
+def test_input_table_rows_equal_the_rows_of_x_at_w():
+    # a GEMM row is the same at any row count from two up; one row runs through gemv
+    rng = np.random.default_rng(31)
+    params = _random_params(40, 8, seed=31)
+    fwd, bwd = neural.input_tables(params)
+    ids = rng.integers(0, 40, 7)
+    for table, W in ((fwd, params["fwd0_W"]), (bwd, params["bwd0_W"])):
+        assert table.shape == (40, 32)
+        assert table[ids].tobytes() == (params["emb"][ids] @ W).tobytes()
+
+
 def _worker_failure(params, sents, call):
     """The exception call(params, sents) raises on the serial and on the
     concurrent path, as (type, message) each."""
