@@ -25,7 +25,11 @@ row raises it is where the peak was reached.
   (trainer.noise_phase) is one ``sample`` call, which brackets the whole
   draw; the KL step runs inside it, after every block of the draw or while
   the worker thread steps blocks, so the ``noise_train_step`` row nests in
-  the ``sample`` row.
+  the ``sample`` row. A second table has one row per DNCE step, from
+  train()'s ``on_step`` callback: VmHWM, VmRSS and minor faults after the
+  step, D's tokens, and the mean P(C=0|x) over D, B1 and B2 from the step's
+  record. A mean on the noise draws (B1, B2) near 1/(1+nu) says that the
+  classifier cannot tell the noise from the data.
 - ``score``: the benchmark's scoring run for ``--seconds``. The phases are
   the set-up (``load_corpus``, ``seeded_paper_model``, ``save``, then the
   five timed ``TrfModel.load`` calls), each perplexity window
@@ -103,7 +107,14 @@ def wrap(fn, name, rows):
     return measured
 
 
-def run_dnce(bench, workload, seed):
+def step_row(step, record):
+    """(step, VmHWM, VmRSS, minor faults, D's tokens, mean P(C=0|x) on D,
+    B1 and B2) of one DNCE step's record."""
+    p0, d, mix = record.p0, record.d, record.d + record.b1
+    return (step, *reading(), record.d_tokens, p0[:d].mean(), p0[d:mix].mean(), p0[mix:].mean())
+
+
+def run_dnce(bench, workload, seed, steps):
     spec = bench.DNCE[workload]
     c = bench.load_corpus(spec.shape)
     model, noise = bench.dnce_models(c, spec.shape, seed)
@@ -112,7 +123,8 @@ def run_dnce(bench, workload, seed):
     def work():
         bench.ppl_window(model, c.dev, bench.PPL_REPS[workload], [])
         bench.trainer_mod.train(
-            cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps
+            cfg, c.train, c.dev, model, noise, log_sink=io.StringIO(), max_steps=spec.steps,
+            on_step=lambda step, record: steps.append(step_row(step, record)),
         )
         bench.ppl_window(model, c.dev, bench.PPL_REPS[workload], [])
 
@@ -131,12 +143,13 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import bench
 
+    steps = []
     if args.workload == "score":
         bench.OUT.mkdir(exist_ok=True)
         work = lambda: bench.run_score(args.workload, args.seed, args.seconds, bench.Session(None))
         phases = PHASES["score"]
     else:
-        work = run_dnce(bench, args.workload, args.seed)
+        work = run_dnce(bench, args.workload, args.seed, steps)
         phases = PHASES["dnce"]
     first = status_mb()[0]
     rows = []
@@ -161,6 +174,10 @@ def main(argv=None):
     for name, calls, hwm0, rss0, flt0, hwm1, rss1, flt1 in rows:
         print("%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d"
               % (name, calls, hwm0, hwm1, rss0, rss1, flt0, flt1))
+    if steps:
+        print("step\tVmHWM\tVmRSS\tminflt\tD_tokens\tp0_D\tp0_B1\tp0_B2\t(after the step)")
+        for row in steps:
+            print("%d\t%.1f\t%.1f\t%d\t%d\t%.4f\t%.4f\t%.4f" % row)
     print("VmHWM before the first phase %.1f MB, at the end %.1f MB" % (first, status_mb()[0]))
     return 0
 

@@ -22,7 +22,7 @@ from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 
 _PHI = "phi."  # name prefix of the neural potential's arrays in params()
 _KEYS = "keys."  # "keys.<template id>": that template's feature keys, one row each
-# forward cache a gradient chunk may keep, at 16 d floats a token; scoring cuts the
+# forward cache a gradient chunk may keep, at 16 d floats a token and layer; scoring cuts the
 # same chunks but keeps no cache, and its two input tables must fit in it too
 SCORE_FLOATS = 2**22
 
@@ -109,10 +109,12 @@ class TrfModel:
 
     def chunks(self, sentences):
         """Index arrays, each in input order, of length-sorted chunks of up to SCORE_FLOATS // 16 d
-        real tokens (d = 1 without phi) or of one longer sentence, for potential_batch. 16 d
-        floats a token sizes a gradient chunk's forward cache; a scoring chunk keeps far less."""
+        real tokens (d = hidden size times layers, 1 without phi) or of one longer sentence, for
+        potential_batch. 16 d floats a token sizes a gradient chunk's forward cache; a scoring
+        chunk keeps far less."""
         lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
-        d = self.phi_params["emb"].shape[1] if self.has_neural else 1
+        phi = self.phi_params
+        d = phi["emb"].shape[1] * neural.n_layers_of(phi) if self.has_neural else 1
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(lengths[order])
         del lengths  # not kept while the chunks are used: a chunk starts where the last ended
@@ -179,7 +181,9 @@ class TrfModel:
     def log_prob(self, sentence) -> float:
         return float(self.log_prob_batch([sentence])[0])
 
-    def log_prob_batch(self, sentences) -> np.ndarray:
+    def check_lengths(self, sentences):
+        """Raise CorpusError unless every sentence has a length in
+        1..max_length with a nonzero prior; returns (lengths, their priors)."""
         lengths = np.array([len(s) for s in sentences], dtype=np.int64)
         if (lengths < 1).any() or (lengths > self.max_length).any():
             bad = sorted(set(int(l) for l in lengths if not 1 <= l <= self.max_length))
@@ -188,6 +192,10 @@ class TrfModel:
         if (priors <= 0).any():
             bad = sorted(set(int(l) for l in lengths[priors <= 0]))
             raise CorpusError("lengths with zero prior probability: %s" % bad)
+        return lengths, priors
+
+    def log_prob_batch(self, sentences) -> np.ndarray:
+        lengths, priors = self.check_lengths(sentences)
         # scored before the log-priors are made, so they are not alive meanwhile
         return self.log_weight_batch(sentences) + np.log(priors) - self.zeta[lengths - 1]
 

@@ -95,7 +95,7 @@ def posterior_c0(score_m, log_p_ar, nu):
     return np.exp(-np.logaddexp(0.0, -delta))
 
 
-def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
+def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu, p0=None) -> dict:
     """Stochastic ascent gradient on the discrimination objective, keyed
     like model.params().
 
@@ -103,7 +103,8 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     and B2 in that order, as noise_train_step and noise.sample return
     them; the objective reads the noise LM through these alone.
     model.gradient sums the step with weights +P(C=1) on D u B1 and
-    -P(C=0) on B2, everything scaled by alpha/|D|.
+    -P(C=0) on B2, everything scaled by alpha/|D|. p0, if given, receives
+    P(C=0|x) of every sentence, in the order of log_p_noise.
     """
     if not D:
         raise TrainerError("empty data minibatch")
@@ -113,8 +114,10 @@ def grad_estimate(model, D, B1, B2, log_p_noise, alpha, nu) -> dict:
     scale = alpha / len(D)
 
     def weigh(idx, score_m):
-        p0 = posterior_c0(score_m, log_p_noise[idx], nu)
-        return np.where(idx < n_mix, scale * (1.0 - p0), -scale * p0)
+        p = posterior_c0(score_m, log_p_noise[idx], nu)
+        if p0 is not None:
+            p0[idx] = p
+        return np.where(idx < n_mix, scale * (1.0 - p), -scale * p)
 
     return model.gradient(list(D) + list(B1) + list(B2), weigh)
 
@@ -123,17 +126,9 @@ def noise_phase(noise, D, count, lr, rng):
     """Draw `count` noise sentences and take the noise LM's KL step on D,
     both under the noise parameters from before the step; returns
     (log_p_d, drawn, log_p_drawn), D's word-sequence log-probabilities from
-    the KL step and the draws with theirs.
-
-    The draw is one noise_mod.sample call, and the step runs within it: its
-    runner runs the draw's blocks and the step through neural.overlap,
-    every block, then the step; or, when the V-wide arrays of both threads
-    (two blocks' two (R, V) work arrays and the step's (N, V) logits for N
-    tokens of D) fit in model.SCORE_FLOATS, the worker thread steps blocks
-    while this thread takes the step and then steps the blocks that are
-    left. Both threads then draw from copies of the parameters made here
-    before the step, and the rng is read before either starts, so the
-    results are bit-identical either way.
+    the KL step and the draws with theirs. The step runs within the one
+    noise_mod.sample call, concurrently with the draw where neural.overlap
+    allows (README); the results are bit-identical on either path.
     """
     log_p_d = []  # the step's return value
 
@@ -185,6 +180,41 @@ def dev_log_likelihood(model, dev_sentences) -> float:
     halving schedule and for reporting.
     """
     return float(model.log_prob_batch(dev_sentences).mean())
+
+
+@dataclass
+class StepRecord:
+    """What one dnce_step computed: the sizes of D, B1 and B2, D's token
+    count, and the noise log-probabilities and P(C=0|x) of D, B1 and B2,
+    in that order."""
+
+    d: int
+    b1: int
+    b2: int
+    d_tokens: int
+    log_p_noise: np.ndarray
+    p0: np.ndarray
+
+
+def dnce_step(model, noise, D, config, rng, adam, lrs) -> StepRecord:
+    """One DNCE step on the data minibatch D (Wang & Ou, arXiv:1807.00993).
+
+    Draw B1 and B2 from the noise LM and take its KL step on D, both under
+    the noise parameters from before the step (noise_phase). The KL step
+    returns D's noise log-probabilities from its own forward pass, under
+    the parameters the draws used, so the gradient is the one that scoring
+    D before the KL step gives. Then one Adam ascent step on lambda, theta
+    and zeta at the learning rates lrs, keyed like model.params().
+    """
+    b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
+    log_p_d, drawn, log_p_drawn = noise_phase(noise, D, b1 + b2, config.lr_noise, rng)
+    log_p_noise = np.concatenate([log_p_d, log_p_drawn])
+    p0 = np.empty(len(log_p_noise))
+    grads = grad_estimate(
+        model, D, drawn[:b1], drawn[b1:], log_p_noise, config.alpha, config.nu, p0
+    )
+    adam.step(model.params(), grads, lrs)
+    return StepRecord(len(D), b1, b2, sum(map(len, D)), log_p_noise, p0)
 
 
 @dataclass
@@ -273,21 +303,19 @@ def train(
     checkpoint_path=None,
     resume=False,
     max_steps=None,
+    on_step=None,
 ):
     """Run DNCE until the schedule stops it; returns (model, TrainState).
 
-    Per step: draw D by shuffled epoch traversal; sample B1 and B2 from
-    the noise model and take one KL step on the noise model on D, both
-    under the noise parameters from before the step (noise_phase, which
-    runs the two concurrently where it can); then the Adam ascent updates
-    to lambda, theta and zeta. The KL step returns D's noise
-    log-probabilities from its own forward pass, under the parameters the
-    draws used, so the gradient is the one that scoring D before the KL
-    step gives. Per epoch: evaluate the dev surrogate,
-    apply the halving schedule, and checkpoint if a path is given.
+    Per step: draw D by shuffled epoch traversal, then dnce_step; on_step,
+    if given, is called with the step's number (counted across a resume)
+    and its StepRecord. Per epoch: evaluate the dev surrogate, apply the
+    halving schedule, and checkpoint if a path is given.
     """
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
+    model.check_lengths(train_sentences)
+    model.check_lengths(dev_sentences)
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
     state, avg_sums, avg_n = TrainState(), {}, 0
@@ -325,18 +353,14 @@ def train(
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
-            b1, b2 = minibatch_sizes(config.alpha, config.nu, len(D))
-            log_p_d, drawn, log_p_drawn = noise_phase(noise, D, b1 + b2, config.lr_noise, rng)
-            log_p_noise = np.concatenate([log_p_d, log_p_drawn])
-            grads = grad_estimate(
-                model, D, drawn[:b1], drawn[b1:], log_p_noise, config.alpha, config.nu
-            )
-            adam.step(params, grads, lrs)
+            record = dnce_step(model, noise, D, config, rng, adam, lrs)
             step_count += 1
             if config.average_tail > 0 and step_count > avg_start:
                 for key, value in params.items():
                     avg_sums[key] = avg_sums[key] + value if avg_n else value.copy()
                 avg_n += 1
+            if on_step is not None:
+                on_step(step_count, record)
             if max_steps is not None and step_count >= max_steps:
                 break
         state.epoch += 1

@@ -202,6 +202,22 @@ def test_forward_only_scoring_peak_falls_and_stays_within_the_budget(monkeypatch
     assert forward_only <= 8 * model_mod.SCORE_FLOATS, forward_only
 
 
+def test_two_layer_gradient_peak_is_no_higher_than_one_layer(monkeypatch):
+    # a chunk's forward cache grows with the layers, so the budget counts them
+    V, L, d, budget = 1000, 12, 16, 400
+    rng = np.random.default_rng(13)
+    sents = helpers.shuffled_batch(rng, V, rng.integers(1, L + 1, size=300))
+    monkeypatch.setattr(model_mod, "SCORE_FLOATS", budget * 16 * d)
+    weigh = lambda idx, score: np.ones(len(idx))
+    peaks = []
+    for n_layers in (1, 2):
+        phi = neural.init_phi_params(V, d, n_layers=n_layers, seed=13)
+        m = TrfModel(_vocab(V), LengthPrior(np.full(L, 1.0 / L)), zeta_init(V, L), phi_params=phi)
+        m.gradient(sents, weigh)  # warm up lazily allocated state
+        peaks.append(_traced_peak(lambda: m.gradient(sents, weigh)))
+    assert peaks[1] <= peaks[0], peaks
+
+
 def test_log_prob_with_oracle_zeta_normalizes_jointly():
     m = _mixed_model(seed=3)
     space = oracle.EnumSpace(3, 3)

@@ -13,7 +13,7 @@ from trflm import features as feats
 from trflm import model as model_mod
 from trflm import noise as noise_mod
 from trflm import neural, oracle, trainer
-from trflm.corpus import ClassMap, LengthPrior, Vocabulary, length_prior
+from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary, length_prior
 from trflm.model import TrfModel, zeta_init
 
 import helpers
@@ -824,3 +824,120 @@ def test_train_calls_the_noise_module_once_per_step_positionally(monkeypatch, co
     assert [len(args[1]) for args, _ in steps] == [10, 10, 5, 10, 10]  # 25 sentences an epoch
     assert all(t is threading.current_thread() for t in samples)
     assert schedule.kept(5)
+
+
+# dnce_step's record holds values the step computed anyway; train hands it
+# to on_step after each step.
+
+
+@pytest.mark.parametrize("mode", ["discrete", "neural", "mixed"])
+@pytest.mark.parametrize("budget", [None, 6, 2])
+def test_dnce_step_records_the_noise_scores_and_posteriors_it_used(monkeypatch, mode, budget):
+    # budget: real tokens a chunk, or the default (one chunk); at 6 the
+    # scoring call still makes its input tables (8 V d floats), at 2 not
+    rng = np.random.default_rng(23)
+    V, L, d = 12, 5, 4
+    data = _small_corpus(rng, V, L, 30)
+    model = _step_model(mode, rng, V, L, d, data)
+    noise = noise_mod.init_noise_model(V, 4, length_prior(data, L), seed=2)
+    if budget is not None:
+        monkeypatch.setattr(model_mod, "SCORE_FLOATS", budget * 16 * (d if mode != "discrete" else 1))
+    cfg = trainer.DnceConfig(alpha=0.4, nu=1.5, lr_noise=0.3)
+    D = data[:10]
+    model0, noise0 = copy.deepcopy(model), copy.deepcopy(noise)
+    step_rng = np.random.default_rng(8)
+    rng0 = copy.deepcopy(step_rng)
+    lrs = model.named(cfg.lr_zeta, cfg.lr_lambda, cfg.lr_theta)
+    record = trainer.dnce_step(model, noise, D, cfg, step_rng, trainer.AdamState(), lrs)
+
+    b1, b2 = trainer.minibatch_sizes(cfg.alpha, cfg.nu, len(D))
+    assert (record.d, record.b1, record.b2) == (len(D), b1, b2)
+    assert record.d_tokens == sum(map(len, D))
+    log_p_d, drawn, log_p_drawn = trainer.noise_phase(noise0, D, b1 + b2, cfg.lr_noise, rng0)
+    assert record.log_p_noise.tobytes() == np.concatenate([log_p_d, log_p_drawn]).tobytes()
+    sents = D + drawn
+    lengths = np.array([len(s) for s in sents])
+    score = model0.log_weight_batch(sents) - model0.zeta[lengths - 1]
+    want = trainer.posterior_c0(score, record.log_p_noise, cfg.nu)
+    assert record.p0.tobytes() == want.tobytes()
+    assert any(model.params()[k].tobytes() != v.tobytes() for k, v in model0.params().items())
+
+
+def test_on_step_numbers_the_steps_across_epochs_and_a_resume(tmp_path):
+    data, cfg, fresh = _resume_setup(9)  # 3 steps an epoch, 4 epochs
+    steps = []
+
+    def on_step(step, record):
+        steps.append(step)
+        assert record.d == 10 and len(record.p0) == len(record.log_p_noise) == 10 + 10 + 20
+
+    m, n = fresh()
+    trainer.train(copy.deepcopy(cfg), data, data[:10], m, n, on_step=on_step)
+    assert steps == list(range(1, 13))
+    ckpt = tmp_path / "ckpt"
+    m, n = fresh()
+    steps.clear()
+    with pytest.raises(_Interrupt):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], m, n,
+            log_sink=_InterruptAtEpoch(3), checkpoint_path=ckpt, on_step=on_step,
+        )
+    assert steps == list(range(1, 10))
+    steps.clear()
+    trainer.train(
+        copy.deepcopy(cfg), data, data[:10], m, n, checkpoint_path=ckpt, resume=True,
+        on_step=on_step,
+    )
+    assert steps == list(range(7, 13))
+
+
+def test_on_step_leaves_training_bit_identical():
+    rng = np.random.default_rng(31)
+    V, L = 10, 5
+    data = _small_corpus(rng, V, L, 35)
+    prior = length_prior(data, L)
+    index = feats.build_feature_index(data, feats.compile_templates("w:2"), "00")
+    cfg = trainer.DnceConfig(alpha=0.5, nu=1.0, batch_size=10, lr_noise=0.3, max_epochs=2,
+                             seed=4, schedule="per-epoch-halving")
+
+    def run(on_step):
+        model = TrfModel(_vocab(V), prior, zeta_init(V, L), feature_index=index,
+                         lam=np.zeros(index.n_features), phi_params=neural.init_phi_params(V, 3))
+        noise = noise_mod.init_noise_model(V, 3, prior, seed=2)
+        _, state = trainer.train(copy.deepcopy(cfg), data, data[:10], model, noise,
+                                 on_step=on_step)
+        return (
+            [(k, v.tobytes()) for k, v in model.params().items()],
+            [(k, v.tobytes()) for k, v in noise.params.items()],
+            state.dev_history,
+        )
+
+    records = []
+    assert run(None) == run(lambda step, record: records.append(record))
+    assert len(records) == 8
+
+
+@pytest.mark.parametrize("case", ["long dev", "long train", "empty train", "zero-prior dev"])
+def test_train_refuses_sentences_it_cannot_score_before_its_first_step(monkeypatch, case):
+    rng = np.random.default_rng(3)
+    V, L = 4, 3
+    data = _small_corpus(rng, V, L, 40)
+    train, dev = [s for s in data if len(s) != 2], [s for s in data[:10] if len(s) != 2]
+    model = _discrete_model(V, L, length_prior(train, L), seed=1, lam_scale=0.5)
+    noise = noise_mod.init_noise_model(V, 3, model.prior, seed=2)
+    bad, message = {
+        "long dev": ((1,) * 4, "lengths outside 1..3: [4]"),
+        "long train": ((1,) * 4, "lengths outside 1..3: [4]"),
+        "empty train": ((), "lengths outside 1..3: [0]"),
+        "zero-prior dev": ((1, 2), "lengths with zero prior probability: [2]"),
+    }[case]
+    (dev if case.endswith("dev") else train).insert(5, bad)
+    steps = []
+    monkeypatch.setattr(noise_mod, "noise_train_step", lambda *args: steps.append(args))
+    before = [v.tobytes() for v in [*model.params().values(), *noise.params.values()]]
+    cfg = trainer.DnceConfig(alpha=0.5, nu=1.0, batch_size=10, max_epochs=2, seed=3,
+                             schedule="per-epoch-halving")
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        trainer.train(cfg, train, dev, model, noise)
+    assert steps == []
+    assert [v.tobytes() for v in [*model.params().values(), *noise.params.values()]] == before
