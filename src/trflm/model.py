@@ -31,6 +31,23 @@ class ModelError(ValueError):
     pass
 
 
+class _Entries(dict):
+    """A model file's manifest or arrays, whose missing entry raises
+    ModelError naming the file and the entry."""
+
+    def __init__(self, entries, path, what):
+        super().__init__(entries)
+        self.path, self.what = path, what
+
+    def __missing__(self, key):
+        raise ModelError("%s lacks the %s %r" % (self.path, self.what, key))
+
+
+def _read_model_file(path):
+    manifest, arrays = read_container(path)
+    return _Entries(manifest, path, "manifest key"), _Entries(arrays, path, "array")
+
+
 def _accumulate(total, g):
     """total + g added into total's arrays (g an array, or a dict of them
     keyed like total); g itself when total is None."""
@@ -228,7 +245,7 @@ class TrfModel:
 
     @classmethod
     def load(cls, path) -> "TrfModel":
-        manifest, arrays = read_container(path)
+        manifest, arrays = _read_model_file(path)
         if manifest.get("kind") != "trf-model":
             raise ModelError("%s is not a model file (kind=%r)" % (path, manifest.get("kind")))
         if "feature_keys" in manifest:
@@ -291,9 +308,9 @@ def save_noise_model(model, vocab: Vocabulary, path):
 def load_noise_model(path):
     from .noise import NoiseModel
 
-    manifest, arrays = read_container(path)
+    manifest, arrays = _read_model_file(path)
     if manifest.get("kind") != "noise-model":
         raise ModelError("%s is not a noise-model file" % path)
-    params = {k[len("mu."):]: v for k, v in arrays.items() if k.startswith("mu.")}
+    params = {k: arrays["mu." + k] for k in ("emb", "W", "U", "b", "Wo", "bo")}
     vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
     return NoiseModel(params, LengthPrior(arrays["pi"]), manifest["V"]), vocab

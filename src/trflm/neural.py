@@ -14,16 +14,16 @@ rounding.
 The two directions are independent. With a batch of at least
 CONCURRENT_WORK real tokens x d^2, the bwd direction of each layer runs on
 one persistent worker thread while the calling thread runs the fwd one
-(overlap, whose rule also asks for two allowed CPUs and a BLAS that runs
-one thread); numpy's array operations and BLAS release the interpreter
-lock, so the two overlap. Each direction does the operations it does
-alone, and the results are combined in the same fixed order (fwd, then
-bwd), so potentials and gradients are bit-identical either way. The
-worker's forward arrays are made on the calling thread, each step writes
-into a work array made once per layer, and a backward layer writes its
-gate gradients over the gates and its input gradient over its output
-gradient, so the worker adds only its own BLAS buffer, thread and small
-heap (see README.md). A backward pass thus uses its forward cache up.
+(overlap, whose rule also asks for two allowed CPUs and a BLAS whose thread
+count it can set, to one for the pair); numpy's array operations and BLAS
+release the interpreter lock, so the two overlap. Each direction does the
+operations it does alone, and the results are combined in the same fixed
+order (fwd, then bwd), so potentials and gradients are bit-identical
+either way. The worker's forward arrays are made on the calling thread,
+each step writes into a work array made once per layer, and a backward
+layer writes its gate gradients over the gates and its input gradient over
+its output gradient, so the worker adds only its own BLAS buffer, thread
+and small heap (see README.md). A backward pass thus uses its forward cache up.
 
 Scoring runs the same recurrence forward-only, keeping only each layer's
 hidden states; layer 0 may gather each step's input gates from a per-call
@@ -292,9 +292,9 @@ def _cpus():
 
 
 @functools.cache
-def _blas_getter():
-    """The thread-count call of the OpenBLAS bundled with numpy, with its
-    library, or None where there is none."""
+def _blas():
+    """(get, set): the calls that read and set the thread count of the
+    OpenBLAS bundled with numpy, or None where there are not both."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
         try:
@@ -304,16 +304,12 @@ def _blas_getter():
         for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                        "openblas_get_num_threads"):
             get = getattr(lib, symbol, None)
-            if get is not None:
+            put = getattr(lib, symbol.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
-                return lib, get
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
-
-
-def _blas_threads():
-    """Threads numpy's BLAS runs a product on, or None if that cannot be read."""
-    found = _blas_getter()
-    return None if found is None else found[1]()
 
 
 def _work(n, d):
@@ -332,27 +328,37 @@ def overlap(away, home, fits, away_arrays):
 
     They run one after the other on this thread, away first, unless all of
     these hold: fits (the caller's size rule for the pair), at least two
-    allowed CPUs, and a BLAS that runs one thread. A BLAS that runs more
-    already spreads each product over the CPUs, and two threads calling it
-    at once ran slower than one (three d = 200 steps at two BLAS threads
-    on 2 CPUs: 5.0-5.3 s concurrent against 4.1-4.5 s serial). Then away
-    runs on the worker thread while this one calls home, and away also
-    gets the keyword arguments away_arrays() returns: its large arrays,
-    made on this thread so that they come from the heap the rest of the
-    program uses, not from one the worker would grow and keep for itself.
+    allowed CPUs, and a BLAS whose thread count can be read and set. Then
+    away runs on the worker thread while this one calls home, both at one
+    BLAS thread: a count other than 1 is set to 1 for the pair and put back
+    once both calls are done, whether or not either raised, since two
+    threads each spreading their products over the CPUs would contend for
+    them. away also gets the keyword arguments away_arrays() returns: its
+    large arrays, made on this thread so that they come from the heap the
+    rest of the program uses, not from one the worker would grow and keep
+    for itself.
     """
     global _worker, _worker_pid
-    if not (fits and _cpus() >= 2 and _blas_threads() == 1):
+    blas = _blas() if fits and _cpus() >= 2 else None
+    if blas is None:
         return away(), home()
-    if _worker_pid != os.getpid():  # first use, or a forked child without the thread
-        _worker, _worker_pid = ThreadPoolExecutor(1, "trflm-worker"), os.getpid()
-    there = _worker.submit(away, **away_arrays())
+    get, put = blas
+    threads = get()
+    if threads != 1:
+        put(1)
     try:
-        here = home()
-    except BaseException:
-        there.exception()  # the worker is done with the shared arrays before this unwinds
-        raise
-    return there.result(), here
+        if _worker_pid != os.getpid():  # first use, or a forked child without the thread
+            _worker, _worker_pid = ThreadPoolExecutor(1, "trflm-worker"), os.getpid()
+        there = _worker.submit(away, **away_arrays())
+        try:
+            here = home()
+        except BaseException:
+            there.exception()  # the worker is done with the shared arrays before this unwinds
+            raise
+        return there.result(), here
+    finally:
+        if threads != 1:
+            put(threads)
 
 
 def _layer(params, direction, layer):

@@ -1,8 +1,7 @@
-"""The tests run with one BLAS thread, as the benchmark does: the
-concurrent paths of neural.overlap run only under a BLAS that runs one
-thread, and the tests that force those paths need them to exist. BLAS
-reads the setting once, when numpy is first imported, after this file is
-loaded."""
+"""The tests run with one BLAS thread, as the benchmark does, so that their
+times stay comparable between runs and hosts: OpenBLAS otherwise runs as
+many threads as it sees CPUs. BLAS reads the setting once, when numpy is
+first imported, after this file is loaded."""
 
 import os
 

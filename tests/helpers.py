@@ -679,3 +679,19 @@ def reference_dnce_steps(config, train_sentences, dev_sentences, model, noise_mo
         if len(history) % config.halve_every == 0:
             factor *= 0.5
     return history
+
+
+class FakeBlas:
+    """Stands in for the BLAS that neural.overlap reads and sets the thread
+    count of: install() puts its two calls in place of neural._blas()'s,
+    and each count it is set to is kept in sets."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def put(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(neural, "_blas", lambda: (lambda: self.threads, self.put))

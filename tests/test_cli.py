@@ -648,6 +648,35 @@ def test_ppl_refuses_model_with_json_feature_keys_exit_1(tmp_path, tiny_corpus, 
     assert "%s stores its feature keys as a JSON list" % model_out in capsys.readouterr().err
 
 
+def test_ppl_model_without_a_manifest_key_exit_1_names_file_and_key(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    del manifest["vocab"]
+    write_container(model_out, manifest, arrays)  # a valid checksum over it
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s lacks the manifest key 'vocab'" % model_out in capsys.readouterr().err
+
+
+def test_sample_noise_file_without_an_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    noise_out = tmp_path / "noise.trf"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["noise_out=%s" % noise_out])
+    assert _run(argv) == 0
+    manifest, arrays = read_container(noise_out)
+    del arrays["mu.emb"]
+    write_container(noise_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["sample", noise_out, "--count", 5, "--seed", 3]) == 1
+    assert "error: %s lacks the array 'mu.emb'" % noise_out in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ppl", "rescore"])
 def test_model_with_fractional_feature_key_exit_1(tmp_path, tiny_corpus, capsys, command):
     train, dev = tiny_corpus

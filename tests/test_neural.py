@@ -338,8 +338,8 @@ def test_concurrent_directions_bit_identical_to_serial(n_layers, d, lengths, see
 
 # Scoring runs forward-only: no reverse-mode cache, and layer 0's input gates
 # from per-call tables when given. overlap runs the bwd direction on the
-# worker, with arrays made here, or serially (a BLAS of two threads), where
-# lstm_forward makes its own.
+# worker, with arrays made here, or serially, where lstm_forward makes its
+# own.
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,9 +372,8 @@ def test_forward_only_potentials_bit_identical_to_cached(
         return forward(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neural, "CONCURRENT_WORK", 0)
+        mp.setattr(neural, "CONCURRENT_WORK", 0 if concurrent else math.inf)
         mp.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
-        mp.setattr(neural, "_blas_threads", lambda: 1 if concurrent else 2)
         mp.setattr(neural, "lstm_forward", noted)
         made = neural.input_tables(params) if tables else None
         got, cache = neural.phi_forward_batch(sents, params, True, made)
@@ -470,34 +469,66 @@ def test_size_rule_keeps_d16_chunks_serial_and_takes_d200_chunks_concurrent():
 
 def test_blas_thread_count_is_read_from_the_library():
     # the tests run with one BLAS thread (conftest.py)
-    assert neural._blas_threads() == 1
+    get, _ = neural._blas()
+    assert get() == 1
 
 
 @pytest.mark.parametrize("blas", [2, None])
-def test_multithreaded_or_unknown_blas_starts_no_thread(monkeypatch, blas):
-    # a BLAS that runs more than one thread, or whose count cannot be read,
-    # keeps the BiLSTM directions and the noise phase serial
+def test_unsettable_blas_stays_serial_and_a_set_count_is_put_back(monkeypatch, blas):
+    # a BLAS whose thread count cannot be read and set keeps the BiLSTM
+    # directions and the noise phase serial; one at two threads runs them
+    # concurrently at one thread, and is back at two after each pair
     rng = np.random.default_rng(23)
     params = _random_params(20, 8, seed=23)
     sents = helpers.shuffled_batch(rng, 20, [1, 2, 3, 4, 5, 6, 7, 8] * 4)
     noise = noise_mod.init_noise_model(20, 3, length_prior(sents, 8), seed=1)
-
-    def threads_after(blas_threads):
-        monkeypatch.setattr(neural, "_worker", None)
-        monkeypatch.setattr(neural, "_worker_pid", None)
-        monkeypatch.setattr(neural, "_blas_threads", lambda: blas_threads)
-        _, cache = neural.phi_forward_batch(sents, params)
-        neural.phi_backward_batch(cache, np.ones(len(sents)))
-        trainer.noise_phase(noise, sents[:10], 30, 0.5, rng)
-        return threading.active_count()
-
+    if blas is None:
+        monkeypatch.setattr(neural, "_blas", lambda: None)
+    else:
+        fake = helpers.FakeBlas(blas)
+        fake.install(monkeypatch)
+    monkeypatch.setattr(neural, "_worker", None)
+    monkeypatch.setattr(neural, "_worker_pid", None)
     monkeypatch.setattr(neural, "CONCURRENT_WORK", 0)
     monkeypatch.setattr(model, "SCORE_FLOATS", math.inf)
     monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
     before = threading.active_count()
-    assert threads_after(blas) == before
-    assert neural._worker is None
-    try:  # the same calls with one BLAS thread start the one worker thread
-        assert threads_after(1) == before + 1
+    try:
+        _, cache = neural.phi_forward_batch(sents, params)
+        neural.phi_backward_batch(cache, np.ones(len(sents)))
+        trainer.noise_phase(noise, sents[:10], 30, 0.5, rng)
+        if blas is None:
+            assert threading.active_count() == before
+            assert neural._worker is None
+        else:  # one forward, one backward and one noise phase pair
+            assert threading.active_count() == before + 1
+            assert fake.threads == 2 and fake.sets == [1, 2] * 3
     finally:
-        neural._worker.shutdown()
+        if neural._worker is not None:
+            neural._worker.shutdown()
+
+
+def test_overlap_runs_at_one_blas_thread_and_puts_two_back(monkeypatch):
+    if neural._blas() is None:
+        pytest.skip("numpy's BLAS thread count cannot be set here")
+    get, put = neural._blas()
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = []
+
+    def read(fail=False):
+        seen.append((threading.current_thread().name, get()))
+        if fail:
+            raise ValueError("failed")
+
+    put(2)
+    try:
+        neural.overlap(read, read, True, dict)
+        assert get() == 2
+        for away, home in ((lambda: read(True), read), (read, lambda: read(True))):
+            with pytest.raises(ValueError, match="failed"):
+                neural.overlap(away, home, True, dict)
+            assert get() == 2
+    finally:
+        put(1)
+    assert [n for _, n in seen] == [1] * 6
+    assert sum(name.startswith("trflm-worker") for name, _ in seen) == 3

@@ -568,14 +568,14 @@ def test_paper_default_config():
 # The noise phase draws B1 u B2 in blocks of chains and takes the KL step on
 # D: every block, then the step; or the worker thread steps blocks while the
 # caller takes the step and then steps the blocks that are left. The allowed
-# CPUs, the BLAS threads and the size rule against model.SCORE_FLOATS pick
-# the path.
+# CPUs, a BLAS whose thread count can be set and the size rule against
+# model.SCORE_FLOATS pick the path.
 
 
 def _force_noise_path(monkeypatch, concurrent):
     monkeypatch.setattr(model_mod, "SCORE_FLOATS", math.inf if concurrent else 0)
     monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
+    helpers.FakeBlas(1).install(monkeypatch)
 
 
 class _NoiseSchedule:
@@ -770,7 +770,7 @@ def test_noise_phase_size_rule_takes_both_benchmark_steps_concurrently(monkeypat
     long_D = helpers.shuffled_batch(rng, V, rng.integers(12, 15, size=100))
     noise = noise_mod.init_noise_model(V, 2, length_prior(D, 14), seed=2)
     monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(neural, "_blas_threads", lambda: 1)
+    helpers.FakeBlas(1).install(monkeypatch)
     detached = []
     detach = noise_mod.Draw.detach
 
