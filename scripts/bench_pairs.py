@@ -11,6 +11,9 @@ bytecode cache or benchmark output of earlier runs. Pair i
 runs ``perfbench/run.py --workload <w> --seed i --seconds <s>`` once on
 each side, the parent first in odd pairs and the change first in even
 ones, so that drift in the machine's speed falls on both sides alike.
+Run from a clean working tree with ``--parent HEAD``, both sides are the
+same code: such a same-tree control shows how far a metric moves with no
+change, before a move in a change's pairs is read as its effect.
 
 The workload's section of ``--out`` (a ``BENCH_<n>.json`` file) is
 written from the runs, and ``command``, ``protocol`` and ``machine`` at

@@ -29,7 +29,9 @@ row raises it is where the peak was reached.
   train()'s ``on_step`` callback: VmHWM, VmRSS and minor faults after the
   step, D's tokens, and the mean P(C=0|x) over D, B1 and B2 from the step's
   record. A mean on the noise draws (B1, B2) near 1/(1+nu) says that the
-  classifier cannot tell the noise from the data.
+  classifier cannot tell the noise from the data. A line after it sums the
+  minor faults over the steps, from the first noise draw to the last step's
+  end.
 - ``score``: the benchmark's scoring run for ``--seconds``. The phases are
   the set-up (``load_corpus``, ``seeded_paper_model``, ``save``, then the
   five timed ``TrfModel.load`` calls), each perplexity window
@@ -178,6 +180,8 @@ def main(argv=None):
         print("step\tVmHWM\tVmRSS\tminflt\tD_tokens\tp0_D\tp0_B1\tp0_B2\t(after the step)")
         for row in steps:
             print("%d\t%.1f\t%.1f\t%d\t%d\t%.4f\t%.4f\t%.4f" % row)
+        start = next(flt0 for name, _, _, _, flt0, *_ in rows if name == "sample")
+        print("minor faults over the %d steps: %d" % (len(steps), steps[-1][3] - start))
     print("VmHWM before the first phase %.1f MB, at the end %.1f MB" % (first, status_mb()[0]))
     return 0
 

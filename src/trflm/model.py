@@ -279,6 +279,9 @@ class TrfModel:
         phi_params = None
         if manifest["has_neural"]:
             phi_params = {k[len(_PHI) :]: v for k, v in arrays.items() if k.startswith(_PHI)}
+            missing = [_PHI + k for k in neural.missing_params(phi_params)]
+            if missing:
+                raise ModelError("%s lacks the arrays %s" % (path, ", ".join(missing)))
         return cls(
             vocab,
             prior,

@@ -37,6 +37,7 @@ import ctypes
 import functools
 import glob
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -96,6 +97,19 @@ def init_phi_params(V, d, n_layers=1, seed=0):
             params[pre + "U"] = u(d, 4 * d)  # recurrent weights
             params[pre + "b"] = u(4 * d)
     return params
+
+
+def missing_params(params):
+    """The names a phi parameter dict lacks: "emb", and W, U and b of both
+    directions of every layer up to the highest one any of its names has."""
+    layers = [int(m[1]) for m in map(re.compile(r"(?:fwd|bwd)(\d+)_").match, params) if m]
+    needed = ["emb"] + [
+        "%s%d_%s" % (direction, layer, w)
+        for direction in ("fwd", "bwd")
+        for layer in range(max(layers, default=0) + 1)
+        for w in "WUb"
+    ]
+    return [k for k in needed if k not in params]
 
 
 def n_layers_of(params):

@@ -19,7 +19,6 @@ that are left, bit for bit.
 
 from __future__ import annotations
 
-import mmap
 import threading
 
 import numpy as np
@@ -52,27 +51,10 @@ class NoiseModel:
         self.params = params
         self.prior = prior
         self.V = V
-        self._logits = np.empty((0, V))
 
     @property
     def bos_id(self):
         return self.V
-
-    def logits_buffer(self, rows):
-        """A (rows, V) work array for the KL step's logits, reused from step
-        to step. It grows at least twofold and lives in a mapping of its own,
-        outside malloc's heap, so that whether a step's logits land on
-        resident or fresh pages does not depend on the heap's layout; only
-        the rows a step has written count in the process's memory."""
-        if len(self._logits) < rows:
-            cap = max(rows, 2 * len(self._logits))
-            buf = mmap.mmap(-1, cap * self.V * 8, flags=mmap.MAP_PRIVATE)
-            self._logits = np.frombuffer(buf, dtype=np.float64).reshape(cap, self.V)
-        return self._logits[:rows]
-
-    def drop_logits_buffer(self):
-        """Unmap the work array of logits_buffer; the next step maps a new one."""
-        self._logits = np.empty((0, self.V))
 
 
 def init_noise_model(V, d, prior: LengthPrior, seed=0) -> NoiseModel:
@@ -100,14 +82,14 @@ def _log_softmax(a, scratch):
     return a
 
 
-def _forward(model: NoiseModel, sentences, reuse=False):
+def _forward(model: NoiseModel, sentences):
     """Shared forward pass over [BOS, x_1..x_{l-1}] in the packed layout:
     the sentences' word-sequence log-probabilities in input order, then the
     next-word log-probabilities at the real token positions only, in (t,
     column) order, normalized in blocks of rows through one small scratch
-    buffer, so the (N, V) logits are the only V-wide array. With `reuse`
-    they are written into model.logits_buffer and are valid until the
-    model's next such pass."""
+    buffer, so the (N, V) logits are the only V-wide array. They are the
+    first N rows of a (len(sentences) * L, V) array, L the prior's longest
+    length, so that steps of one batch size ask malloc for one size (README)."""
     ids, n, order = pack(sentences)
     real = real_tokens(n, ids.shape[1])
     inputs = np.empty_like(ids)
@@ -116,7 +98,8 @@ def _forward(model: NoiseModel, sentences, reuse=False):
     p = model.params
     hs, cache = lstm_forward(p["emb"][inputs], n, p["W"], p["U"], p["b"])
     h = hs[real]
-    logp = np.matmul(h, p["Wo"], out=model.logits_buffer(len(h)) if reuse else None)
+    cap = max(len(h), len(sentences) * model.prior.max_length)
+    logp = np.matmul(h, p["Wo"], out=np.empty((cap, model.V))[: len(h)])
     logp += p["bo"]
     rows = max(1, SOFTMAX_FLOATS // model.V)
     scratch = np.empty((min(rows, len(logp)), model.V))
@@ -260,7 +243,7 @@ def nll_and_grads(model: NoiseModel, sentences):
     if not sentences:
         raise CorpusError("empty minibatch")
     B = len(sentences)
-    seq, inputs, real, targets, h, cache, logp = _forward(model, sentences, reuse=True)
+    seq, inputs, real, targets, h, cache, logp = _forward(model, sentences)
     rows = np.arange(len(logp))
     nll = -float(logp[rows, targets].sum()) / B
 

@@ -662,6 +662,20 @@ def test_ppl_model_without_a_manifest_key_exit_1_names_file_and_key(
     assert "error: %s lacks the manifest key 'vocab'" % model_out in capsys.readouterr().err
 
 
+def test_ppl_neural_model_without_a_phi_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "neural")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    del arrays["phi.fwd0_U"]
+    write_container(model_out, manifest, arrays)  # a valid checksum over it
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s lacks the arrays phi.fwd0_U\n" % model_out in capsys.readouterr().err
+
+
 def test_sample_noise_file_without_an_array_exit_1_names_file_and_array(
     tmp_path, tiny_corpus, capsys
 ):

@@ -321,20 +321,6 @@ def test_nll_and_grads_bitwise_equal_reference_realistic_size():
     _assert_nll_and_grads_bitwise(m, sents)
 
 
-def test_kl_steps_reuse_one_logits_buffer_bitwise():
-    # 38, 19, 57 and 76 real tokens: the buffer is kept while a step fits
-    # and otherwise grows at least twofold; every step equals the reference
-    rng = np.random.default_rng(23)
-    m = _random_noise(20, 5, LengthPrior(np.full(8, 1 / 8)), seed=23)
-    caps = []
-    for k in (2, 1, 3, 4):
-        _assert_nll_and_grads_bitwise(m, helpers.shuffled_batch(rng, 20, [1, 2, 3, 5, 8] * k))
-        caps.append(len(m._logits))
-    assert caps == [38, 38, 76, 76]
-    assert noise.seq_log_prob_batch(m, helpers.shuffled_batch(rng, 20, [8] * 20)).shape == (20,)
-    assert len(m._logits) == 76  # scoring allocates its own logits
-
-
 def _lone_rows(lengths, R):
     """Steps at which a block of R chains, sorted longest first, has one
     live chain while the draw has more."""
@@ -392,10 +378,10 @@ def test_kl_step_makes_no_gate_sized_array():
     m = _random_noise(V, d, LengthPrior(w / w.sum()), seed=33)
     rng = np.random.default_rng(33)
     sents = [tuple(int(x) for x in rng.integers(0, V, size=l)) for l in lengths]
-    noise.nll_and_grads(m, sents)  # maps the logits buffer
+    noise.nll_and_grads(m, sents)
     tracemalloc.start()
     try:
-        forward = noise._forward(m, sents, reuse=True)
+        forward = noise._forward(m, sents)
         kept = tracemalloc.get_traced_memory()[0]
         del forward
         tracemalloc.reset_peak()

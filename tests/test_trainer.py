@@ -941,3 +941,71 @@ def test_train_refuses_sentences_it_cannot_score_before_its_first_step(monkeypat
         trainer.train(cfg, train, dev, model, noise)
     assert steps == []
     assert [v.tobytes() for v in [*model.params().values(), *noise.params.values()]] == before
+
+
+def _sampled_dnce_gradients(monkeypatch, concurrent, model, noise, data, alpha, nu, lr, K):
+    """K grad_estimate results, one row each: D of 4 sentences drawn from
+    `data` (sentence -> probability), and B1 and B2 from trainer.noise_phase
+    on the chosen path, whose KL step is undone after each call so that
+    every draw and every log-probability comes from the one noise LM."""
+    sents, probs = list(data), np.array(list(data.values()))
+    before = {k: v.copy() for k, v in noise.params.items()}
+    b1, b2 = trainer.minibatch_sizes(alpha, nu, 4)
+    if concurrent:
+        _force_noise_path(monkeypatch, True)
+    else:  # one allowed CPU; a SCORE_FLOATS of 0 would cut grad_estimate into one-sentence chunks
+        monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0})
+    schedule = _NoiseSchedule(monkeypatch, concurrent)
+    rng = np.random.default_rng(13)
+    rows = []
+    for _ in range(K):
+        D = [sents[j] for j in rng.choice(len(sents), 4, p=probs)]
+        log_p_d, drawn, log_p_drawn = trainer.noise_phase(noise, D, b1 + b2, lr, rng)
+        noise.params = {k: v.copy() for k, v in before.items()}
+        g = trainer.grad_estimate(
+            model, D, drawn[:b1], drawn[b1:], np.concatenate([log_p_d, log_p_drawn]), alpha, nu
+        )
+        rows.append(np.concatenate([np.ravel(v) for v in g.values()]))
+    assert schedule.kept(K)
+    monkeypatch.undo()
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha, nu", [(0.5, 2.0), (0.25, 0.5)])
+def test_sampled_dnce_gradient_equals_exact_gradient_in_expectation(monkeypatch, alpha, nu):
+    # a random mixed model (V = 3, L = 3, d = 2, w:2 features) and noise LM.
+    # |B1| = (1 - alpha)/alpha |D| and |B2| = nu/alpha |D| are whole numbers,
+    # so the estimator's expectation is the exact gradient; they differ, so
+    # B1's and B2's weights cannot be swapped unseen, and log nu is not 0. The
+    # exact gradient is checked against the objective's finite differences,
+    # since it reads P(C=0|x) through trainer.posterior_c0 as the estimator does.
+    V, L, d, K = 3, 3, 2, 400
+    rng = np.random.default_rng(11)
+    pi = rng.random(L) + 0.2
+    prior = LengthPrior(pi / pi.sum())
+    space = oracle.EnumSpace(V, L)
+    sents = list(helpers.all_sentences(space))
+    index = feats.build_feature_index(sents, feats.compile_templates("w:2"), "00")
+    phi = {k: rng.uniform(-1.0, 1.0, v.shape) for k, v in neural.init_phi_params(V, d).items()}
+    model = TrfModel(
+        _vocab(V), prior, zeta_init(V, L) + rng.uniform(-1.0, 1.0, L), feature_index=index,
+        lam=rng.uniform(-1.0, 1.0, index.n_features), phi_params=phi,
+    )
+    noise = noise_mod.init_noise_model(V, d, prior, seed=12)
+    for k in noise.params:
+        noise.params[k] = rng.uniform(-1.0, 1.0, noise.params[k].shape)
+    w = rng.random(len(sents)) * np.array([prior.prob(len(s)) for s in sents])
+    data = dict(zip(sents, w / w.sum()))
+    exact = oracle.exact_dnce_gradient(model, noise, data, alpha, nu, space)
+    objective = lambda: oracle.exact_dnce_objective(model, noise, data, alpha, nu, space)
+    assert oracle.gradient_error(objective, model.params(), exact, floor=1e-5) < 1e-4
+    exact = np.concatenate([np.ravel(v) for v in exact.values()])
+    # a KL step this large (lr 4) moves D's noise log-probabilities far, so
+    # reading them after the step instead of before it biases the estimate
+    for concurrent in (False, True):
+        samples = _sampled_dnce_gradients(
+            monkeypatch, concurrent, model, noise, data, alpha, nu, 4.0, K
+        )
+        se = samples.std(axis=0, ddof=1) / math.sqrt(K)
+        z = np.abs(samples.mean(axis=0) - exact) / se
+        assert np.all(z < 5), (concurrent, z.max())
