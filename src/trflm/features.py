@@ -108,9 +108,8 @@ class FeatureIndex:
     Keys surviving the per-order count cutoffs are indexed in (template
     id, value tuple) order, so the layout is independent of corpus
     traversal order. key_arrays holds them as one (n_t, order) integer
-    array per template, rows in increasing order. For lookups the rows
-    (template id, values, zero padding) fold into the level codes that
-    radices, starts and tables describe (see _fold).
+    array per template, rows in increasing order; template t's ids start
+    at firsts[t], and folds[t] holds its keys' level codes (see _fold).
     """
 
     def __init__(self, template_set: TemplateSet, key_arrays, class_map: ClassMap | None):
@@ -119,16 +118,16 @@ class FeatureIndex:
         if len(key_arrays) != len(template_set.templates):
             raise FeatureError("need one (n, order) key array per template")
         self.key_arrays = [_key_array(a, t) for a, t in zip(key_arrays, template_set.templates)]
-        self.n_features = sum(len(a) for a in self.key_arrays)
-        width = max([t.order for t in template_set.templates], default=0)
-        padded = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in self.key_arrays]
-        tid = np.repeat(np.arange(len(padded)), [len(a) for a in padded])
-        columns = [tid, *np.concatenate(padded or [np.zeros((0, 0), np.int64)]).T]
-        self.radices = [int(c.max(initial=0)) + 1 for c in columns]
-        self.tables, self.starts, rank = _fold(columns, self.radices)
-        # rank orders the rows, so it counts up iff they strictly increase
-        if not np.array_equal(rank, np.arange(self.n_features)):
-            raise FeatureError("feature key rows must be strictly increasing within a template")
+        sizes = [len(a) for a in self.key_arrays]
+        self.n_features = sum(sizes)
+        self.firsts = np.cumsum([0, *sizes[:-1]])
+        self.folds = []
+        for a in self.key_arrays:
+            fold, rank = _fold(list(a.T))
+            # rank orders the rows, so it counts up iff they strictly increase
+            if not np.array_equal(rank, np.arange(len(a))):
+                raise FeatureError("feature key rows must be strictly increasing within a template")
+            self.folds.append(fold)
 
 
 def _key_array(a, template):
@@ -143,14 +142,15 @@ def _key_array(a, template):
     return a.astype(np.int64)
 
 
-def _fold(columns, radices):
-    """Rank the rows of a table given as columns, column j's values below
-    radices[j]. The columns fold left to right into int64 codes, code =
-    rank * R_j + value, rank being the prefix's rank one level up; a level
-    takes columns while its code space stays below 2**62. Returns (tables,
-    starts, rank): each level's sorted distinct codes then _END, the
-    column where each level after the first starts, and each row's rank
-    at the last level, which orders the rows lexicographically."""
+def _fold(columns):
+    """Rank the rows of a table given as columns of values >= 0. With R_j
+    column j's maximum plus 1, the columns fold left to right into int64
+    codes, code = rank * R_j + value, rank being the prefix's rank one
+    level up; a level takes columns while its code space stays below
+    2**62. Returns ((R_j, tables, starts), rank): each level's sorted
+    distinct codes then _END, the column where each level after the first
+    starts, and each row's rank at the last level, in lexicographic order."""
+    radices = [int(c.max(initial=0)) + 1 for c in columns]
     tables, starts = [], []
     code, space = np.zeros(len(columns[0]), np.int64), 1
     for j, (column, radix) in enumerate(zip(columns, radices)):
@@ -164,12 +164,13 @@ def _fold(columns, radices):
         code = code * radix + column
         space *= radix
     table, code = np.unique(code, return_inverse=True)
-    return tables + [np.append(table, _END)], starts, code
+    return (radices, tables + [np.append(table, _END)], starts), code
 
 
 def _flatten(sentences, template_set: TemplateSet, class_map):
-    """A batch as flat arrays: each token's sentence, that sentence's end,
-    and the words, then their classes if a template reads them, then a 0."""
+    """A batch as flat arrays: each token's sentence, the tokens from it to
+    that sentence's end, and the words, then their classes if a template
+    reads them."""
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     words = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))
     sentence_of = np.repeat(np.arange(len(sentences)), lengths)
@@ -178,27 +179,19 @@ def _flatten(sentences, template_set: TemplateSet, class_map):
         if class_map is None:
             raise FeatureError("templates use class features but no class map given")
         seqs.append(class_map.word_to_class[words])
-    seqs.append(np.zeros(1, np.int64))
-    return sentence_of, np.cumsum(lengths)[sentence_of], np.concatenate(seqs)
+    room = np.cumsum(lengths)[sentence_of] - np.arange(len(words))
+    return sentence_of, room, np.concatenate(seqs)
 
 
-def _placements(flat, templates):
-    """Every in-bounds placement of every template over a flattened batch,
-    as (row, columns): each placement's sentence and its key columns, the
-    template's position first, then the value at each offset, 0 past the
-    order. A placement at p is in bounds iff its last token is in p's sentence."""
-    sentence_of, ends, seqs = flat
-    n_tokens = len(ends)
-    span = np.array([[t.span] for t in templates], dtype=np.int64).reshape(-1, 1)
-    tid, start = np.nonzero(np.arange(n_tokens) + span <= ends)
-    is_class = np.array([t.source == "class" for t in templates], dtype=bool)
-    width = max([t.order for t in templates], default=0)
-    offsets = np.array([t.offsets + (-1,) * (width - t.order) for t in templates], np.int64)
-    base = is_class[tid] * n_tokens + start
-    columns = [tid]
-    for o in offsets.reshape(len(templates), width)[tid].T:
-        columns.append(seqs[np.where(o < 0, -1, base + o)])
-    return sentence_of[start], columns
+def _placements(flat, template: Template):
+    """Every in-bounds placement of a template over a flattened batch, as
+    (row, columns): each placement's sentence and the value at each of the
+    template's offsets. A placement at p is in bounds iff the template's
+    span fits in the tokens from p to its sentence's end."""
+    sentence_of, room, seqs = flat
+    start = np.flatnonzero(room >= template.span)
+    base = start + len(room) if template.source == "class" else start
+    return sentence_of[start], [seqs[base + o] for o in template.offsets]
 
 
 def build_feature_index(
@@ -208,19 +201,19 @@ def build_feature_index(
     count strictly greater than the cutoff for their order.
 
     One template at a time: its placements are extract's, and folding
-    their value columns ranks equal keys together, in value order.
+    their columns ranks equal keys together, in value order.
     """
     cutoffs = checked_cutoffs(template_set, cutoffs)
     flat = _flatten(sentences, template_set, class_map)
     key_arrays = []
     for t in template_set.templates:
-        values = _placements(flat, [t])[1][1:]  # the key columns after the template id
-        _, _, rank = _fold(values, [int(c.max(initial=0)) + 1 for c in values])
+        columns = _placements(flat, t)[1]
+        rank = _fold(columns)[1]
         counts = np.bincount(rank)
         first = np.empty(len(counts), np.int64)
         first[rank] = np.arange(len(rank))  # a placement of each distinct key, in key order
         kept = first[counts > cutoffs[t.order - 1]]
-        key_arrays.append(np.stack([c[kept] for c in values], axis=1))
+        key_arrays.append(np.stack([c[kept] for c in columns], axis=1))
     return FeatureIndex(template_set, key_arrays, class_map)
 
 
@@ -228,18 +221,22 @@ def extract(sentences, index: FeatureIndex):
     """The sparse feature vectors f(x) of a batch as flat arrays (row, fid,
     count): rows increasing, feature ids increasing within a row."""
     flat = _flatten(sentences, index.template_set, index.class_map)
-    row, columns = _placements(flat, index.template_set.templates)
-    hit = np.ones(len(row), dtype=bool)
-    code = np.zeros(len(row), np.int64)
-    bounds = [0, *index.starts, len(columns)]
-    for table, lo, hi in zip(index.tables, bounds, bounds[1:]):
-        for column, radix in zip(columns[lo:hi], index.radices[lo:hi]):
-            hit &= column < radix  # no key has this value
-            code = code * radix + np.minimum(column, radix - 1)
-        rank = np.searchsorted(table, code)
-        hit &= table[rank] == code
-        code = rank  # at the last level, the feature id
-    keyed, counts = np.unique(row[hit] * index.n_features + code[hit], return_counts=True)
+    keyed = [np.zeros(0, np.int64)]
+    for t, (radices, tables, starts), first in zip(
+        index.template_set.templates, index.folds, index.firsts
+    ):
+        row, columns = _placements(flat, t)
+        hit, code = True, 0
+        bounds = [0, *starts, len(columns)]
+        for table, lo, hi in zip(tables, bounds, bounds[1:]):
+            for column, radix in zip(columns[lo:hi], radices[lo:hi]):
+                hit &= column < radix  # no key has this value
+                code = code * radix + np.minimum(column, radix - 1)
+            rank = np.searchsorted(table, code)
+            hit &= table[rank] == code
+            code = rank  # at the last level, the key's rank in its template
+        keyed.append(row[hit] * index.n_features + first + code[hit])
+    keyed, counts = np.unique(np.concatenate(keyed), return_counts=True)
     row, fid = np.divmod(keyed, max(index.n_features, 1))
     return row, fid, counts
 

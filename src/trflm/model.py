@@ -271,6 +271,14 @@ class TrfModel:
             missing = [k for k in names if k not in arrays]
             if missing:
                 raise ModelError("%s lacks the feature key arrays %s" % (path, ", ".join(missing)))
+            n_classes = 0 if class_map is None else class_map.n_classes
+            for name, t in zip(names, templates):
+                limit = vocab.size if t.source == "word" else n_classes
+                if (arrays[name] >= limit).any():
+                    raise ModelError(
+                        "%s: bad feature keys: %s holds a %s value >= %d"
+                        % (path, name, t.source, limit)
+                    )
             try:
                 feature_index = feats.FeatureIndex(tset, [arrays[k] for k in names], class_map)
             except feats.FeatureError as exc:

@@ -323,8 +323,8 @@ def test_extract_equals_per_sentence_reference(data):
 
 
 def test_extract_with_a_multi_level_index():
-    # word ids up to 2**40: the key table's code space, 4 * 2**160, folds
-    # into one level per column after the first two
+    # word ids up to 2**40: the 4-gram template's code space, 2**160, folds
+    # into one level per column
     rng = np.random.default_rng(5)
     pool = np.array([0, 3, 2**20, 2**39 + 1, 2**40 - 1, 2**40])
     corpus = [
@@ -333,8 +333,9 @@ def test_extract_with_a_multi_level_index():
     tset = feats.compile_templates("w:4")
     index = feats.build_feature_index(corpus, tset, "0000")
     assert index.n_features > 100
-    assert math.prod(index.radices) > 2**62
-    assert len(index.tables) == 4
+    radices, tables, _ = index.folds[3]
+    assert math.prod(radices) > 2**62
+    assert len(tables) == 4
     assert helpers.feature_keys(index) == helpers.counter_feature_keys(corpus, tset, "0000")
     batch = corpus[:10] + [tuple(int(w) for w in rng.choice(pool, size=6)) for _ in range(30)]
     got = feats.extract(batch, index)

@@ -1,12 +1,14 @@
 import math
 import resource
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trflm import corpus as corpus_mod
 from trflm import features as feats
 from trflm import model as model_mod
 from trflm import neural, noise, oracle
@@ -27,13 +29,18 @@ def _vocab(V):
     return Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)])
 
 
-def _mixed_model(V=3, L=3, d=2, seed=0, scale=0.3):
+def _mixed_model(V=3, L=3, d=2, seed=0, scale=0.3, n_classes=None):
+    """A w:2 model; with n_classes, a w+c:2 model whose class map is word id
+    modulo n_classes."""
     rng = np.random.default_rng(seed)
     pi = rng.random(L) + 0.2
     prior = LengthPrior(pi / pi.sum())
     space = oracle.EnumSpace(V, L)
-    tset = feats.compile_templates("w:2")
-    index = feats.build_feature_index(list(helpers.all_sentences(space)), tset, "00")
+    class_map = None if n_classes is None else ClassMap(np.arange(V) % n_classes, n_classes)
+    spec = "w:2" if class_map is None else "w+c:2"
+    tset = feats.compile_templates(spec, class_map_present=class_map is not None)
+    sentences = list(helpers.all_sentences(space))
+    index = feats.build_feature_index(sentences, tset, "00", class_map=class_map)
     lam = rng.uniform(-scale, scale, index.n_features)
     phi_params = {
         k: rng.uniform(-scale, scale, v.shape)
@@ -41,7 +48,8 @@ def _mixed_model(V=3, L=3, d=2, seed=0, scale=0.3):
     }
     return TrfModel(
         _vocab(V), prior, zeta_init(V, L),
-        feature_index=index, lam=lam, phi_params=phi_params, template_spec="w:2",
+        feature_index=index, lam=lam, phi_params=phi_params, class_map=class_map,
+        template_spec=spec,
     )
 
 
@@ -335,24 +343,32 @@ def _edited(a, row, col, value):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "name, edit, message",
     [
-        (lambda a: _edited(a, 0, 1, a[0, 1] + 0.5), "feature key values must be whole numbers"),
-        (lambda a: _edited(a, 0, 0, np.nan), "feature key values must be whole numbers"),
-        (lambda a: _edited(a, 0, 0, -1.0), "feature key values must be >= 0"),
-        (lambda a: a[[1, 0, *range(2, len(a))]], "rows must be strictly increasing"),
-        (lambda a: _edited(a, 1, slice(None), a[0]), "rows must be strictly increasing"),
-        (lambda a: _edited(a, len(a) - 1, 1, 2.0**60), "too large to index"),
-        (lambda a: a[:, :1], r"need one \(n, order\) key array per template"),
+        ("keys.1", lambda a: _edited(a, 0, 1, a[0, 1] + 0.5),
+         "feature key values must be whole numbers"),
+        ("keys.1", lambda a: _edited(a, 0, 0, np.nan),
+         "feature key values must be whole numbers"),
+        ("keys.1", lambda a: _edited(a, 0, 0, -1.0), "feature key values must be >= 0"),
+        ("keys.1", lambda a: a[[1, 0, *range(2, len(a))]], "rows must be strictly increasing"),
+        ("keys.1", lambda a: _edited(a, 1, slice(None), a[0]), "rows must be strictly increasing"),
+        ("keys.1", lambda a: _edited(a, len(a) - 1, 1, 2.0**60), "keys.1 holds a word value >= 3"),
+        ("keys.1", lambda a: a[:, :1], r"need one \(n, order\) key array per template"),
+        # V = 3 words and 2 classes: the last rows, (2, 2) and (1, 1), stay increasing
+        ("keys.1", lambda a: _edited(a, len(a) - 1, 1, 3.0), "keys.1 holds a word value >= 3"),
+        ("keys.3", lambda a: _edited(a, len(a) - 1, 1, 2.0), "keys.3 holds a class value >= 2"),
     ],
-    ids=["fractional", "nan", "negative", "unsorted", "duplicate", "too-large", "wrong-order"],
+    ids=[
+        "fractional", "nan", "negative", "unsorted", "duplicate", "too-large", "wrong-order",
+        "word-value-V", "class-value-n-classes",
+    ],
 )
-def test_load_refuses_bad_feature_key_arrays(tmp_path, edit, message):
-    m = _mixed_model(seed=5)
+def test_load_refuses_bad_feature_key_arrays(tmp_path, name, edit, message):
+    m = _mixed_model(seed=5, n_classes=2)
     path = tmp_path / "bad-keys.trf"
     m.save(path)
     manifest, arrays = read_container(path)
-    arrays["keys.1"] = edit(arrays["keys.1"])
+    arrays[name] = edit(arrays[name])
     write_container(path, manifest, arrays)
     with pytest.raises(ModelError, match="bad-keys.trf: bad feature keys: .*" + message):
         TrfModel.load(path)
@@ -369,6 +385,35 @@ def test_save_load_discrete_only(tmp_path):
     loaded = TrfModel.load(path)
     assert not loaded.has_neural
     assert loaded.log_prob((1, 2)) == discrete.log_prob((1, 2))
+
+
+def test_load_peak_is_at_most_twice_what_the_model_keeps(tmp_path):
+    # the benchmark's paper feature set, at d = 16
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "data" / "train.txt", encoding="utf-8") as fh:
+        vocab = corpus_mod.build_vocab(fh.readlines(), 2000)
+    sents = corpus_mod.read_corpus(root / "data" / "train.txt", vocab, max_length=60)
+    prior = corpus_mod.length_prior(sents, max(map(len, sents)))
+    class_map = ClassMap.load(root / "perfbench" / "classes200.txt", vocab)
+    tset = feats.compile_templates("w+c+ws+cs:4", class_map_present=True)
+    index = feats.build_feature_index(sents, tset, "0022", class_map=class_map)
+    path = tmp_path / "paper.trf"
+    TrfModel(
+        vocab, prior, zeta_init(vocab.size, prior.max_length), feature_index=index,
+        lam=np.zeros(index.n_features), phi_params=neural.init_phi_params(vocab.size, 16, seed=0),
+        class_map=class_map, template_spec="w+c+ws+cs:4",
+    ).save(path)
+    del index
+    TrfModel.load(path)  # warm up lazily allocated state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = TrfModel.load(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.feature_index.n_features > 300000
+    assert peak - before <= 2 * (kept - before), (peak - before, kept - before)
 
 
 def test_corrupted_payload_fails_checksum(tmp_path):
