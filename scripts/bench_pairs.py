@@ -21,7 +21,8 @@ its top level; other keys in an existing file are kept. Per end-to-end
 metric of BENCHMARK.json, a section gives each side's value in every
 pair (pair i at index i - 1) and quartiles, the change's median relative
 to the parent's, the parent's interquartile range, and in how many pairs
-the change was better or tied. On the DNCE
+the change was better or tied; after the pairs the script prints those
+figures, one line per metric. On the DNCE
 workloads it adds the same for ``op_ms.p50_interior``: the median step
 interval of a run with each ``train()`` call's first interval left out,
 from the ``step_s`` list of the run's details line. The first interval
@@ -152,6 +153,18 @@ def summarize(parent_runs, change_runs, end_to_end):
     }
 
 
+def verdict(section):
+    """One line per metric of a workload's section: the change's median
+    against the parent's, the pairs it won and tied, and the parent's IQR."""
+    lines = []
+    for name, m in section["metrics"].items():
+        rel = m["change_vs_parent_median"]
+        lines.append("%s: change vs parent median %s, wins %d of %d, ties %d, parent IQR %.4g %s" % (
+            name, "n/a" if rel is None else "%+.1f%%" % (100.0 * rel),
+            m["change_wins"], section["pairs"], m["ties"], m["parent_iqr"], m["unit"]))
+    return lines
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(prog="scripts/bench_pairs.py")
     p.add_argument("--workload", required=True)
@@ -181,10 +194,11 @@ def main(argv=None):
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update(command=COMMAND % args.seconds, protocol=PROTOCOL, machine=machine)
-    doc.setdefault("workloads", {})[args.workload] = summarize(
+    section = doc.setdefault("workloads", {})[args.workload] = summarize(
         parent_runs, change_runs, spec["end_to_end"]
     )
     out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(verdict(section)))
     return 0
 
 

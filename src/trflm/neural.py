@@ -65,16 +65,17 @@ def _sigmoid(x, out=None, work=None):
     least x.size elements that holds the numerator in place of a new array.
     numpy runs an operation on a strided view (the cell's gate columns)
     through a buffer of up to 8192 elements per strided operand; here each
-    operation has at most one."""
+    operation has at most one, which the memory bound of the perplexity test
+    depends on. The numerator max(e^-|x|, x >= 0) is exact: e^-|x| <= 1, so
+    it is 1.0 where x >= 0 and e^x (or its underflow to 0) below."""
     out = np.empty(x.shape) if out is None else out
     work = np.empty(x.size) if work is None else work
     e = work[: x.size].reshape(x.shape)
     pos = x >= 0  # read before out, which may be x, is written
-    np.abs(x, out=e)
-    np.negative(e, out=e)
+    np.copysign(x, -1.0, out=e)
     np.exp(e, out=e)
     den = np.add(1.0, e, out=out)
-    np.copyto(e, 1.0, where=pos)
+    np.maximum(e, pos, out=e)
     np.divide(e, den, out=e)
     out[...] = e
     return out

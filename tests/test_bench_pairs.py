@@ -84,6 +84,21 @@ def test_summarize_adds_interior_step_median_from_details():
     )["metrics"]
 
 
+def test_verdict_prints_each_metric_from_the_section():
+    parent = [_run(s, t, 70.0) for s, t in [(1.0, 100.0), (2.0, 110.0), (3.0, 90.0), (4.0, 100.0)]]
+    change = [_run(s, t, 70.0) for s, t in [(0.5, 100.0), (1.0, 120.0), (3.5, 95.0), (2.0, 90.0)]]
+    for run in parent + change:
+        run["details"] = {"train_calls": 1, "step_s": [0.5, 0.1, 0.1]}
+    section = bench_pairs.summarize(parent, change, END_TO_END)
+    section["metrics"]["dev_nll"]["change_vs_parent_median"] = None  # a parent median of 0
+    assert bench_pairs.verdict(section) == [
+        "setup_s: change vs parent median -40.0%, wins 3 of 4, ties 0, parent IQR 1.5 s",
+        "tokens_per_s: change vs parent median -2.5%, wins 2 of 4, ties 1, parent IQR 5 tok/s",
+        "dev_nll: change vs parent median n/a, wins 0 of 4, ties 4, parent IQR 0 nats",
+        "op_ms.p50_interior: change vs parent median +0.0%, wins 0 of 4, ties 4, parent IQR 0 ms",
+    ]
+
+
 def test_summarize_needs_matched_pairs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([_run(1.0, 1.0, 1.0)], [], END_TO_END)

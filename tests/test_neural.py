@@ -75,6 +75,46 @@ def test_sigmoid_into_out_bit_identical_to_masked_reference():
     assert [a[:, j].tobytes() for j in range(3)] == [ref, ref, x.tobytes()]
 
 
+_SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (2, 16), (140, 200)])
+def test_sigmoid_over_the_cells_gate_view_bit_identical(k, d):
+    # lstm_cell's layout: the i|f|o columns of a (k, 4d) array, in place
+    a = np.random.default_rng(k * d).normal(0.0, 5.0, (k, 4 * d))
+    gates = a[:, : 3 * d]
+    gates.flat[: len(_SIGMOID_EDGES)] = _SIGMOID_EDGES[: gates.size]
+    before = a.copy()
+    assert neural._sigmoid(gates, out=gates, work=np.empty(4 * k * d)) is gates
+    assert gates.tobytes() == _masked_sigmoid(before[:, : 3 * d]).tobytes()
+    assert a[:, 3 * d :].tobytes() == before[:, 3 * d :].tobytes()
+
+
+def test_sigmoid_keeps_nan():
+    a = np.array([[np.nan, 1.0, -np.nan, -1.0]])
+    gates = a[:, :3]
+    neural._sigmoid(gates, out=gates, work=np.empty(4))
+    assert np.isnan(a[0, [0, 2]]).all()
+    assert a[0, 1] == _masked_sigmoid(np.array([1.0]))[0] and a[0, 3] == -1.0
+
+
+@pytest.mark.parametrize("k", [512, 2048])
+def test_sigmoid_over_a_strided_view_buffers_one_operand(k):
+    # The gate view is larger than numpy's 8192-element buffer, so each
+    # operation with a strided operand buffers it: past the pos mask, at most
+    # one such buffer may be live at a time.
+    d = 16
+    a = np.random.default_rng(k).normal(0.0, 5.0, (k, 4 * d))
+    work = np.empty(4 * k * d)
+    tracemalloc.start()
+    try:
+        neural._sigmoid(a[:, : 3 * d], out=a[:, : 3 * d], work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * k * d + 8192 * 8 + 4096
+
+
 def test_phi_length_one_is_zero():
     params = _random_params(4, 3, seed=1)
     value, _ = helpers.phi_forward((2,), params)
