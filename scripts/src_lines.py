@@ -2,6 +2,7 @@
 
     python3 scripts/src_lines.py            # the files of src/trflm
     python3 scripts/src_lines.py DIR_OR_FILE ...
+    python3 scripts/src_lines.py --parent REV   # the change since a git revision
 
 Each line that ``wc -l`` counts falls in one class, from the tokens that
 ``tokenize`` reads on it:
@@ -16,6 +17,14 @@ Each line that ``wc -l`` counts falls in one class, from the tokens that
 
 It prints one row per file and a total row: code, doc, blank and lines,
 where lines = code + doc + blank.
+
+With ``--parent`` the revision is exported with ``git archive`` into a
+temporary directory, as ``bench_pairs.py`` does, and the paths, which are
+then taken relative to the repository's root, are counted in it and in
+this tree. It prints a row for each file whose counts differ, a file that
+one side lacks counting as zeros there, and a total row: the signed change
+in code, doc, blank and lines, then the revision's and this tree's
+code/doc/blank.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import argparse
 import io
 import os
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -63,10 +73,47 @@ def sources(paths):
         yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
 
 
+def tree_counts(root, paths):
+    """{file path relative to root: (code, doc, blank)} of the .py files of
+    the given paths, relative to root."""
+    files = sources([root / path for path in paths])
+    return {os.path.relpath(f, root): count_lines(f.read_text(encoding="utf-8")) for f in files}
+
+
+def delta(before_root, after_root, paths):
+    """Rows (file, counts before, counts after) of the files under paths
+    whose counts differ between the two trees, zeros for a file one tree
+    lacks, in name order, then ("total", counts before, counts after)."""
+    before, after = tree_counts(before_root, paths), tree_counts(after_root, paths)
+    zero = (0, 0, 0)
+    rows = [
+        (name, before.get(name, zero), after.get(name, zero))
+        for name in sorted(before.keys() | after.keys())
+        if before.get(name) != after.get(name)
+    ]
+    totals = [tuple(map(sum, zip(zero, *side.values()))) for side in (before, after)]
+    return rows + [("total", *totals)]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="scripts/src_lines.py")
-    p.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src" / "trflm"])
+    p.add_argument("paths", nargs="*", type=Path)
+    p.add_argument("--parent", metavar="REV", help="print the change since this git revision")
     args = p.parse_args(argv)
+    if args.parent is not None:
+        from bench_pairs import export  # beside this script, on sys.path when it runs
+
+        paths = args.paths or [Path("src", "trflm")]
+        with tempfile.TemporaryDirectory() as tmp:
+            export(args.parent, Path(tmp))
+            rows = delta(Path(tmp), ROOT, paths)
+        print("file\tcode\tdoc\tblank\tlines\t%s -> this tree" % args.parent)
+        for name, old, new in rows:
+            diff = [b - a for a, b in zip(old, new)]
+            row = (name, *diff, sum(diff), *old, *new)
+            print("%s\t%+d\t%+d\t%+d\t%+d\t%d/%d/%d -> %d/%d/%d" % row)
+        return 0
+    args.paths = args.paths or [ROOT / "src" / "trflm"]
     print("file\tcode\tdoc\tblank\tlines")
     total = [0, 0, 0]
     for path in sources(args.paths):

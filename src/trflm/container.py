@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -46,7 +47,7 @@ def write_container(path, manifest: dict, arrays: dict):
 
 def read_container(path):
     """Read a container, copying each array's bytes once out of the file
-    buffer; any damage to the file raises ContainerError."""
+    buffer; damage, or arrays that do not fill the payload, raise ContainerError."""
     with open(path, "rb") as fh:
         data = fh.read()
     tail_len = len(_CHK_TAG) + 64
@@ -69,14 +70,25 @@ def read_container(path):
         raise ContainerError(
             "unsupported format version %r (expected %d)" % (version, FORMAT_VERSION)
         )
+    try:
+        entries = [(e["name"], tuple(e["shape"])) for e in manifest["arrays"]]
+    except (KeyError, TypeError):
+        raise ContainerError("bad array list in the manifest of %s" % path) from None
     arrays = {}
     pos = nl + 1
-    for desc in manifest["arrays"]:
-        shape = tuple(desc["shape"])
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape in entries:
+        if not isinstance(name, str) or any(type(n) is not int or n < 0 for n in shape):
+            raise ContainerError("bad array entry %r, shape %r in %s" % (name, shape, path))
+        if name in arrays:
+            raise ContainerError("array %r is listed twice in %s" % (name, path))
+        n = math.prod(shape)
         if pos + 8 * n > end:
-            raise ContainerError("truncated array payload for %r" % desc["name"])
-        raw = view[pos : pos + 8 * n]
-        arrays[desc["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raise ContainerError("truncated array payload for %r in %s" % (name, path))
+        try:  # numpy refuses a zero-size shape whose other dimensions overflow its size type
+            arrays[name] = np.frombuffer(view[pos : pos + 8 * n], dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise ContainerError("%s: array %r: %s" % (path, name, exc)) from None
         pos += 8 * n
+    if pos != end:
+        raise ContainerError("%d bytes after the last array in %s" % (end - pos, path))
     return manifest, arrays

@@ -44,9 +44,8 @@ def _tab_fields(path, n, layout):
 
 
 def read_nbest(path):
-    """Lines "utt_id<TAB>aux_score<TAB>w1 w2 ...", grouped by utt_id."""
-    lists = []
-    current = None
+    """Lines "utt_id<TAB>aux_score<TAB>w1 w2 ...", grouped by utt_id in order of first line."""
+    lists = {}
     for lineno, (utt, aux, text) in _tab_fields(path, 3, "utt_id<TAB>aux_score<TAB>words"):
         try:
             score = float(aux)
@@ -57,18 +56,18 @@ def read_nbest(path):
         words = text.split()
         if not words:
             raise EvalError("%s:%d: hypothesis has no words" % (path, lineno))
-        if current is None or current.utt_id != utt:
-            current = NBestList(utt, [])
-            lists.append(current)
-        current.hypotheses.append((score, words))
-    return lists
+        lists.setdefault(utt, NBestList(utt, [])).hypotheses.append((score, words))
+    return list(lists.values())
 
 
 def read_refs(path):
-    """Lines "utt_id<TAB>w1 w2 ...", keyed by utt_id."""
-    return {
-        utt: text.split() for _, (utt, text) in _tab_fields(path, 2, "utt_id<TAB>words")
-    }
+    """Lines "utt_id<TAB>w1 w2 ...", keyed by utt_id, which no two lines may share."""
+    refs = {}
+    for lineno, (utt, text) in _tab_fields(path, 2, "utt_id<TAB>words"):
+        if utt in refs:
+            raise EvalError("%s:%d: utterance %r has a second reference" % (path, lineno, utt))
+        refs[utt] = text.split()
+    return refs
 
 
 @dataclass

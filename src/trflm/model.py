@@ -18,6 +18,7 @@ from . import features as feats
 from . import neural
 from .container import read_container, write_container
 from .corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
+from .noise import NoiseModel, param_shapes
 
 
 _PHI = "phi."  # name prefix of the neural potential's arrays in params()
@@ -46,6 +47,22 @@ class _Entries(dict):
 def _read_model_file(path):
     manifest, arrays = read_container(path)
     return _Entries(manifest, path, "manifest key"), _Entries(arrays, path, "array")
+
+
+def _check_shapes(path, arrays, shapes):
+    """Raise ModelError naming the file unless pi is 1-d and each name of shapes has its shape."""
+    shapes = {"pi": (arrays["pi"].size,), **shapes}
+    missing = [k for k in shapes if k not in arrays]
+    if missing:
+        raise ModelError("%s lacks the arrays %s" % (path, ", ".join(missing)))
+    for k, s in shapes.items():
+        if arrays[k].shape != s:
+            raise ModelError("%s: array %s has shape %s, not %s" % (path, k, arrays[k].shape, s))
+
+
+def _width(emb):
+    """d >= 1 of an (n, d) table, else 1; the shapes that follow refuse any other."""
+    return max((1, *emb.shape[1:2]))
 
 
 def _accumulate(total, g):
@@ -88,11 +105,6 @@ class TrfModel:
         self.phi_params = phi_params
         self.class_map = class_map
         self.template_spec = template_spec
-        if len(self.zeta) != prior.max_length:
-            raise ModelError("zeta length != length-prior length")
-        if feature_index is not None and lam is not None:
-            if len(self.lam) != feature_index.n_features:
-                raise ModelError("lambda dimension != feature count")
 
     def params(self) -> dict:
         """The trained arrays under one flat naming: "zeta", "lam" (discrete
@@ -254,7 +266,7 @@ class TrfModel:
                 "reads; retrain the model, or re-save it with keys.<template id> arrays" % path
             )
         vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
-        prior = LengthPrior(arrays["pi"])
+        shapes = {"zeta": (arrays["pi"].size,)}
         class_map = None
         if manifest["class_map"] is not None:
             class_map = ClassMap(
@@ -268,9 +280,6 @@ class TrfModel:
             ]
             tset = feats.TemplateSet(templates, manifest["max_order"])
             names = [_KEYS + str(t) for t in range(len(templates))]
-            missing = [k for k in names if k not in arrays]
-            if missing:
-                raise ModelError("%s lacks the feature key arrays %s" % (path, ", ".join(missing)))
             n_classes = 0 if class_map is None else class_map.n_classes
             for name, t in zip(names, templates):
                 limit = vocab.size if t.source == "word" else n_classes
@@ -284,15 +293,17 @@ class TrfModel:
             except feats.FeatureError as exc:
                 raise ModelError("%s: bad feature keys: %s" % (path, exc)) from None
             lam = arrays["lam"]
+            shapes["lam"] = (feature_index.n_features,)
         phi_params = None
         if manifest["has_neural"]:
             phi_params = {k[len(_PHI) :]: v for k, v in arrays.items() if k.startswith(_PHI)}
-            missing = [_PHI + k for k in neural.missing_params(phi_params)]
-            if missing:
-                raise ModelError("%s lacks the arrays %s" % (path, ", ".join(missing)))
+            d, n_layers = _width(arrays[_PHI + "emb"]), neural.n_layers_of(phi_params)
+            for k, s in neural.phi_shapes(vocab.size, d, n_layers).items():
+                shapes[_PHI + k] = s
+        _check_shapes(path, arrays, shapes)
         return cls(
             vocab,
-            prior,
+            LengthPrior(arrays["pi"]),
             arrays["zeta"],
             feature_index=feature_index,
             lam=lam,
@@ -304,24 +315,17 @@ class TrfModel:
 
 def save_noise_model(model, vocab: Vocabulary, path):
     """Noise-model sidecar file in the same container format."""
-    manifest = {
-        "kind": "noise-model",
-        "vocab": vocab.words,
-        "unk_token": vocab.unk_token,
-        "V": model.V,
-    }
-    arrays = {"pi": model.prior.probs}
-    for k, v in model.params.items():
-        arrays["mu." + k] = v
-    write_container(path, manifest, arrays)
+    manifest = {"kind": "noise-model", "vocab": vocab.words, "unk_token": vocab.unk_token}
+    arrays = {"mu." + k: v for k, v in model.params.items()}
+    write_container(path, manifest, {"pi": model.prior.probs, **arrays})
 
 
 def load_noise_model(path):
-    from .noise import NoiseModel
-
+    """The noise LM and vocabulary of a noise file; older files' manifest key V is ignored."""
     manifest, arrays = _read_model_file(path)
     if manifest.get("kind") != "noise-model":
         raise ModelError("%s is not a noise-model file" % path)
-    params = {k: arrays["mu." + k] for k in ("emb", "W", "U", "b", "Wo", "bo")}
     vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
-    return NoiseModel(params, LengthPrior(arrays["pi"]), manifest["V"]), vocab
+    shapes = param_shapes(vocab.size, _width(arrays["mu.emb"]))
+    _check_shapes(path, arrays, {"mu." + k: s for k, s in shapes.items()})
+    return NoiseModel({k: arrays["mu." + k] for k in shapes}, LengthPrior(arrays["pi"])), vocab

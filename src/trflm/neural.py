@@ -81,43 +81,30 @@ def _sigmoid(x, out=None, work=None):
     return out
 
 
+def phi_shapes(V, d, n_layers=1):
+    """Name -> shape of each phi array in draw order: emb, then the fwd layers, then the bwd."""
+    shapes = {"emb": (V, d)}
+    for direction in ("fwd", "bwd"):
+        for layer in range(n_layers):
+            pre = "%s%d_" % (direction, layer)
+            shapes[pre + "W"] = (d, 4 * d)  # input weights, gates packed i|f|o|g
+            shapes[pre + "U"] = (d, 4 * d)  # recurrent weights
+            shapes[pre + "b"] = (4 * d,)
+    return shapes
+
+
 def init_phi_params(V, d, n_layers=1, seed=0):
     """Uniform [-0.1, 0.1] init for embeddings and both recurrent stacks."""
     if d < 1:
         raise NeuralError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, shape)
-
-    params = {"emb": u(V, d)}
-    for direction in ("fwd", "bwd"):
-        for layer in range(n_layers):
-            pre = "%s%d_" % (direction, layer)
-            params[pre + "W"] = u(d, 4 * d)  # input weights, gates packed i|f|o|g
-            params[pre + "U"] = u(d, 4 * d)  # recurrent weights
-            params[pre + "b"] = u(4 * d)
-    return params
-
-
-def missing_params(params):
-    """The names a phi parameter dict lacks: "emb", and W, U and b of both
-    directions of every layer up to the highest one any of its names has."""
-    layers = [int(m[1]) for m in map(re.compile(r"(?:fwd|bwd)(\d+)_").match, params) if m]
-    needed = ["emb"] + [
-        "%s%d_%s" % (direction, layer, w)
-        for direction in ("fwd", "bwd")
-        for layer in range(max(layers, default=0) + 1)
-        for w in "WUb"
-    ]
-    return [k for k in needed if k not in params]
+    return {k: rng.uniform(-0.1, 0.1, shape) for k, shape in phi_shapes(V, d, n_layers).items()}
 
 
 def n_layers_of(params):
-    n = 0
-    while ("fwd%d_W" % n) in params:
-        n += 1
-    return n
+    """One more than the highest layer index any name of params has, at least 1."""
+    layers = [int(m[1]) for m in map(re.compile(r"(?:fwd|bwd)(\d+)_").match, params) if m]
+    return max(layers, default=0) + 1
 
 
 def lstm_cell(a, h, c, U, b, out=None):

@@ -47,31 +47,28 @@ SAMPLE_FLOATS = 2**19  # floats in each of a sampler block's two work arrays
 class NoiseModel:
     """Recurrent LM over V words; the embedding table has an extra BOS row."""
 
-    def __init__(self, params, prior: LengthPrior, V):
+    def __init__(self, params, prior: LengthPrior):
         self.params = params
         self.prior = prior
-        self.V = V
+
+    @property
+    def V(self):
+        return len(self.params["bo"])
 
     @property
     def bos_id(self):
         return self.V
 
 
+def param_shapes(V, d):
+    """Name -> shape of every noise LM array, in init's draw order; emb's row V is BOS."""
+    d4 = 4 * d  # the four gates i|f|o|g, packed
+    return {"emb": (V + 1, d), "W": (d, d4), "U": (d, d4), "b": (d4,), "Wo": (d, V), "bo": (V,)}
+
+
 def init_noise_model(V, d, prior: LengthPrior, seed=0) -> NoiseModel:
     rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, shape)
-
-    params = {
-        "emb": u(V + 1, d),  # row V is BOS
-        "W": u(d, 4 * d),
-        "U": u(d, 4 * d),
-        "b": u(4 * d),
-        "Wo": u(d, V),
-        "bo": u(V),
-    }
-    return NoiseModel(params, prior, V)
+    return NoiseModel({k: rng.uniform(-0.1, 0.1, s) for k, s in param_shapes(V, d).items()}, prior)
 
 
 def _log_softmax(a, scratch):

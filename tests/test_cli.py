@@ -691,6 +691,124 @@ def test_sample_noise_file_without_an_array_exit_1_names_file_and_array(
     assert "error: %s lacks the array 'mu.emb'" % noise_out in capsys.readouterr().err
 
 
+def _narrow(a):
+    """a without its last column."""
+    return a[..., :-1]
+
+
+@pytest.mark.parametrize(
+    "mode, name, edit",
+    [
+        ("neural", "phi.fwd0_U", _narrow),
+        ("neural", "phi.emb", lambda a: a[:-1]),
+        ("discrete", "lam", _narrow),
+        ("discrete", "zeta", lambda a: a[None]),
+    ],
+    ids=["phi-U-narrow", "phi-emb-short", "lam-short", "zeta-2d"],
+)
+def test_ppl_model_with_a_misshapen_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys, mode, name, edit
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, mode)
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    shape = arrays[name].shape
+    arrays[name] = edit(arrays[name])
+    write_container(model_out, manifest, arrays)  # a valid checksum over it
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s: array %s has shape %s, not %s\n" % (
+        model_out, name, arrays[name].shape, shape
+    ) in capsys.readouterr().err
+
+
+def test_ppl_model_with_a_1d_embedding_exit_1_names_file_and_array(tmp_path, tiny_corpus, capsys):
+    # a table that is not 2-d gives no width d; the embedding is then checked against d = 1
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "neural")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    V = len(arrays["phi.emb"])
+    arrays["phi.emb"] = arrays["phi.emb"][:, 0]
+    write_container(model_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s: array phi.emb has shape (%d,), not (%d, 1)\n" % (
+        model_out, V, V
+    ) in capsys.readouterr().err
+
+
+def test_ppl_model_without_a_feature_key_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    del arrays["keys.1"]
+    write_container(model_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s lacks the array 'keys.1'\n" % model_out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names, edit",
+    [(["mu.U"], lambda a: a[:-1]), (["mu.Wo", "mu.bo"], _narrow), (["pi"], lambda a: a[None])],
+    ids=["U-short", "Wo-and-bo-narrower-than-vocab", "pi-2d"],
+)
+def test_sample_noise_file_with_a_misshapen_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys, names, edit
+):
+    # narrowing Wo and bo alike keeps the noise LM self-consistent, but not with its vocabulary
+    train, dev = tiny_corpus
+    noise_out = tmp_path / "noise.trf"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["noise_out=%s" % noise_out])
+    assert _run(argv) == 0
+    manifest, arrays = read_container(noise_out)
+    shape = arrays[names[0]].shape
+    for name in names:
+        arrays[name] = edit(arrays[name])
+    write_container(noise_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["sample", noise_out, "--count", 5, "--seed", 3]) == 1
+    assert "error: %s: array %s has shape %s, not %s\n" % (
+        noise_out, names[0], arrays[names[0]].shape, shape
+    ) in capsys.readouterr().err
+
+
+def test_sample_noise_file_with_the_older_manifest_key_v_loads(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    noise_out = tmp_path / "noise.trf"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["noise_out=%s" % noise_out])
+    assert _run(argv) == 0
+    capsys.readouterr()
+    assert _run(["sample", noise_out, "--count", 5, "--seed", 3]) == 0
+    expected = capsys.readouterr().out
+    manifest, arrays = read_container(noise_out)
+    assert "V" not in manifest
+    manifest["V"] = len(arrays["mu.bo"])
+    write_container(noise_out, manifest, arrays)
+    assert _run(["sample", noise_out, "--count", 5, "--seed", 3]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_rescore_groups_the_lines_of_an_utterance_wherever_they_are(tmp_path, tiny_corpus, capsys):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.0\tthe cat sat\nu2\t0.0\ta dog\nu1\t0.0\tthe the the\n")
+    refs = tmp_path / "refs.txt"
+    refs.write_text("u1\tthe cat sat\nu2\ta dog\n")
+    capsys.readouterr()
+    assert _run(["rescore", nbest, model_out, "--refs", refs]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [l.split("\t")[0] for l in out] == ["u1", "u2", "wer"]
+    assert out[-1].split("\t")[2] == "5"  # the reference tokens of u1 and u2, once each
+
+
 @pytest.mark.parametrize("command", ["ppl", "rescore"])
 def test_model_with_fractional_feature_key_exit_1(tmp_path, tiny_corpus, capsys, command):
     train, dev = tiny_corpus

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import tracemalloc
 
@@ -7,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trflm.container import ContainerError, read_container, write_container
+from trflm.container import (
+    _CHK_TAG,
+    FORMAT_VERSION,
+    MAGIC,
+    ContainerError,
+    read_container,
+    write_container,
+)
 
 arrays_st = st.dictionaries(
     st.text(min_size=1, max_size=8),
@@ -84,3 +93,41 @@ def test_read_copies_each_array_once(tmp_path):
         tracemalloc.stop()
     assert arrays["b"].shape == (400, 1000)
     assert peak < 2.5 * size
+
+
+def _crafted(path, manifest, payload):
+    """A container of the given manifest and payload bytes with a valid checksum."""
+    body = MAGIC + json.dumps({"format_version": FORMAT_VERSION, **manifest}).encode() + b"\n"
+    body += payload
+    path.write_bytes(body + _CHK_TAG + hashlib.sha256(body).hexdigest().encode("ascii"))
+    return path
+
+
+A1 = {"name": "a", "shape": [1]}
+
+
+@pytest.mark.parametrize(
+    "manifest, payload, message",
+    [
+        ({}, b"", "bad array list in the manifest of %s"),
+        (
+            {"arrays": [{"name": "a", "shape": [-1]}]},
+            bytes(8),
+            "bad array entry 'a', shape (-1,) in %s",
+        ),
+        ({"arrays": [A1, A1]}, bytes(16), "array 'a' is listed twice in %s"),
+        ({"arrays": [A1]}, bytes(16), "8 bytes after the last array in %s"),
+        ({"arrays": [{"name": "a", "shape": [0, 2**70]}]}, b"", "%s: array 'a': "),
+    ],
+    ids=[
+        "no-arrays-key", "negative-shape", "repeated-name", "trailing-payload",
+        "zero-size-shape-too-large-for-numpy",
+    ],
+)
+def test_crafted_manifest_raises_container_error_naming_the_file(
+    tmp_path, manifest, payload, message
+):
+    path = _crafted(tmp_path / "c.bin", manifest, payload)
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(exc.value).startswith(message % path)  # numpy words the last case's reason

@@ -228,10 +228,11 @@ def test_nbest_file_roundtrip(tmp_path):
         (ev.read_nbest, "u1\t0.0\ta b\nu1\t0.5\t\n", ":2: hypothesis has no words"),
         (ev.read_nbest, "u1\t0.0\t \t \n", ":1: hypothesis has no words"),
         (ev.read_refs, "u1\ta b\nu2 a b\n", ":2: expected utt_id<TAB>words"),
+        (ev.read_refs, "u1\ta b\nu2\tc\nu1\td\n", ":3: utterance 'u1' has a second reference"),
     ],
     ids=[
         "nbest-two-fields", "nbest-no-tabs", "nbest-aux-not-numeric", "nbest-aux-nan",
-        "nbest-empty-words", "nbest-blank-words", "refs-no-tab",
+        "nbest-empty-words", "nbest-blank-words", "refs-no-tab", "refs-repeated-id",
     ],
 )
 def test_bad_input_line_names_path_and_line(tmp_path, reader, text, message):

@@ -35,3 +35,25 @@ def test_each_line_falls_in_its_class():
         "x = 1"  # no newline: wc -l does not count it
     )
     assert src_lines.count_lines(text) == (6, 5, 1)
+
+
+def test_delta_between_two_trees_lists_changed_files_and_the_total(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    files = {
+        before: {"same.py": "x = 1\n", "grew.py": "x = 1\n", "gone.py": "# note\n\n"},
+        after: {
+            "same.py": "x = 1\n", "grew.py": '"""Doc."""\n\nx = 1\ny = 2\n', "new.py": "z = 3\n"
+        },
+    }
+    for root, texts in files.items():
+        (root / "pkg").mkdir(parents=True)
+        for name, text in texts.items():
+            (root / "pkg" / name).write_text(text)
+    (after / "outside.py").write_text("w = 4\n")  # not under the counted path
+    rows = src_lines.delta(before, after, ["pkg"])
+    assert rows == [
+        ("pkg/gone.py", (0, 1, 1), (0, 0, 0)),
+        ("pkg/grew.py", (1, 0, 0), (2, 1, 1)),
+        ("pkg/new.py", (0, 0, 0), (1, 0, 0)),
+        ("total", (2, 1, 1), (4, 1, 1)),
+    ]
