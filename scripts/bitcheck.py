@@ -27,7 +27,12 @@ tree's ``perfbench/bench.py``:
   sentences; ``features.extract`` over the training corpus; and the
   feature index's key arrays. ``dnce-paper`` adds ``score.log_prob_batch``:
   the ``score`` workload's seeded model, saved, loaded and scored over the
-  dev sentences.
+  dev sentences. ``dnce-small`` adds ``resumed.trf_params`` and
+  ``resumed.noise_params``: a fresh model and noise LM resumed from the
+  checkpoint (``train(..., resume=True)``) and trained 5 steps further; and
+  ``noise_file.sample``: the trained noise LM saved with
+  ``save_noise_model``, loaded with ``load_noise_model`` and sampled
+  (``noise.sample``, 200 sentences at seed 1).
 - ``trflm oracle-check`` output at its defaults, at ``--seed 1 --vocab 4
   --dim 2`` and at ``--seed 2 --max-length 4``.
 """
@@ -39,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,8 +58,10 @@ from bench_pairs import ROOT, export
 SEED = 1
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ORACLE_SETTINGS = [[], ["--seed", "1", "--vocab", "4", "--dim", "2"], ["--seed", "2", "--max-length", "4"]]
+RESUMED_STEPS = 5
+SAMPLE_COUNT = 200
 GROUPS = [
-    ["dnce", "dnce-small", 40],
+    ["dnce", "dnce-small", 40, RESUMED_STEPS],
     ["dnce", "dnce-paper", 3],
     *(["oracle", *args] for args in ORACLE_SETTINGS),
 ]
@@ -74,11 +82,13 @@ def numbered(arrays):
     return {"%03d" % i: a for i, a in enumerate(arrays)}
 
 
-def dnce_digests(name, steps):
-    """The artifacts of one DNCE workload, made by the imported tree's code."""
+def dnce_digests(name, steps, resumed_steps=0):
+    """The artifacts of one DNCE workload, made by the imported tree's code;
+    with resumed_steps, also those of a resume and of the noise file."""
     import bench
     from trflm import features, trainer
-    from trflm.model import TrfModel
+    from trflm import noise as noise_mod
+    from trflm.model import TrfModel, load_noise_model, save_noise_model
 
     spec = bench.DNCE[name]
     c = bench.load_corpus(spec.shape)
@@ -92,6 +102,20 @@ def dnce_digests(name, steps):
             checkpoint_path=path, max_steps=steps,
         )
         out["checkpoint"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        if resumed_steps:
+            resumed, resumed_noise = bench.dnce_models(c, spec.shape, SEED)
+            done = state.epoch * math.ceil(len(c.train) / config.batch_size)
+            trainer.train(
+                config, c.train, c.dev, resumed, resumed_noise, log_sink=io.StringIO(),
+                checkpoint_path=path, resume=True, max_steps=done + resumed_steps,
+            )
+            out["resumed.trf_params"] = digest(resumed.params())
+            out["resumed.noise_params"] = digest(resumed_noise.params)
+            noise_path = os.path.join(tmp, "noise")
+            save_noise_model(noise, c.vocab, noise_path)
+            loaded, _ = load_noise_model(noise_path)
+            drawn, log_p = noise_mod.sample(loaded, SAMPLE_COUNT, np.random.default_rng(SEED))
+            out["noise_file.sample"] = digest({"log_p": log_p, **numbered(map(np.array, drawn))})
         if spec.shape == bench.PAPER:
             path = os.path.join(tmp, "score.trf")
             bench.seeded_paper_model(c, SEED).save(path)

@@ -110,14 +110,13 @@ class FeatureIndex:
     traversal order. key_arrays holds them as one (n_t, order) integer
     array per template, rows in increasing order; template t's ids start
     at firsts[t], and folds[t] holds its keys' level codes (see _fold).
+    Callers pass arrays of that shape; TrfModel.load checks a file's.
     """
 
     def __init__(self, template_set: TemplateSet, key_arrays, class_map: ClassMap | None):
         self.template_set = template_set
         self.class_map = class_map
-        if len(key_arrays) != len(template_set.templates):
-            raise FeatureError("need one (n, order) key array per template")
-        self.key_arrays = [_key_array(a, t) for a, t in zip(key_arrays, template_set.templates)]
+        self.key_arrays = [_key_array(a) for a in key_arrays]
         sizes = [len(a) for a in self.key_arrays]
         self.n_features = sum(sizes)
         self.firsts = np.cumsum([0, *sizes[:-1]])
@@ -130,11 +129,9 @@ class FeatureIndex:
             self.folds.append(fold)
 
 
-def _key_array(a, template):
-    """One template's keys as an int64 (n, order) array of whole numbers >= 0."""
+def _key_array(a):
+    """One template's (n, order) keys as int64, refused unless whole numbers >= 0."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[1] != template.order:
-        raise FeatureError("need one (n, order) key array per template")
     if a.dtype.kind not in "iu" and not (np.isfinite(a) & (a == np.floor(a))).all():
         raise FeatureError("feature key values must be whole numbers")
     if (a < 0).any():

@@ -33,7 +33,7 @@ class ModelError(ValueError):
 
 
 class _Entries(dict):
-    """A model file's manifest or arrays, whose missing entry raises
+    """A container file's manifest or arrays, whose missing entry raises
     ModelError naming the file and the entry."""
 
     def __init__(self, entries, path, what):
@@ -44,20 +44,36 @@ class _Entries(dict):
         raise ModelError("%s lacks the %s %r" % (self.path, self.what, key))
 
 
-def _read_model_file(path):
+def read_checked(path, kind):
+    """The manifest and arrays, as _Entries, of a container file whose
+    manifest kind is kind; a file of another kind raises ModelError."""
     manifest, arrays = read_container(path)
+    if manifest.get("kind") != kind:
+        raise ModelError("%s is not a %s file (kind %r)" % (path, kind, manifest.get("kind")))
     return _Entries(manifest, path, "manifest key"), _Entries(arrays, path, "array")
 
 
-def _check_shapes(path, arrays, shapes):
-    """Raise ModelError naming the file unless pi is 1-d and each name of shapes has its shape."""
-    shapes = {"pi": (arrays["pi"].size,), **shapes}
+def check_arrays(path, arrays, shapes):
+    """Raise ModelError naming the file and the arrays unless arrays holds
+    exactly the names of shapes, each in its shape."""
     missing = [k for k in shapes if k not in arrays]
     if missing:
         raise ModelError("%s lacks the arrays %s" % (path, ", ".join(missing)))
+    undeclared = sorted(arrays.keys() - shapes.keys())
+    if undeclared:
+        raise ModelError("%s holds undeclared arrays %s" % (path, ", ".join(undeclared)))
     for k, s in shapes.items():
         if arrays[k].shape != s:
             raise ModelError("%s: array %s has shape %s, not %s" % (path, k, arrays[k].shape, s))
+
+
+def _length_prior(path, pi):
+    """The LengthPrior of a file's checked 1-d pi, refused unless a probability vector."""
+    if not ((pi >= 0).all() and abs(pi.sum() - 1.0) <= 1e-9):
+        raise ModelError(
+            "%s: array pi is not a probability vector (finite, >= 0, summing to 1)" % path
+        )
+    return LengthPrior(pi)
 
 
 def _width(emb):
@@ -257,21 +273,27 @@ class TrfModel:
 
     @classmethod
     def load(cls, path) -> "TrfModel":
-        manifest, arrays = _read_model_file(path)
-        if manifest.get("kind") != "trf-model":
-            raise ModelError("%s is not a model file (kind=%r)" % (path, manifest.get("kind")))
+        manifest, arrays = read_checked(path, "trf-model")
         if "feature_keys" in manifest:
             raise ModelError(
                 "%s stores its feature keys as a JSON list, which this version no longer "
                 "reads; retrain the model, or re-save it with keys.<template id> arrays" % path
             )
         vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
-        shapes = {"zeta": (arrays["pi"].size,)}
+        L = arrays["pi"].size
+        shapes = {"pi": (L,), "zeta": (L,)}
         class_map = None
         if manifest["class_map"] is not None:
-            class_map = ClassMap(
-                np.array(manifest["class_map"], dtype=np.int64), manifest["n_classes"]
-            )
+            classes, n_classes = manifest["class_map"], manifest["n_classes"]
+            if not (
+                type(classes) is list and len(classes) == vocab.size and type(n_classes) is int
+                and all(type(c) is int and 0 <= c < n_classes for c in classes)
+            ):
+                raise ModelError(
+                    "%s: class_map must give each of the %d words a class id in [0, n_classes)"
+                    % (path, vocab.size)
+                )
+            class_map = ClassMap(np.array(classes, dtype=np.int64), n_classes)
         feature_index = None
         lam = None
         if manifest["has_discrete"]:
@@ -283,6 +305,12 @@ class TrfModel:
             n_classes = 0 if class_map is None else class_map.n_classes
             for name, t in zip(names, templates):
                 limit = vocab.size if t.source == "word" else n_classes
+                shapes[name] = arrays[name].shape[:1] + (t.order,)
+                if arrays[name].shape != shapes[name]:
+                    raise ModelError(
+                        "%s: bad feature keys: %s has shape %s; need one (n, order) key array "
+                        "per template" % (path, name, arrays[name].shape)
+                    )
                 if (arrays[name] >= limit).any():
                     raise ModelError(
                         "%s: bad feature keys: %s holds a %s value >= %d"
@@ -300,10 +328,10 @@ class TrfModel:
             d, n_layers = _width(arrays[_PHI + "emb"]), neural.n_layers_of(phi_params)
             for k, s in neural.phi_shapes(vocab.size, d, n_layers).items():
                 shapes[_PHI + k] = s
-        _check_shapes(path, arrays, shapes)
+        check_arrays(path, arrays, shapes)
         return cls(
             vocab,
-            LengthPrior(arrays["pi"]),
+            _length_prior(path, arrays["pi"]),
             arrays["zeta"],
             feature_index=feature_index,
             lam=lam,
@@ -322,10 +350,10 @@ def save_noise_model(model, vocab: Vocabulary, path):
 
 def load_noise_model(path):
     """The noise LM and vocabulary of a noise file; older files' manifest key V is ignored."""
-    manifest, arrays = _read_model_file(path)
-    if manifest.get("kind") != "noise-model":
-        raise ModelError("%s is not a noise-model file" % path)
+    manifest, arrays = read_checked(path, "noise-model")
     vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
     shapes = param_shapes(vocab.size, _width(arrays["mu.emb"]))
-    _check_shapes(path, arrays, {"mu." + k: s for k, s in shapes.items()})
-    return NoiseModel({k: arrays["mu." + k] for k in shapes}, LengthPrior(arrays["pi"])), vocab
+    declared = {"pi": (arrays["pi"].size,), **{"mu." + k: s for k, s in shapes.items()}}
+    check_arrays(path, arrays, declared)
+    noise = NoiseModel({k: arrays["mu." + k] for k in shapes}, _length_prior(path, arrays["pi"]))
+    return noise, vocab

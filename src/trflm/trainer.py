@@ -15,7 +15,7 @@ import numpy as np
 from . import model as model_mod
 from . import neural
 from . import noise as noise_mod
-from .container import read_container, write_container
+from .container import write_container
 
 
 MAX_NOISE_PER_DATA = 100  # noise sentences, B1 and B2 together, per data sentence
@@ -251,11 +251,8 @@ def _checkpoint(path, config, model, noise, adam, avg_sums, avg_n, state, rng):
 
 def _restore(path, config, model, noise, adam, rng):
     """Load a checkpoint into the run's own arrays, in place, once the file
-    is seen to hold this run's config (max_epochs may differ) and exactly
-    this run's arrays with their shapes."""
-    manifest, arrays = read_container(path)
-    if manifest.get("kind") != "dnce-checkpoint":
-        raise TrainerError("%s is not a DNCE checkpoint (kind=%r)" % (path, manifest.get("kind")))
+    is seen to hold this run's config (max_epochs may differ)."""
+    manifest, arrays = model_mod.read_checked(path, "dnce-checkpoint")
     stored = manifest.get("config")
     if stored is None:
         raise ResumeConfigError("checkpoint %s stores no trainer config to check" % path)
@@ -270,27 +267,21 @@ def _restore(path, config, model, noise, adam, rng):
             "checkpoint %s was written under another trainer config: %s"
             % (path, "; ".join(changed))
         )
+    try:
+        state = TrainState(**manifest["state"])
+    except TypeError:
+        raise model_mod.ModelError("%s: manifest key 'state' is no TrainState" % path) from None
     params = model.params()
     adam.m = {k: np.empty_like(v) for k, v in params.items()}
     adam.v = {k: np.empty_like(v) for k, v in params.items()}
     avg_sums = {k: np.empty_like(v) for k, v in params.items()} if manifest["avg_n"] else {}
     live = _checkpoint_arrays(model, noise, adam, avg_sums)
-    for name, value in live.items():
-        if name not in arrays:
-            raise TrainerError("checkpoint %s lacks array %r of this run" % (path, name))
-        if arrays[name].shape != value.shape:
-            raise TrainerError(
-                "checkpoint %s: array %r has shape %s, this run's has %s"
-                % (path, name, arrays[name].shape, value.shape)
-            )
-    extra = sorted(arrays.keys() - live.keys())
-    if extra:
-        raise TrainerError("checkpoint %s has arrays this run lacks: %s" % (path, ", ".join(extra)))
+    model_mod.check_arrays(path, arrays, {name: value.shape for name, value in live.items()})
     for name, value in live.items():
         value[...] = arrays[name]
     adam.t = manifest["adam_t"]
     rng.bit_generator.state = manifest["rng_state"]
-    return TrainState(**manifest["state"]), avg_sums, manifest["avg_n"]
+    return state, avg_sums, manifest["avg_n"]
 
 
 def train(

@@ -1,11 +1,14 @@
 """Single-item conveniences over the batched library calls, used by the tests."""
 
 import math
+import re
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 
 from trflm import corpus, evaluation, features, neural, noise, oracle, trainer
+from trflm.container import read_container, write_container
 from trflm.corpus import _xlogx
 
 
@@ -695,3 +698,33 @@ class FakeBlas:
 
     def install(self, monkeypatch):
         monkeypatch.setattr(neural, "_blas", lambda: (lambda: self.threads, self.put))
+
+
+DAMAGES = ["drop", "add", "reshape"]
+
+
+def damage_each_array(path, damage):
+    """For each array of the container at path, rewrite the file with that
+    array dropped ("drop"), with an undeclared array beside it ("add") or
+    with a trailing axis added ("reshape"), and yield the name of the array
+    a refusal must name. The file is restored once all are done."""
+    original = Path(path).read_bytes()
+    manifest, arrays = read_container(path)
+    for name in sorted(arrays):
+        edited, bad = dict(arrays), name
+        if damage == "drop":
+            del edited[name]
+        elif damage == "add":
+            bad = name + "_undeclared"
+            edited[bad] = arrays[name]
+        else:
+            edited[name] = arrays[name][..., None]
+        write_container(path, manifest, edited)
+        yield bad
+    Path(path).write_bytes(original)
+
+
+def names_file_and_array(message, path, name) -> bool:
+    """Whether an error message starts with the file's path and names the array."""
+    rest = message[len(str(path)) :] if message.startswith(str(path)) else ""
+    return re.search(r"(?<![\w.])%s(?![\w.])" % re.escape(name), rest) is not None

@@ -429,8 +429,8 @@ def test_train_bad_class_map_exit_1(tmp_path, tiny_corpus, capsys, damage, messa
     "damage, resume_set, messages",
     [
         ("truncate", [], ["truncated"]),
-        (None, ["hidden_dim=5"], ["'model.phi.emb' has shape"]),
-        (None, ["mode=discrete"], ["arrays this run lacks", "model.phi.emb"]),
+        (None, ["hidden_dim=5"], ["array model.phi.emb has shape"]),
+        (None, ["mode=discrete"], ["holds undeclared arrays", "model.phi.emb"]),
     ],
     ids=["truncated", "hidden-dim-changed", "mode-changed"],
 )
@@ -449,6 +449,40 @@ def test_train_resume_refuses_bad_checkpoint(
     assert _run(argv) == 1
     err = capsys.readouterr().err
     assert all(m in err for m in messages)
+
+
+@pytest.mark.parametrize("key", ["adam_t", "avg_n", "rng_state", "state"])
+def test_train_resume_checkpoint_without_a_manifest_key_exit_1_names_file_and_key(
+    tmp_path, tiny_corpus, capsys, key
+):
+    train, dev = tiny_corpus
+    ckpt = tmp_path / "ckpt"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
+    assert _run(argv) == 0
+    manifest, arrays = read_container(ckpt)
+    del manifest[key]
+    write_container(ckpt, manifest, arrays)
+    capsys.readouterr()
+    assert _run(argv + ["--set", "resume=1"]) == 1
+    assert "error: %s lacks the manifest key %r\n" % (ckpt, key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state", [[1, 1.0], {"epoch": 1, "halvings": 0}], ids=["a-list", "an-unknown-field"]
+)
+def test_train_resume_checkpoint_with_a_bad_state_exit_1_names_file(
+    tmp_path, tiny_corpus, capsys, state
+):
+    train, dev = tiny_corpus
+    ckpt = tmp_path / "ckpt"
+    argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
+    assert _run(argv) == 0
+    manifest, arrays = read_container(ckpt)
+    manifest["state"] = state
+    write_container(ckpt, manifest, arrays)
+    capsys.readouterr()
+    assert _run(argv + ["--set", "resume=1"]) == 1
+    assert "error: %s: manifest key 'state' is no TrainState" % ckpt in capsys.readouterr().err
 
 
 def test_train_resume_refuses_changed_config_exit_2(tmp_path, tiny_corpus, capsys):
@@ -792,6 +826,71 @@ def test_sample_noise_file_with_the_older_manifest_key_v_loads(tmp_path, tiny_co
     write_container(noise_out, manifest, arrays)
     assert _run(["sample", noise_out, "--count", 5, "--seed", 3]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda pi: np.full_like(pi, np.nan), lambda pi: pi * 10, lambda pi: -pi],
+    ids=["nan", "times-10", "negated"],
+)
+@pytest.mark.parametrize("command", ["ppl", "sample"])
+def test_file_whose_pi_is_no_probability_vector_exit_1_names_file(
+    tmp_path, tiny_corpus, capsys, command, edit
+):
+    train, dev = tiny_corpus
+    noise_out = tmp_path / "noise.trf"
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete", ["noise_out=%s" % noise_out])
+    assert _run(argv) == 0
+    path, args = (model_out, [dev]) if command == "ppl" else (noise_out, ["--count", 5])
+    manifest, arrays = read_container(path)
+    assert arrays["pi"][0] == 0.0  # no one-word sentence: a zero entry is a legal prior
+    arrays["pi"] = edit(arrays["pi"])
+    write_container(path, manifest, arrays)
+    capsys.readouterr()
+    assert _run([command, path, *args]) == 1
+    assert "error: %s: array pi is not a probability vector" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: [x + 100 for x in c], lambda c: [-1] * len(c), lambda c: c[:-1]],
+    ids=["shifted-by-100", "all-minus-1", "one-entry-short"],
+)
+def test_ppl_model_with_a_bad_class_map_exit_1_names_file(
+    tmp_path, tiny_corpus, capsys, edit
+):
+    train, dev = tiny_corpus
+    cmap = tmp_path / "classes.txt"
+    assert _run(["cluster", train, cmap, "--n-classes", 3]) == 0
+    argv, model_out = _train_args(
+        tmp_path, train, dev, "discrete", ["templates=w+c:2", "class_map=%s" % cmap]
+    )
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    manifest["class_map"] = edit(manifest["class_map"])
+    write_container(model_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s: class_map must give each of the" % model_out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, name", [("model", "phi.foo"), ("noise", "mu.foo")])
+def test_file_with_an_undeclared_array_exit_1_names_file_and_array(
+    tmp_path, tiny_corpus, capsys, kind, name
+):
+    train, dev = tiny_corpus
+    noise_out = tmp_path / "noise.trf"
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete", ["noise_out=%s" % noise_out])
+    assert _run(argv) == 0
+    path, argv = (model_out, ["ppl", model_out, dev]) if kind == "model" else (
+        noise_out, ["sample", noise_out, "--count", 5]
+    )
+    manifest, arrays = read_container(path)
+    arrays[name] = np.zeros(3)
+    write_container(path, manifest, arrays)
+    capsys.readouterr()
+    assert _run(argv) == 1
+    assert "error: %s holds undeclared arrays %s\n" % (path, name) in capsys.readouterr().err
 
 
 def test_rescore_groups_the_lines_of_an_utterance_wherever_they_are(tmp_path, tiny_corpus, capsys):

@@ -374,6 +374,48 @@ def test_load_refuses_bad_feature_key_arrays(tmp_path, name, edit, message):
         TrfModel.load(path)
 
 
+@pytest.mark.parametrize("damage", helpers.DAMAGES)
+@pytest.mark.parametrize("mode", ["discrete", "neural", "mixed"])
+def test_model_file_holds_exactly_its_declared_arrays(tmp_path, mode, damage):
+    m = _mixed_model(seed=5, n_classes=2)
+    discrete, neural_ = mode != "neural", mode != "discrete"
+    model = TrfModel(
+        m.vocab, m.prior, m.zeta,
+        feature_index=m.feature_index if discrete else None, lam=m.lam if discrete else None,
+        phi_params=m.phi_params if neural_ else None, class_map=m.class_map,
+        template_spec=m.template_spec,
+    )
+    path = tmp_path / "m.trf"
+    model.save(path)
+    TrfModel.load(path)
+    for name in helpers.damage_each_array(path, damage):
+        with pytest.raises(ModelError) as exc:
+            TrfModel.load(path)
+        assert helpers.names_file_and_array(str(exc.value), path, name), exc.value
+
+
+@pytest.mark.parametrize("damage", helpers.DAMAGES)
+def test_noise_file_holds_exactly_its_declared_arrays(tmp_path, damage):
+    path = tmp_path / "noise.trf"
+    save_noise_model(noise.init_noise_model(4, 3, LengthPrior(np.array([0.5, 0.5]))), _vocab(4), path)
+    load_noise_model(path)
+    for name in helpers.damage_each_array(path, damage):
+        with pytest.raises(ModelError) as exc:
+            load_noise_model(path)
+        assert helpers.names_file_and_array(str(exc.value), path, name), exc.value
+
+
+def test_each_loader_refuses_a_file_of_another_kind_naming_both_kinds(tmp_path):
+    m = _mixed_model(seed=5)
+    model_path, noise_path = tmp_path / "m.trf", tmp_path / "noise.trf"
+    m.save(model_path)
+    save_noise_model(noise.init_noise_model(3, 2, m.prior), m.vocab, noise_path)
+    with pytest.raises(ModelError, match=r"m\.trf is not a noise-model file \(kind 'trf-model'\)"):
+        load_noise_model(model_path)
+    with pytest.raises(ModelError, match=r"noise\.trf is not a trf-model file \(kind 'noise-model'\)"):
+        TrfModel.load(noise_path)
+
+
 def test_save_load_discrete_only(tmp_path):
     m = _mixed_model(seed=6)
     discrete = TrfModel(

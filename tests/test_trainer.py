@@ -503,6 +503,24 @@ def test_train_resume_refuses_changed_config(tmp_path):
         trainer.train(changed, data, data[:10], model, noise, checkpoint_path=ckpt, resume=True)
 
 
+@pytest.mark.parametrize("damage", helpers.DAMAGES)
+def test_checkpoint_holds_exactly_the_arrays_of_the_run(tmp_path, damage):
+    # a 2-epoch run with average_tail=9 checkpoints averaging sums too
+    data, cfg, fresh = _resume_setup(9)
+    cfg.max_epochs = 2
+    ckpt = tmp_path / "ckpt"
+    trainer.train(copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt)
+    seen = []
+    for name in helpers.damage_each_array(ckpt, damage):
+        seen.append(name)
+        with pytest.raises(model_mod.ModelError) as exc:
+            trainer.train(
+                copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt, resume=True
+            )
+        assert helpers.names_file_and_array(str(exc.value), ckpt, name), exc.value
+    assert any(name.startswith("avg.") for name in seen)
+
+
 def test_train_stops_when_lr_floor_reached():
     rng = np.random.default_rng(2)
     V, L = 3, 2
