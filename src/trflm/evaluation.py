@@ -14,17 +14,27 @@ class EvalError(ValueError):
     pass
 
 
-def perplexity(model, sentences) -> float:
+def perplexity(model, sentences, name="the model") -> float:
     """exp(-sum log p(l, x^l) / total tokens).
 
     Joint sentence probability with per-token normalization and no end
     symbol, so values are not comparable to conditional-LM perplexities.
+    A sentence with log p(l, x) > 1e-9, which only a zeta_l below log Z_l
+    gives, raises EvalError naming name (the model) and the first such
+    sentence's length.
     """
     if not sentences:
         raise EvalError("empty corpus")
-    total_logp = float(model.log_prob_batch(sentences).sum())
+    logp = model.log_prob_batch(sentences)
+    above = np.flatnonzero(logp > 1e-9)
+    if len(above):
+        l = len(sentences[above[0]])
+        raise EvalError(
+            "%s: a sentence of length %d has log p(l, x) = %.6g > 0, so zeta_%d is below log Z_%d"
+            % (name, l, logp[above[0]], l, l)
+        )
     total_tokens = sum(len(s) for s in sentences)
-    return math.exp(-total_logp / total_tokens)
+    return math.exp(-float(logp.sum()) / total_tokens)
 
 
 @dataclass

@@ -19,6 +19,16 @@ class Template:
     source: str  # "word" or "class"
     offsets: tuple  # relative positions observed; (0,1,2) = contiguous trigram
 
+    def __post_init__(self):
+        if self.source not in ("word", "class"):
+            raise FeatureError("template source %r is not word or class" % (self.source,))
+        offs = self.offsets
+        rising = all(type(o) is int for o in offs) and list(offs) == sorted(set(offs))
+        if offs[:1] != (0,) or not rising:
+            raise FeatureError(
+                "template offsets %r are not ints that strictly increase from 0" % (offs,)
+            )
+
     @property
     def order(self):
         return len(self.offsets)
@@ -31,7 +41,7 @@ class Template:
 @dataclass
 class TemplateSet:
     templates: list
-    max_order: int
+    max_order: int = 0  # compile_templates' max order; only n_cutoffs reads it
 
     @property
     def n_cutoffs(self):

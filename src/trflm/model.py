@@ -33,24 +33,92 @@ class ModelError(ValueError):
 
 
 class _Entries(dict):
-    """A container file's manifest or arrays, whose missing entry raises
-    ModelError naming the file and the entry."""
+    """A container file's arrays, whose missing entry raises ModelError
+    naming the file and the array."""
 
-    def __init__(self, entries, path, what):
+    def __init__(self, entries, path):
         super().__init__(entries)
-        self.path, self.what = path, what
+        self.path = path
 
     def __missing__(self, key):
-        raise ModelError("%s lacks the %s %r" % (self.path, self.what, key))
+        raise ModelError("%s lacks the array %r" % (self.path, key))
+
+
+# The manifest keys of each file kind, with the JSON type of each value: int, float, str,
+# bool, dict (any object), None (null), a tuple of types (any one of them), [t] (a list of
+# t), [t, u] (a list of a t and a u), or a dict of keys and their types (an object holding
+# those keys). A key whose type admits null may be absent and reads as null. Other keys
+# are ignored, such as the max_order, n_layers and V of older files.
+MANIFEST_KEYS = {
+    "trf-model": {
+        "vocab": [str],
+        "unk_token": str,
+        "template_spec": str,
+        "has_discrete": bool,
+        "has_neural": bool,
+        "templates": (None, [[str, [int]]]),  # each template's source and offsets
+        "class_map": (None, [int]),  # each word's class id
+        "n_classes": (None, int),
+    },
+    "noise-model": {"vocab": [str], "unk_token": str},
+    "dnce-checkpoint": {
+        "config": (None, dict),  # trainer._restore compares it with the run's own
+        "state": {"epoch": int, "lr_factor": float, "best_dev": float, "dev_history": [float]},
+        "adam_t": int,
+        "avg_n": int,
+        "rng_state": dict,
+    },
+}
+
+
+def _conforms(value, t) -> bool:
+    """Whether a value json.loads gave has the declared type t; a bool is no int and an int
+    no float."""
+    if type(t) is tuple:
+        return any(_conforms(value, u) for u in t)
+    if type(t) is list:
+        if type(value) is not list:
+            return False
+        items = t * len(value) if len(t) == 1 else t
+        return len(value) == len(items) and all(map(_conforms, value, items))
+    return type(value) is (type(None) if t is None else t)
+
+
+def _type_name(t) -> str:
+    """t as refusals name it."""
+    if type(t) is tuple:
+        return " or ".join(map(_type_name, t))
+    if type(t) is list and len(t) == 1:
+        return "list of " + _type_name(t[0])
+    if type(t) is list:
+        return "[%s]" % ", ".join(map(_type_name, t))
+    return "dict" if type(t) is dict else "null" if t is None else t.__name__
+
+
+def _check_keys(path, manifest, declared, prefix=""):
+    """Raise ModelError naming the file and the key unless manifest holds each declared key
+    (one whose type admits null may be absent, and is set to None) with a value of its type."""
+    for key, t in declared.items():
+        if key not in manifest and not _conforms(None, t):
+            raise ModelError("%s lacks the manifest key %r" % (path, prefix + key))
+        value = manifest.setdefault(key, None)
+        if type(t) is dict and type(value) is dict:
+            _check_keys(path, value, t, prefix + key + ".")
+        elif not _conforms(value, t):
+            raise ModelError(
+                "%s: manifest key %r is not of type %s" % (path, prefix + key, _type_name(t))
+            )
 
 
 def read_checked(path, kind):
-    """The manifest and arrays, as _Entries, of a container file whose
-    manifest kind is kind; a file of another kind raises ModelError."""
+    """The manifest and arrays, the arrays as _Entries, of a container file whose manifest
+    kind is kind and which holds each key of MANIFEST_KEYS[kind] in its type; a file of
+    another kind, or without a key in its type, raises ModelError."""
     manifest, arrays = read_container(path)
     if manifest.get("kind") != kind:
         raise ModelError("%s is not a %s file (kind %r)" % (path, kind, manifest.get("kind")))
-    return _Entries(manifest, path, "manifest key"), _Entries(arrays, path, "array")
+    _check_keys(path, manifest, MANIFEST_KEYS[kind])
+    return manifest, _Entries(arrays, path)
 
 
 def check_arrays(path, arrays, shapes):
@@ -74,6 +142,15 @@ def _length_prior(path, pi):
             "%s: array pi is not a probability vector (finite, >= 0, summing to 1)" % path
         )
     return LengthPrior(pi)
+
+
+def _vocabulary(path, manifest):
+    """The Vocabulary of a checked manifest; a word list Vocabulary refuses raises ModelError
+    naming the file."""
+    try:
+        return Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
+    except CorpusError as exc:
+        raise ModelError("%s: manifest key 'vocab': %s" % (path, exc)) from None
 
 
 def _width(emb):
@@ -257,9 +334,6 @@ class TrfModel:
                 if self.has_discrete
                 else None
             ),
-            "max_order": (
-                self.feature_index.template_set.max_order if self.has_discrete else 0
-            ),
             "class_map": (
                 None if self.class_map is None else [int(c) for c in self.class_map.word_to_class]
             ),
@@ -279,16 +353,13 @@ class TrfModel:
                 "%s stores its feature keys as a JSON list, which this version no longer "
                 "reads; retrain the model, or re-save it with keys.<template id> arrays" % path
             )
-        vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
+        vocab = _vocabulary(path, manifest)
         L = arrays["pi"].size
         shapes = {"pi": (L,), "zeta": (L,)}
         class_map = None
         if manifest["class_map"] is not None:
-            classes, n_classes = manifest["class_map"], manifest["n_classes"]
-            if not (
-                type(classes) is list and len(classes) == vocab.size and type(n_classes) is int
-                and all(type(c) is int and 0 <= c < n_classes for c in classes)
-            ):
+            classes, n_classes = manifest["class_map"], manifest["n_classes"] or 0
+            if len(classes) != vocab.size or not all(0 <= c < n_classes for c in classes):
                 raise ModelError(
                     "%s: class_map must give each of the %d words a class id in [0, n_classes)"
                     % (path, vocab.size)
@@ -297,14 +368,17 @@ class TrfModel:
         feature_index = None
         lam = None
         if manifest["has_discrete"]:
-            templates = [
-                feats.Template(src, tuple(offs)) for src, offs in manifest["templates"]
-            ]
-            tset = feats.TemplateSet(templates, manifest["max_order"])
+            try:
+                templates = [
+                    feats.Template(src, tuple(offs)) for src, offs in manifest["templates"] or ()
+                ]
+            except feats.FeatureError as exc:
+                raise ModelError("%s: manifest key 'templates': %s" % (path, exc)) from None
+            if class_map is None and any(t.source == "class" for t in templates):
+                raise ModelError("%s: class templates need a stored class_map" % path)
             names = [_KEYS + str(t) for t in range(len(templates))]
-            n_classes = 0 if class_map is None else class_map.n_classes
             for name, t in zip(names, templates):
-                limit = vocab.size if t.source == "word" else n_classes
+                limit = vocab.size if t.source == "word" else class_map.n_classes
                 shapes[name] = arrays[name].shape[:1] + (t.order,)
                 if arrays[name].shape != shapes[name]:
                     raise ModelError(
@@ -317,7 +391,9 @@ class TrfModel:
                         % (path, name, t.source, limit)
                     )
             try:
-                feature_index = feats.FeatureIndex(tset, [arrays[k] for k in names], class_map)
+                feature_index = feats.FeatureIndex(
+                    feats.TemplateSet(templates), [arrays[k] for k in names], class_map
+                )
             except feats.FeatureError as exc:
                 raise ModelError("%s: bad feature keys: %s" % (path, exc)) from None
             lam = arrays["lam"]
@@ -351,7 +427,7 @@ def save_noise_model(model, vocab: Vocabulary, path):
 def load_noise_model(path):
     """The noise LM and vocabulary of a noise file; older files' manifest key V is ignored."""
     manifest, arrays = read_checked(path, "noise-model")
-    vocab = Vocabulary(manifest["vocab"], unk_token=manifest["unk_token"])
+    vocab = _vocabulary(path, manifest)
     shapes = param_shapes(vocab.size, _width(arrays["mu.emb"]))
     declared = {"pi": (arrays["pi"].size,), **{"mu." + k: s for k, s in shapes.items()}}
     check_arrays(path, arrays, declared)

@@ -251,9 +251,10 @@ def _checkpoint(path, config, model, noise, adam, avg_sums, avg_n, state, rng):
 
 def _restore(path, config, model, noise, adam, rng):
     """Load a checkpoint into the run's own arrays, in place, once the file
-    is seen to hold this run's config (max_epochs may differ)."""
+    is seen to hold this run's config (max_epochs may differ) and every
+    value is checked."""
     manifest, arrays = model_mod.read_checked(path, "dnce-checkpoint")
-    stored = manifest.get("config")
+    stored = manifest["config"]
     if stored is None:
         raise ResumeConfigError("checkpoint %s stores no trainer config to check" % path)
     current = asdict(config)
@@ -267,10 +268,19 @@ def _restore(path, config, model, noise, adam, rng):
             "checkpoint %s was written under another trainer config: %s"
             % (path, "; ".join(changed))
         )
+    state = TrainState(**{f.name: manifest["state"][f.name] for f in fields(TrainState)})
+    for key, count in [
+        ("state.epoch", state.epoch), ("adam_t", manifest["adam_t"]), ("avg_n", manifest["avg_n"])
+    ]:
+        if count < 0:
+            raise model_mod.ModelError("%s: manifest key %r is below 0" % (path, key))
+    probe = type(rng.bit_generator)()
     try:
-        state = TrainState(**manifest["state"])
-    except TypeError:
-        raise model_mod.ModelError("%s: manifest key 'state' is no TrainState" % path) from None
+        probe.state = manifest["rng_state"]
+    except (LookupError, TypeError, ValueError, OverflowError):
+        raise model_mod.ModelError(
+            "%s: manifest key 'rng_state' is not a %s state" % (path, type(probe).__name__)
+        ) from None
     params = model.params()
     adam.m = {k: np.empty_like(v) for k, v in params.items()}
     adam.v = {k: np.empty_like(v) for k, v in params.items()}
@@ -301,7 +311,9 @@ def train(
     Per step: draw D by shuffled epoch traversal, then dnce_step; on_step,
     if given, is called with the step's number (counted across a resume)
     and its StepRecord. Per epoch: evaluate the dev surrogate, apply the
-    halving schedule, and checkpoint if a path is given.
+    halving schedule, and checkpoint if a path is given. A dev
+    log-likelihood above 1e-9 or not finite, or a parameter that is not
+    finite, raises TrainerError before that epoch's checkpoint.
     """
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
@@ -356,6 +368,13 @@ def train(
                 break
         state.epoch += 1
         dev_ll = dev_log_likelihood(model, dev_sentences)
+        # each log p(l, x) <= 0 while zeta_l >= log Z_l, so a mean above 0 shows zeta diverged
+        broken = [k for k, v in params.items() if not np.isfinite(v).all()]
+        if broken or not dev_ll <= 1e-9:
+            raise TrainerError(
+                "training diverged in epoch %d: dev log-likelihood %.6g per sentence%s"
+                % (state.epoch, dev_ll, "; not finite: " + ", ".join(broken) if broken else "")
+            )
         state.dev_history.append(dev_ll)
         if config.schedule == "per-epoch-halving":
             if state.epoch % config.halve_every == 0:

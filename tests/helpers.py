@@ -728,3 +728,23 @@ def names_file_and_array(message, path, name) -> bool:
     """Whether an error message starts with the file's path and names the array."""
     rest = message[len(str(path)) :] if message.startswith(str(path)) else ""
     return re.search(r"(?<![\w.])%s(?![\w.])" % re.escape(name), rest) is not None
+
+
+DELETE = object()
+
+
+def edit_manifest(path, edits):
+    """Rewrite the container at path, under a valid checksum, with each
+    dotted manifest key of edits (a number indexes a list) set to its
+    value, or deleted where the value is DELETE."""
+    manifest, arrays = read_container(path)
+    for dotted, value in edits.items():
+        *outer, key = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+        entry = manifest
+        for k in outer:
+            entry = entry[k]
+        if value is DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
+    write_container(path, manifest, arrays)

@@ -11,6 +11,10 @@ from trflm import cli, corpus, features, neural, noise, trainer
 from trflm.container import read_container, write_container
 from trflm.model import TrfModel, zeta_init
 
+import helpers
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
 
 @pytest.fixture
 def tiny_corpus(tmp_path):
@@ -431,8 +435,23 @@ def test_train_bad_class_map_exit_1(tmp_path, tiny_corpus, capsys, damage, messa
         ("truncate", [], ["truncated"]),
         (None, ["hidden_dim=5"], ["array model.phi.emb has shape"]),
         (None, ["mode=discrete"], ["holds undeclared arrays", "model.phi.emb"]),
+        ({"state.epoch": -3}, [], ["manifest key 'state.epoch' is below 0"]),
+        ({"state.epoch": "1"}, [], ["manifest key 'state.epoch' is not of type int"]),
+        ({"adam_t": "x"}, [], ["manifest key 'adam_t' is not of type int"]),
+        ({"adam_t": -1}, [], ["manifest key 'adam_t' is below 0"]),
+        ({"avg_n": True}, [], ["manifest key 'avg_n' is not of type int"]),
+        ({"rng_state": 5}, [], ["manifest key 'rng_state' is not of type dict"]),
+        ({"rng_state": {"bit_generator": "PCG64"}}, [],
+         ["manifest key 'rng_state' is not a PCG64 state"]),
+        ({"rng_state.bit_generator": "MT19937"}, [],
+         ["manifest key 'rng_state' is not a PCG64 state"]),
+        ({"config": "x"}, [], ["manifest key 'config' is not of type null or dict"]),
     ],
-    ids=["truncated", "hidden-dim-changed", "mode-changed"],
+    ids=[
+        "truncated", "hidden-dim-changed", "mode-changed", "epoch-negative", "epoch-a-string",
+        "adam-t-a-string", "adam-t-negative", "avg-n-a-bool", "rng-state-an-int",
+        "rng-state-without-its-state", "rng-state-of-another-generator", "config-a-string",
+    ],
 )
 def test_train_resume_refuses_bad_checkpoint(
     tmp_path, tiny_corpus, capsys, damage, resume_set, messages
@@ -443,15 +462,17 @@ def test_train_resume_refuses_bad_checkpoint(
     assert _run(argv) == 0
     if damage == "truncate":
         ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    elif damage is not None:
+        helpers.edit_manifest(ckpt, damage)
     capsys.readouterr()
     for item in resume_set + ["resume=1"]:
         argv += ["--set", item]
     assert _run(argv) == 1
     err = capsys.readouterr().err
-    assert all(m in err for m in messages)
+    assert str(ckpt) in err and all(m in err for m in messages), err
 
 
-@pytest.mark.parametrize("key", ["adam_t", "avg_n", "rng_state", "state"])
+@pytest.mark.parametrize("key", ["adam_t", "avg_n", "rng_state", "state", "state.epoch"])
 def test_train_resume_checkpoint_without_a_manifest_key_exit_1_names_file_and_key(
     tmp_path, tiny_corpus, capsys, key
 ):
@@ -459,30 +480,31 @@ def test_train_resume_checkpoint_without_a_manifest_key_exit_1_names_file_and_ke
     ckpt = tmp_path / "ckpt"
     argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
     assert _run(argv) == 0
-    manifest, arrays = read_container(ckpt)
-    del manifest[key]
-    write_container(ckpt, manifest, arrays)
+    helpers.edit_manifest(ckpt, {key: helpers.DELETE})
     capsys.readouterr()
     assert _run(argv + ["--set", "resume=1"]) == 1
     assert "error: %s lacks the manifest key %r\n" % (ckpt, key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "state", [[1, 1.0], {"epoch": 1, "halvings": 0}], ids=["a-list", "an-unknown-field"]
+    "state, message",
+    [
+        ([1, 1.0], "{}: manifest key 'state' is not of type dict"),
+        ({"epoch": 1, "halvings": 0}, "{} lacks the manifest key 'state.lr_factor'"),
+    ],
+    ids=["a-list", "an-unknown-field"],
 )
 def test_train_resume_checkpoint_with_a_bad_state_exit_1_names_file(
-    tmp_path, tiny_corpus, capsys, state
+    tmp_path, tiny_corpus, capsys, state, message
 ):
     train, dev = tiny_corpus
     ckpt = tmp_path / "ckpt"
     argv, _ = _train_args(tmp_path, train, dev, "discrete", ["checkpoint=%s" % ckpt])
     assert _run(argv) == 0
-    manifest, arrays = read_container(ckpt)
-    manifest["state"] = state
-    write_container(ckpt, manifest, arrays)
+    helpers.edit_manifest(ckpt, {"state": state})
     capsys.readouterr()
     assert _run(argv + ["--set", "resume=1"]) == 1
-    assert "error: %s: manifest key 'state' is no TrainState" % ckpt in capsys.readouterr().err
+    assert "error: " + message.format(ckpt) in capsys.readouterr().err
 
 
 def test_train_resume_refuses_changed_config_exit_2(tmp_path, tiny_corpus, capsys):
@@ -694,6 +716,63 @@ def test_ppl_model_without_a_manifest_key_exit_1_names_file_and_key(
     capsys.readouterr()
     assert _run(["ppl", model_out, dev]) == 1
     assert "error: %s lacks the manifest key 'vocab'" % model_out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"has_discrete": "no"}, "{}: manifest key 'has_discrete' is not of type bool"),
+        ({"template_spec": 5}, "{}: manifest key 'template_spec' is not of type str"),
+        ({"templates.0.0": "ward"},
+         "{}: manifest key 'templates': template source 'ward' is not word or class"),
+        ({"vocab": "abc"}, "{}: manifest key 'vocab' is not of type list of str"),
+        ({"unk_token": "zzz"},
+         "{}: manifest key 'vocab': unk token 'zzz' missing from vocabulary"),
+    ],
+    ids=["has-discrete-a-string", "template-spec-an-int", "template-source-ward", "vocab-a-string",
+         "unk-token-not-in-vocab"],
+)
+def test_ppl_model_with_a_bad_manifest_value_exit_1_names_file_and_key(
+    tmp_path, tiny_corpus, capsys, edits, message
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    helpers.edit_manifest(model_out, edits)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert "error: %s\n" % message.format(model_out) in capsys.readouterr().err
+
+
+def test_ppl_refuses_an_impossible_likelihood_exit_1_names_file_and_length(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    arrays["zeta"] = arrays["zeta"] - 100.0  # so log p(l, x) > 0 at every length
+    write_container(model_out, manifest, arrays)
+    capsys.readouterr()
+    assert _run(["ppl", model_out, dev]) == 1
+    assert (
+        "error: %s: a sentence of length 3 has log p(l, x) = " % model_out
+        in capsys.readouterr().err
+    )
+
+
+def test_train_stops_when_training_diverges_exit_1_names_epoch(tmp_path, capsys):
+    # the bundled corpus's first 300 lines at learning rates of 1000: zeta falls below log Z
+    train = tmp_path / "train.txt"
+    train.write_text("".join((DATA / "train.txt").open().readlines()[:300]))
+    argv, model_out = _train_args(
+        tmp_path, train, DATA / "dev.txt", "mixed",
+        ["batch_size=100", "lr_lambda=1000", "lr_theta=1000", "lr_zeta=1000"],
+    )
+    capsys.readouterr()
+    assert _run(argv) == 1
+    assert "error: training diverged in epoch 1: dev log-likelihood " in capsys.readouterr().err
+    assert not model_out.exists()
 
 
 def test_ppl_neural_model_without_a_phi_array_exit_1_names_file_and_array(

@@ -43,6 +43,24 @@ def test_compile_class_features_require_class_map():
         feats.compile_templates("cs", class_map_present=False)
 
 
+@pytest.mark.parametrize(
+    "source, offsets, message",
+    [
+        ("ward", (0,), "template source 'ward' is not word or class"),
+        ("word", (), r"template offsets \(\) are not ints that strictly increase from 0"),
+        ("word", (1, 2), r"offsets \(1, 2\)"),
+        ("class", (0, 2, 2), r"offsets \(0, 2, 2\)"),
+        ("word", (0, 1.0), r"offsets \(0, 1.0\)"),
+        ("word", (False, 1), r"offsets \(False, 1\)"),
+    ],
+    ids=["source-ward", "no-offsets", "offsets-from-1", "offsets-repeated", "offset-a-float",
+         "offset-a-bool"],
+)
+def test_template_refuses_a_bad_source_or_offsets(source, offsets, message):
+    with pytest.raises(feats.FeatureError, match=message):
+        feats.Template(source, offsets)
+
+
 def test_parse_cutoffs():
     assert feats.parse_cutoffs("00225") == [0, 0, 2, 2, 5]
     with pytest.raises(feats.FeatureError):

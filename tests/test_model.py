@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trflm import corpus as corpus_mod
 from trflm import features as feats
 from trflm import model as model_mod
-from trflm import neural, noise, oracle
+from trflm import neural, noise, oracle, trainer
 from trflm.container import ContainerError, read_container, write_container
 from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary
 from trflm.model import (
@@ -276,6 +276,100 @@ def test_save_omits_layer_count_and_loads_files_that_have_one(tmp_path):
     loaded = TrfModel.load(path)
     for k, v in m.params().items():
         assert loaded.params()[k].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("max_order", [2, "x"], ids=["stored", "a-string"])
+def test_save_omits_max_order_and_loads_files_that_have_one(tmp_path, max_order):
+    m = _mixed_model(seed=5, n_classes=2)
+    path = tmp_path / "model.trf"
+    m.save(path)
+    manifest, arrays = read_container(path)
+    assert "max_order" not in manifest
+    manifest["max_order"] = max_order  # as earlier versions wrote it, or damaged
+    write_container(path, manifest, arrays)
+    loaded = TrfModel.load(path)
+    for k, v in m.params().items():
+        assert loaded.params()[k].tobytes() == v.tobytes()
+    sentences = list(helpers.all_sentences(oracle.EnumSpace(3, 3)))
+    assert loaded.log_prob_batch(sentences).tobytes() == m.log_prob_batch(sentences).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"has_discrete": "no"}, ": manifest key 'has_discrete' is not of type bool"),
+        ({"has_neural": 1}, ": manifest key 'has_neural' is not of type bool"),
+        ({"template_spec": 5}, ": manifest key 'template_spec' is not of type str"),
+        ({"templates": "w:2"},
+         ": manifest key 'templates' is not of type null or list of [str, list of int]"),
+        ({"templates.0.1": [True]}, ": manifest key 'templates' is not of type null or list of"),
+        ({"templates.0": ["word"]}, ": manifest key 'templates' is not of type null or list of"),
+        ({"templates.0.0": "ward"},
+         ": manifest key 'templates': template source 'ward' is not word or class"),
+        ({"templates.1.1": [1, 2]},
+         ": manifest key 'templates': template offsets (1, 2) are not ints that strictly "
+         "increase from 0"),
+        ({"templates.1.1": [0, 0]}, ": manifest key 'templates': template offsets (0, 0)"),
+        ({"vocab": "abc"}, ": manifest key 'vocab' is not of type list of str"),
+        ({"vocab.2": "w1"}, ": manifest key 'vocab': duplicate words in vocabulary"),
+        ({"unk_token": "zzz"}, ": manifest key 'vocab': unk token 'zzz' missing from vocabulary"),
+        ({"class_map": None}, ": class templates need a stored class_map"),
+        ({"class_map": [0, 1, "1"]},
+         ": manifest key 'class_map' is not of type null or list of int"),
+        ({"n_classes": 2.0}, ": manifest key 'n_classes' is not of type null or int"),
+        ({"n_classes": None}, ": class_map must give each of the 3 words a class id"),
+    ],
+    ids=[
+        "has-discrete-a-string", "has-neural-an-int", "template-spec-an-int", "templates-a-string",
+        "template-offset-a-bool", "template-without-offsets", "template-source-ward",
+        "template-offsets-from-1", "template-offsets-repeated", "vocab-a-string",
+        "vocab-repeats-a-word", "unk-token-not-in-vocab", "class-templates-without-a-class-map",
+        "class-id-a-string", "n-classes-a-float", "class-map-without-n-classes",
+    ],
+)
+def test_load_refuses_a_bad_manifest_value_naming_file_and_key(tmp_path, edits, message):
+    m = _mixed_model(seed=5, n_classes=2)
+    path = tmp_path / "bad.trf"
+    m.save(path)
+    helpers.edit_manifest(path, edits)
+    with pytest.raises(ModelError) as exc:
+        TrfModel.load(path)
+    assert str(exc.value).startswith(str(path) + message), exc.value
+
+
+def _declared_keys(manifest, declared):
+    """Whether manifest holds exactly the declared keys, those of each
+    object they declare included."""
+    return manifest.keys() == declared.keys() and all(
+        type(t) is not dict or _declared_keys(manifest[k], t) for k, t in declared.items()
+    )
+
+
+def test_each_file_holds_exactly_its_declared_manifest_keys(tmp_path):
+    m = _mixed_model(seed=5, n_classes=2)
+    own = {"kind": None, "format_version": None, "arrays": None}  # not declared per kind
+    files = []
+    for mode in ["discrete", "neural", "mixed"]:
+        path = tmp_path / ("%s.trf" % mode)
+        discrete, neural_ = mode != "neural", mode != "discrete"
+        TrfModel(
+            m.vocab, m.prior, m.zeta,
+            feature_index=m.feature_index if discrete else None, lam=m.lam if discrete else None,
+            phi_params=m.phi_params if neural_ else None,
+            class_map=m.class_map if discrete else None, template_spec=m.template_spec,
+        ).save(path)
+        files.append((path, "trf-model"))
+    nm = noise.init_noise_model(3, 2, m.prior)
+    save_noise_model(nm, m.vocab, tmp_path / "noise.trf")
+    files.append((tmp_path / "noise.trf", "noise-model"))
+    sentences = list(helpers.all_sentences(oracle.EnumSpace(3, 3)))
+    config = trainer.DnceConfig(batch_size=4, max_epochs=1, average_tail=1, stop_ratio=0)
+    trainer.train(config, sentences, sentences, m, nm, checkpoint_path=tmp_path / "ckpt")
+    files.append((tmp_path / "ckpt", "dnce-checkpoint"))
+    for path, kind in files:
+        manifest = read_container(path)[0]
+        assert manifest["kind"] == kind
+        assert _declared_keys(manifest, {**model_mod.MANIFEST_KEYS[kind], **own}), path
 
 
 def test_save_load_index_built_from_numpy_integers(tmp_path):

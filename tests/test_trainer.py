@@ -14,6 +14,7 @@ from trflm import model as model_mod
 from trflm import noise as noise_mod
 from trflm import neural, oracle, trainer
 from trflm.corpus import ClassMap, CorpusError, LengthPrior, Vocabulary, length_prior
+from trflm.container import read_container, write_container
 from trflm.model import TrfModel, zeta_init
 
 import helpers
@@ -501,6 +502,75 @@ def test_train_resume_refuses_changed_config(tmp_path):
     changed.lr_theta = 0.01
     with pytest.raises(trainer.ResumeConfigError, match="lr_theta 0.003 -> 0.01"):
         trainer.train(changed, data, data[:10], model, noise, checkpoint_path=ckpt, resume=True)
+
+
+def _lower_zeta(model):
+    model.zeta -= 100.0  # log p(l, x) > 0 at every length
+
+
+def _nan_lam(model):
+    model.lam[0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_lower_zeta, r"dev log-likelihood \d"),
+        (_nan_lam, "dev log-likelihood nan per sentence; not finite: lam$"),
+    ],
+    ids=["zeta-lowered", "lam-nan"],
+)
+def test_train_stops_at_the_dev_pass_of_a_diverged_epoch_keeping_the_last_checkpoint(
+    tmp_path, damage, message
+):
+    data, cfg, fresh = _resume_setup(0)  # 3 steps an epoch
+    model, noise = fresh()
+    ckpt = tmp_path / "ckpt"
+
+    def on_step(step, record):
+        if step == 6:  # the last of epoch 2
+            damage(model)
+
+    with pytest.raises(trainer.TrainerError, match="training diverged in epoch 2: " + message):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], model, noise, checkpoint_path=ckpt,
+            on_step=on_step,
+        )
+    assert read_container(ckpt)[0]["state"]["epoch"] == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("state", {"epoch": -3, "lr_factor": 1.0, "best_dev": -1.0, "dev_history": [-1.0]}),
+        ("adam_t", "x"),
+        ("avg_n", -1),
+        ("rng_state", {"bit_generator": "PCG64"}),
+        ("config", 5),
+        ("model.zeta", None),  # an array the file then lacks
+    ],
+    ids=["epoch-negative", "adam-t-a-string", "avg-n-negative", "rng-state-without-its-state",
+         "config-an-int", "an-array-missing"],
+)
+def test_refused_resume_leaves_model_noise_and_rng_as_they_were(tmp_path, key, value):
+    data, cfg, fresh = _resume_setup(0)
+    cfg.max_epochs = 1
+    ckpt = tmp_path / "ckpt"
+    trainer.train(copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt)
+    manifest, arrays = read_container(ckpt)
+    if key in arrays:
+        del arrays[key]
+    else:
+        manifest[key] = value
+    write_container(ckpt, manifest, arrays)
+    model, noise = fresh()
+    rng = np.random.default_rng(5)
+    before = [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()]
+    rng_before = rng.bit_generator.state
+    with pytest.raises(model_mod.ModelError, match=re.escape(str(ckpt)) + ".*" + key):
+        trainer._restore(ckpt, cfg, model, noise, trainer.AdamState(), rng)
+    assert [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()] == before
+    assert rng.bit_generator.state == rng_before
 
 
 @pytest.mark.parametrize("damage", helpers.DAMAGES)
