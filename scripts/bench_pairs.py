@@ -22,7 +22,8 @@ metric of BENCHMARK.json, a section gives each side's value in every
 pair (pair i at index i - 1) and quartiles, the change's median relative
 to the parent's, the parent's interquartile range, and in how many pairs
 the change was better or tied; after the pairs the script prints those
-figures, one line per metric. On the DNCE
+figures, one line per metric, with the metric's judgement against its
+BENCHMARK.json bound (``verdict``). On the DNCE
 workloads it adds the same for ``op_ms.p50_interior``: the median step
 interval of a run with each ``train()`` call's first interval left out,
 from the ``step_s`` list of the run's details line. The first interval
@@ -95,13 +96,14 @@ def interior_step_ms(details):
     return 1000.0 * float(np.median([t for i, t in enumerate(steps) if i % per_call]))
 
 
-def compare(p, c, unit, better):
+def compare(p, c, unit, better, bound=None):
     """One metric's entry from its per-pair parent and change values."""
     sign = 1.0 if better == "higher" else -1.0
     pq, cq = quartiles(p), quartiles(c)
     return {
         "unit": unit,
         "better": better,
+        "bound": bound,
         "parent_per_pair": [float(v) for v in p],
         "change_per_pair": [float(v) for v in c],
         "parent_q1_median_q3": pq,
@@ -127,7 +129,7 @@ def summarize(parent_runs, change_runs, end_to_end):
         name = m["name"]
         p = [r["metrics"][name]["value"] for r in parent_runs]
         c = [r["metrics"][name]["value"] for r in change_runs]
-        metrics[name] = compare(p, c, m["unit"], m["better"])
+        metrics[name] = compare(p, c, m["unit"], m["better"], m["bound"])
     if all("step_s" in r.get("details", {}) for r in parent_runs + change_runs):
         metrics["op_ms.p50_interior"] = compare(
             [interior_step_ms(r["details"]) for r in parent_runs],
@@ -153,15 +155,39 @@ def summarize(parent_runs, change_runs, end_to_end):
     }
 
 
+def judge(m):
+    """A metric entry against its bound: "past bound" where the change's
+    median is worse than the parent's by more than the bound; else
+    "unresolved" where the parent's IQR exceeds the bound relative to its
+    median and not every change run reads better than every parent run;
+    else "within bound". None for an entry without a bound or a median."""
+    rel, bound, median = m["change_vs_parent_median"], m.get("bound"), m["parent_q1_median_q3"][1]
+    if bound is None or rel is None:
+        return None
+    sign = 1.0 if m["better"] == "higher" else -1.0
+    if sign * rel < -bound:
+        return "past bound %g%%" % (100.0 * bound)
+    spread = m["parent_iqr"] / abs(median)
+    every_run_better = min(sign * v for v in m["change_per_pair"]) > max(
+        sign * v for v in m["parent_per_pair"]
+    )
+    if spread > bound and not every_run_better:
+        return "unresolved: parent IQR %.1f%% of its median, bound %g%%" % (
+            100.0 * spread, 100.0 * bound)
+    return "within bound %g%%" % (100.0 * bound)
+
+
 def verdict(section):
     """One line per metric of a workload's section: the change's median
-    against the parent's, the pairs it won and tied, and the parent's IQR."""
+    against the parent's, the pairs it won and tied, the parent's IQR, and
+    the judgement against the metric's bound where it has one."""
     lines = []
     for name, m in section["metrics"].items():
-        rel = m["change_vs_parent_median"]
-        lines.append("%s: change vs parent median %s, wins %d of %d, ties %d, parent IQR %.4g %s" % (
+        rel, judged = m["change_vs_parent_median"], judge(m)
+        line = "%s: change vs parent median %s, wins %d of %d, ties %d, parent IQR %.4g %s" % (
             name, "n/a" if rel is None else "%+.1f%%" % (100.0 * rel),
-            m["change_wins"], section["pairs"], m["ties"], m["parent_iqr"], m["unit"]))
+            m["change_wins"], section["pairs"], m["ties"], m["parent_iqr"], m["unit"])
+        lines.append(line if judged is None else line + "; " + judged)
     return lines
 
 

@@ -230,7 +230,7 @@ def cmd_train(args):
 def cmd_ppl(args):
     model = TrfModel.load(args.model)
     sents = corpus_mod.read_corpus(args.corpus, model.vocab)
-    ppl = eval_mod.perplexity(model, sents, args.model)
+    ppl = eval_mod.perplexity(model, sents)
     print("# joint-probability perplexity; not comparable to conditional-LM PPL")
     print("ppl\t%.6f\t%d sentences" % (ppl, len(sents)))
     return 0

@@ -63,7 +63,7 @@ MANIFEST_KEYS = {
     "noise-model": {"vocab": [str], "unk_token": str},
     "dnce-checkpoint": {
         "config": (None, dict),  # trainer._restore compares it with the run's own
-        "state": {"epoch": int, "lr_factor": float, "best_dev": float, "dev_history": [float]},
+        "state": {"dev_history": [float]},  # each finished epoch's dev log-likelihood
         "adam_t": int,
         "avg_n": int,
         "rng_state": dict,
@@ -112,12 +112,17 @@ def _check_keys(path, manifest, declared, prefix=""):
 
 def read_checked(path, kind):
     """The manifest and arrays, the arrays as _Entries, of a container file whose manifest
-    kind is kind and which holds each key of MANIFEST_KEYS[kind] in its type; a file of
-    another kind, or without a key in its type, raises ModelError."""
+    kind is kind, which holds each key of MANIFEST_KEYS[kind] in its type and whose arrays
+    hold finite values only; any other file raises ModelError."""
     manifest, arrays = read_container(path)
     if manifest.get("kind") != kind:
         raise ModelError("%s is not a %s file (kind %r)" % (path, kind, manifest.get("kind")))
     _check_keys(path, manifest, MANIFEST_KEYS[kind])
+    broken = [k for k, a in arrays.items() if not np.isfinite(a).all()]
+    if broken:
+        raise ModelError(
+            "%s holds NaN or infinite values in the arrays %s" % (path, ", ".join(broken))
+        )
     return manifest, _Entries(arrays, path)
 
 
@@ -198,6 +203,7 @@ class TrfModel:
         self.phi_params = phi_params
         self.class_map = class_map
         self.template_spec = template_spec
+        self.path = None  # the file load read the model from, which refusals name
 
     def params(self) -> dict:
         """The trained arrays under one flat naming: "zeta", "lam" (discrete
@@ -317,9 +323,21 @@ class TrfModel:
         return lengths, priors
 
     def log_prob_batch(self, sentences) -> np.ndarray:
+        """log p(l, x) of each sentence. A value that is not finite or is above 1e-9 (0, with
+        room for rounding), which only a zeta_l below log Z_l or diverged parameters give,
+        raises ModelError naming the model's file, if any, and the first such length."""
         lengths, priors = self.check_lengths(sentences)
         # scored before the log-priors are made, so they are not alive meanwhile
-        return self.log_weight_batch(sentences) + np.log(priors) - self.zeta[lengths - 1]
+        logp = self.log_weight_batch(sentences) + np.log(priors) - self.zeta[lengths - 1]
+        bad = np.flatnonzero(~(np.isfinite(logp) & (logp <= 1e-9)))
+        if len(bad):
+            l, value = lengths[bad[0]], logp[bad[0]]
+            raise ModelError(
+                "%sa sentence of length %d has log p(l, x) = %.6g, not a finite value <= 0, so "
+                "zeta_%d is below log Z_%d or the parameters diverged"
+                % ("%s: " % self.path if self.path else "", l, value, l, l)
+            )
+        return logp
 
     def save(self, path):
         manifest = {
@@ -405,7 +423,7 @@ class TrfModel:
             for k, s in neural.phi_shapes(vocab.size, d, n_layers).items():
                 shapes[_PHI + k] = s
         check_arrays(path, arrays, shapes)
-        return cls(
+        model = cls(
             vocab,
             _length_prior(path, arrays["pi"]),
             arrays["zeta"],
@@ -415,6 +433,8 @@ class TrfModel:
             class_map=class_map,
             template_spec=manifest["template_spec"],
         )
+        model.path = path
+        return model
 
 
 def save_noise_model(model, vocab: Vocabulary, path):

@@ -5,7 +5,6 @@ updates."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -219,10 +218,29 @@ def dnce_step(model, noise, D, config, rng, adam, lrs) -> StepRecord:
 
 @dataclass
 class TrainState:
-    epoch: int = 0
-    lr_factor: float = 1.0
-    best_dev: float = -math.inf
+    """A run's progress: the dev log-likelihood of each epoch done, in order."""
+
     dev_history: list = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        return len(self.dev_history)
+
+
+def lr_factor(config, dev_history) -> float:
+    """The factor on lr_lambda and lr_theta after the epochs whose dev
+    log-likelihoods dev_history holds. per-epoch-halving halves it every
+    halve_every epochs and reads only their count; dev-halving halves it
+    after each epoch whose dev value improves on the best before it by less
+    than halving_threshold of that best."""
+    if config.schedule == "per-epoch-halving":
+        return 0.5 ** (len(dev_history) // config.halve_every)
+    factor, best = 1.0, -math.inf
+    for dev in dev_history:
+        if best > -math.inf and (dev - best) / abs(best) < config.halving_threshold:
+            factor *= 0.5
+        best = max(best, dev)
+    return factor
 
 
 def _checkpoint_arrays(model, noise, adam, avg_sums):
@@ -249,10 +267,11 @@ def _checkpoint(path, config, model, noise, adam, avg_sums, avg_n, state, rng):
     write_container(path, manifest, _checkpoint_arrays(model, noise, adam, avg_sums))
 
 
-def _restore(path, config, model, noise, adam, rng):
+def _restore(path, config, model, noise, adam, rng, steps_per_epoch, avg_start):
     """Load a checkpoint into the run's own arrays, in place, once the file
     is seen to hold this run's config (max_epochs may differ) and every
-    value is checked."""
+    value is checked, its averaging sums against this run's window, which
+    averages the steps after avg_start."""
     manifest, arrays = model_mod.read_checked(path, "dnce-checkpoint")
     stored = manifest["config"]
     if stored is None:
@@ -268,12 +287,16 @@ def _restore(path, config, model, noise, adam, rng):
             "checkpoint %s was written under another trainer config: %s"
             % (path, "; ".join(changed))
         )
-    state = TrainState(**{f.name: manifest["state"][f.name] for f in fields(TrainState)})
-    for key, count in [
-        ("state.epoch", state.epoch), ("adam_t", manifest["adam_t"]), ("avg_n", manifest["avg_n"])
-    ]:
-        if count < 0:
-            raise model_mod.ModelError("%s: manifest key %r is below 0" % (path, key))
+    state = TrainState(manifest["state"]["dev_history"])
+    if manifest["adam_t"] < 0:
+        raise model_mod.ModelError("%s: manifest key 'adam_t' is below 0" % path)
+    steps = state.epoch * steps_per_epoch
+    averaged = max(0, steps - max(avg_start, 0)) if config.average_tail > 0 else 0
+    if manifest["avg_n"] != averaged:
+        raise TrainerError(
+            "%s: manifest key 'avg_n' holds the average of %d steps; this run's averaging "
+            "window covers %d of the %d steps done" % (path, manifest["avg_n"], averaged, steps)
+        )
     probe = type(rng.bit_generator)()
     try:
         probe.state = manifest["rng_state"]
@@ -311,47 +334,45 @@ def train(
     Per step: draw D by shuffled epoch traversal, then dnce_step; on_step,
     if given, is called with the step's number (counted across a resume)
     and its StepRecord. Per epoch: evaluate the dev surrogate, apply the
-    halving schedule, and checkpoint if a path is given. A dev
-    log-likelihood above 1e-9 or not finite, or a parameter that is not
-    finite, raises TrainerError before that epoch's checkpoint.
+    halving schedule, and checkpoint if a path is given. A parameter that
+    is not finite, or a dev sentence that TrfModel.log_prob_batch refuses,
+    raises TrainerError before that epoch's checkpoint.
     """
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
     model.check_lengths(train_sentences)
     model.check_lengths(dev_sentences)
-    rng = np.random.default_rng(config.seed)
-    adam = AdamState()
-    state, avg_sums, avg_n = TrainState(), {}, 0
-    if resume:
-        state, avg_sums, avg_n = _restore(checkpoint_path, config, model, noise, adam, rng)
-    params = model.params()
-
     n = len(train_sentences)
     steps_per_epoch = math.ceil(n / config.batch_size)
-    step_count = state.epoch * steps_per_epoch
 
     # Polyak tail averaging: the stochastic iterates hover around the
     # optimum at a radius set by the learning rate; averaging the last
     # average_tail iterates shrinks that radius without freezing the run.
-    # The window ends at the last step the schedule allows.
+    # The window ends at the last step the schedule allows, which the config
+    # fixes wherever it allows averaging (DnceConfig): under stop_ratio > 0
+    # the schedule is per-epoch-halving, whose factor reads only the count
+    # of epochs done.
     epochs = config.max_epochs
-    if config.schedule == "per-epoch-halving" and config.stop_ratio > 0:
-        halvings = next(k for k in itertools.count() if 0.5**k < config.stop_ratio)
-        epochs = min(epochs, halvings * config.halve_every)
+    if config.average_tail > 0 and config.stop_ratio > 0:
+        epochs = next(
+            (e for e in range(epochs) if lr_factor(config, range(e)) < config.stop_ratio), epochs
+        )
     budget = min(epochs * steps_per_epoch, math.inf if max_steps is None else max_steps)
     avg_start = budget - config.average_tail
-    averaged = max(0, step_count - max(avg_start, 0)) if config.average_tail > 0 else 0
-    if avg_n != averaged:
-        raise TrainerError(
-            "checkpoint holds the average of %d steps; this run's averaging window "
-            "covers %d of the %d steps done" % (avg_n, averaged, step_count)
-        )
 
-    while state.epoch < config.max_epochs:
-        if state.lr_factor < config.stop_ratio:
-            break
+    rng = np.random.default_rng(config.seed)
+    adam = AdamState()
+    state, avg_sums, avg_n = TrainState(), {}, 0
+    if resume:
+        state, avg_sums, avg_n = _restore(
+            checkpoint_path, config, model, noise, adam, rng, steps_per_epoch, avg_start
+        )
+    params = model.params()
+    step_count = state.epoch * steps_per_epoch
+
+    factor = lr_factor(config, state.dev_history)
+    while state.epoch < config.max_epochs and factor >= config.stop_ratio:
         t0 = time.time()
-        factor = state.lr_factor
         lrs = model.named(config.lr_zeta, config.lr_lambda * factor, config.lr_theta * factor)
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
@@ -366,33 +387,24 @@ def train(
                 on_step(step_count, record)
             if max_steps is not None and step_count >= max_steps:
                 break
-        state.epoch += 1
-        dev_ll = dev_log_likelihood(model, dev_sentences)
-        # each log p(l, x) <= 0 while zeta_l >= log Z_l, so a mean above 0 shows zeta diverged
+        diverged = "training diverged in epoch %d: " % (state.epoch + 1)
         broken = [k for k, v in params.items() if not np.isfinite(v).all()]
-        if broken or not dev_ll <= 1e-9:
-            raise TrainerError(
-                "training diverged in epoch %d: dev log-likelihood %.6g per sentence%s"
-                % (state.epoch, dev_ll, "; not finite: " + ", ".join(broken) if broken else "")
-            )
+        if broken:
+            raise TrainerError(diverged + "not finite: " + ", ".join(broken))
+        try:
+            dev_ll = dev_log_likelihood(model, dev_sentences)
+        except model_mod.ModelError as exc:
+            raise TrainerError(diverged + "dev log-likelihood refused: %s" % exc) from None
         state.dev_history.append(dev_ll)
-        if config.schedule == "per-epoch-halving":
-            if state.epoch % config.halve_every == 0:
-                state.lr_factor *= 0.5
-        else:
-            if state.best_dev > -math.inf:
-                rel = (dev_ll - state.best_dev) / abs(state.best_dev)
-                if rel < config.halving_threshold:
-                    state.lr_factor *= 0.5
-        state.best_dev = max(state.best_dev, dev_ll)
+        factor = lr_factor(config, state.dev_history)
         if log_sink is not None:
             log_sink.write(
                 "%d\t%.6f\t%.6g\t%.6g\t%.6g\t%.3f\n"
                 % (
                     state.epoch,
                     dev_ll,
-                    config.lr_lambda * state.lr_factor,
-                    config.lr_theta * state.lr_factor,
+                    config.lr_lambda * factor,
+                    config.lr_theta * factor,
                     config.lr_zeta,
                     time.time() - t0,
                 )

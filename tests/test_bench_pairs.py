@@ -92,11 +92,37 @@ def test_verdict_prints_each_metric_from_the_section():
     section = bench_pairs.summarize(parent, change, END_TO_END)
     section["metrics"]["dev_nll"]["change_vs_parent_median"] = None  # a parent median of 0
     assert bench_pairs.verdict(section) == [
-        "setup_s: change vs parent median -40.0%, wins 3 of 4, ties 0, parent IQR 1.5 s",
-        "tokens_per_s: change vs parent median -2.5%, wins 2 of 4, ties 1, parent IQR 5 tok/s",
+        "setup_s: change vs parent median -40.0%, wins 3 of 4, ties 0, parent IQR 1.5 s; "
+        "unresolved: parent IQR 60.0% of its median, bound 25%",
+        "tokens_per_s: change vs parent median -2.5%, wins 2 of 4, ties 1, parent IQR 5 tok/s; "
+        "within bound 25%",
         "dev_nll: change vs parent median n/a, wins 0 of 4, ties 4, parent IQR 0 nats",
         "op_ms.p50_interior: change vs parent median +0.0%, wins 0 of 4, ties 4, parent IQR 0 ms",
     ]
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, judged",
+    [
+        ("lower", [1.0] * 4, [1.3] * 4, "past bound 25%"),
+        ("higher", [1.0] * 4, [0.7] * 4, "past bound 25%"),
+        ("lower", [1.0] * 4, [1.2] * 4, "within bound 25%"),
+        ("higher", [1.0] * 4, [0.8] * 4, "within bound 25%"),
+        # parent quartiles 0.75, 1.0, 1.25
+        ("lower", [0.6, 0.8, 1.2, 1.4], [0.7, 0.9, 1.1, 1.3],
+         "unresolved: parent IQR 50.0% of its median, bound 25%"),
+        ("higher", [0.6, 0.8, 1.2, 1.4], [1.3, 1.45, 1.5, 1.6],
+         "unresolved: parent IQR 50.0% of its median, bound 25%"),
+        ("lower", [0.6, 0.8, 1.2, 1.4], [0.2, 0.3, 0.4, 0.5], "within bound 25%"),
+        ("higher", [0.6, 0.8, 1.2, 1.4], [1.5, 1.6, 1.7, 1.8], "within bound 25%"),
+        ("lower", [0.6, 0.8, 1.2, 1.4], [1.3, 1.3, 1.4, 1.5], "past bound 25%"),
+    ],
+    ids=["lower-past", "higher-past", "lower-within", "higher-within", "lower-unresolved",
+         "higher-unresolved", "lower-every-run-better", "higher-every-run-better",
+         "past-bound-before-unresolved"],
+)
+def test_verdict_judges_each_metric_against_its_bound(better, parent, change, judged):
+    assert bench_pairs.judge(bench_pairs.compare(parent, change, "s", better, 0.25)) == judged
 
 
 def test_summarize_needs_matched_pairs():

@@ -435,8 +435,8 @@ def test_train_bad_class_map_exit_1(tmp_path, tiny_corpus, capsys, damage, messa
         ("truncate", [], ["truncated"]),
         (None, ["hidden_dim=5"], ["array model.phi.emb has shape"]),
         (None, ["mode=discrete"], ["holds undeclared arrays", "model.phi.emb"]),
-        ({"state.epoch": -3}, [], ["manifest key 'state.epoch' is below 0"]),
-        ({"state.epoch": "1"}, [], ["manifest key 'state.epoch' is not of type int"]),
+        ({"state.dev_history": "1"}, [],
+         ["manifest key 'state.dev_history' is not of type list of float"]),
         ({"adam_t": "x"}, [], ["manifest key 'adam_t' is not of type int"]),
         ({"adam_t": -1}, [], ["manifest key 'adam_t' is below 0"]),
         ({"avg_n": True}, [], ["manifest key 'avg_n' is not of type int"]),
@@ -448,7 +448,7 @@ def test_train_bad_class_map_exit_1(tmp_path, tiny_corpus, capsys, damage, messa
         ({"config": "x"}, [], ["manifest key 'config' is not of type null or dict"]),
     ],
     ids=[
-        "truncated", "hidden-dim-changed", "mode-changed", "epoch-negative", "epoch-a-string",
+        "truncated", "hidden-dim-changed", "mode-changed", "dev-history-a-string",
         "adam-t-a-string", "adam-t-negative", "avg-n-a-bool", "rng-state-an-int",
         "rng-state-without-its-state", "rng-state-of-another-generator", "config-a-string",
     ],
@@ -472,7 +472,7 @@ def test_train_resume_refuses_bad_checkpoint(
     assert str(ckpt) in err and all(m in err for m in messages), err
 
 
-@pytest.mark.parametrize("key", ["adam_t", "avg_n", "rng_state", "state", "state.epoch"])
+@pytest.mark.parametrize("key", ["adam_t", "avg_n", "rng_state", "state", "state.dev_history"])
 def test_train_resume_checkpoint_without_a_manifest_key_exit_1_names_file_and_key(
     tmp_path, tiny_corpus, capsys, key
 ):
@@ -490,7 +490,7 @@ def test_train_resume_checkpoint_without_a_manifest_key_exit_1_names_file_and_ke
     "state, message",
     [
         ([1, 1.0], "{}: manifest key 'state' is not of type dict"),
-        ({"epoch": 1, "halvings": 0}, "{} lacks the manifest key 'state.lr_factor'"),
+        ({"epoch": 1, "halvings": 0}, "{} lacks the manifest key 'state.dev_history'"),
     ],
     ids=["a-list", "an-unknown-field"],
 )
@@ -761,6 +761,41 @@ def test_ppl_refuses_an_impossible_likelihood_exit_1_names_file_and_length(
     )
 
 
+def test_rescore_refuses_an_impossible_likelihood_exit_1_names_file_and_length(
+    tmp_path, tiny_corpus, capsys
+):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    arrays["zeta"] = arrays["zeta"] - 100.0  # so log p(l, x) > 0 at every length
+    write_container(model_out, manifest, arrays)
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.1\tthe cat sat\nu1\t0.3\ta dog ran here\n")
+    capsys.readouterr()
+    assert _run(["rescore", nbest, model_out]) == 1
+    assert (
+        "error: %s: a sentence of length 3 has log p(l, x) = " % model_out
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("command", ["ppl", "rescore"])
+def test_model_holding_nan_exit_1_names_file_and_array(tmp_path, tiny_corpus, capsys, command):
+    train, dev = tiny_corpus
+    argv, model_out = _train_args(tmp_path, train, dev, "discrete")
+    assert _run(argv) == 0
+    manifest, arrays = read_container(model_out)
+    arrays["lam"][0] = np.nan
+    write_container(model_out, manifest, arrays)
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1\t0.1\tthe cat sat\nu1\t0.3\ta dog ran\n")
+    capsys.readouterr()
+    assert _run([command, model_out, dev] if command == "ppl" else [command, nbest, model_out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s holds NaN or infinite values in the arrays lam\n" % model_out
+
+
 def test_train_stops_when_training_diverges_exit_1_names_epoch(tmp_path, capsys):
     # the bundled corpus's first 300 lines at learning rates of 1000: zeta falls below log Z
     train = tmp_path / "train.txt"
@@ -908,13 +943,17 @@ def test_sample_noise_file_with_the_older_manifest_key_v_loads(tmp_path, tiny_co
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda pi: np.full_like(pi, np.nan), lambda pi: pi * 10, lambda pi: -pi],
+    "edit, message",
+    [
+        (lambda pi: np.full_like(pi, np.nan), " holds NaN or infinite values in the arrays pi"),
+        (lambda pi: pi * 10, ": array pi is not a probability vector"),
+        (lambda pi: -pi, ": array pi is not a probability vector"),
+    ],
     ids=["nan", "times-10", "negated"],
 )
 @pytest.mark.parametrize("command", ["ppl", "sample"])
 def test_file_whose_pi_is_no_probability_vector_exit_1_names_file(
-    tmp_path, tiny_corpus, capsys, command, edit
+    tmp_path, tiny_corpus, capsys, command, edit, message
 ):
     train, dev = tiny_corpus
     noise_out = tmp_path / "noise.trf"
@@ -927,7 +966,7 @@ def test_file_whose_pi_is_no_probability_vector_exit_1_names_file(
     write_container(path, manifest, arrays)
     capsys.readouterr()
     assert _run([command, path, *args]) == 1
-    assert "error: %s: array pi is not a probability vector" % path in capsys.readouterr().err
+    assert "error: %s%s" % (path, message) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

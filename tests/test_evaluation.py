@@ -304,7 +304,8 @@ def test_read_nbest_fuzz_valid_lists_or_error_at_first_bad_line(lines):
 
 def _paper_shaped_model(seed, V=14, L=8, d=4, zero_prior_lengths=()):
     """A mixed model with w+c+ws+cs:4 templates over a class map, random
-    weights and a BiLSTM potential of width d."""
+    weights, a BiLSTM potential of width d and a random zeta_l above a bound
+    on log Z_l."""
     rng = np.random.default_rng(seed)
     corpus = [tuple(rng.integers(0, V, size=l)) for l in rng.integers(1, L + 1, size=80)]
     class_map = ClassMap(np.arange(V) % 5, 5)
@@ -316,12 +317,20 @@ def _paper_shaped_model(seed, V=14, L=8, d=4, zero_prior_lengths=()):
         k: rng.uniform(-0.4, 0.4, v.shape)
         for k, v in neural.init_phi_params(V, d, seed=seed).items()
     }
+    zeta = np.abs(rng.normal(size=L))
+    lam = rng.normal(scale=0.5, size=index.n_features)
+    # log Z_l <= l log V + the largest potential: each template's at most l placements add
+    # at most max(lam, 0), and each of phi's 2(l - 1) terms h . e, with |h| < 1, at most
+    # the largest row sum of |emb|
+    l = np.arange(1, L + 1)
+    zeta += l * (math.log(V) + len(tset.templates) * max(lam.max(), 0.0))
+    zeta += 2 * (l - 1) * np.abs(phi["emb"]).sum(axis=1).max()
     return TrfModel(
         Vocabulary(["<unk>"] + ["w%d" % i for i in range(1, V)]),
         LengthPrior(pi / pi.sum()),
-        rng.normal(size=L),
+        zeta,
         feature_index=index,
-        lam=rng.normal(scale=0.5, size=index.n_features),
+        lam=lam,
         phi_params=phi,
         class_map=class_map,
         template_spec="w+c+ws+cs:4",

@@ -372,6 +372,42 @@ def test_each_file_holds_exactly_its_declared_manifest_keys(tmp_path):
         assert _declared_keys(manifest, {**model_mod.MANIFEST_KEYS[kind], **own}), path
 
 
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("trf-model", "lam", np.nan),
+        ("trf-model", "keys.1", np.nan),
+        ("noise-model", "mu.emb", np.inf),
+        ("dnce-checkpoint", "adam.v.zeta", -np.inf),
+    ],
+    ids=["model-lam-nan", "model-keys-nan", "noise-inf", "checkpoint-minus-inf"],
+)
+def test_load_refuses_a_file_holding_nan_or_inf_naming_file_and_array(tmp_path, kind, name, value):
+    m = _mixed_model(seed=5, n_classes=2)
+    nm = noise.init_noise_model(3, 2, m.prior)
+    path = tmp_path / kind
+    sentences = list(helpers.all_sentences(oracle.EnumSpace(3, 3)))
+    config = trainer.DnceConfig(batch_size=4, max_epochs=1)
+
+    def run(resume):
+        trainer.train(config, sentences, sentences, m, nm, checkpoint_path=path, resume=resume)
+
+    save, load = {
+        "trf-model": (lambda: m.save(path), lambda: TrfModel.load(path)),
+        "noise-model": (
+            lambda: save_noise_model(nm, m.vocab, path), lambda: load_noise_model(path)
+        ),
+        "dnce-checkpoint": (lambda: run(False), lambda: run(True)),
+    }[kind]
+    save()
+    manifest, arrays = read_container(path)
+    arrays[name].flat[0] = value
+    write_container(path, manifest, arrays)
+    with pytest.raises(ModelError) as exc:
+        load()
+    assert str(exc.value) == "%s holds NaN or infinite values in the arrays %s" % (path, name)
+
+
 def test_save_load_index_built_from_numpy_integers(tmp_path):
     rng = np.random.default_rng(7)
     V, L = 6, 4
@@ -441,8 +477,6 @@ def _edited(a, row, col, value):
     [
         ("keys.1", lambda a: _edited(a, 0, 1, a[0, 1] + 0.5),
          "feature key values must be whole numbers"),
-        ("keys.1", lambda a: _edited(a, 0, 0, np.nan),
-         "feature key values must be whole numbers"),
         ("keys.1", lambda a: _edited(a, 0, 0, -1.0), "feature key values must be >= 0"),
         ("keys.1", lambda a: a[[1, 0, *range(2, len(a))]], "rows must be strictly increasing"),
         ("keys.1", lambda a: _edited(a, 1, slice(None), a[0]), "rows must be strictly increasing"),
@@ -453,7 +487,7 @@ def _edited(a, row, col, value):
         ("keys.3", lambda a: _edited(a, len(a) - 1, 1, 2.0), "keys.3 holds a class value >= 2"),
     ],
     ids=[
-        "fractional", "nan", "negative", "unsorted", "duplicate", "too-large", "wrong-order",
+        "fractional", "negative", "unsorted", "duplicate", "too-large", "wrong-order",
         "word-value-V", "class-value-n-classes",
     ],
 )

@@ -476,6 +476,34 @@ def test_train_resume_reproduces_uninterrupted(tmp_path, average_tail):
         assert (n_half.params[k] == n_full.params[k]).all()
 
 
+@pytest.mark.parametrize("average_tail", [0, 9])
+def test_checkpoint_stores_the_dev_history_alone_and_resumes_files_that_hold_more(
+    tmp_path, average_tail
+):
+    # checkpoints written before the epoch and the learning-rate factor were derived from
+    # the dev history also hold state.epoch, state.lr_factor and state.best_dev
+    data, cfg, fresh = _resume_setup(average_tail)
+    m_full, n_full = fresh()
+    trainer.train(copy.deepcopy(cfg), data, data[:10], m_full, n_full)
+    ckpt = tmp_path / "ckpt"
+    m_half, n_half = fresh()
+    with pytest.raises(_Interrupt):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], m_half, n_half,
+            log_sink=_InterruptAtEpoch(3), checkpoint_path=ckpt,
+        )
+    state = read_container(ckpt)[0]["state"]
+    assert list(state) == ["dev_history"] and len(state["dev_history"]) == 2
+    helpers.edit_manifest(ckpt, {
+        "state.epoch": 2, "state.lr_factor": 0.5, "state.best_dev": max(state["dev_history"]),
+    })
+    trainer.train(
+        copy.deepcopy(cfg), data, data[:10], m_half, n_half, checkpoint_path=ckpt, resume=True
+    )
+    for k, v in {**m_full.params(), **n_full.params}.items():
+        assert {**m_half.params(), **n_half.params}[k].tobytes() == v.tobytes()
+
+
 def test_train_resume_refuses_changed_averaging_window(tmp_path):
     # a 2-epoch run averages its own last 9 steps (1-6); the 4-epoch run
     # resumed from it would need the average of steps 4-6
@@ -515,8 +543,9 @@ def _nan_lam(model):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_lower_zeta, r"dev log-likelihood \d"),
-        (_nan_lam, "dev log-likelihood nan per sentence; not finite: lam$"),
+        (_lower_zeta,
+         r"dev log-likelihood refused: a sentence of length \d has log p\(l, x\) = \d"),
+        (_nan_lam, "not finite: lam$"),
     ],
     ids=["zeta-lowered", "lam-nan"],
 )
@@ -536,39 +565,50 @@ def test_train_stops_at_the_dev_pass_of_a_diverged_epoch_keeping_the_last_checkp
             copy.deepcopy(cfg), data, data[:10], model, noise, checkpoint_path=ckpt,
             on_step=on_step,
         )
-    assert read_container(ckpt)[0]["state"]["epoch"] == 1
+    assert len(read_container(ckpt)[0]["state"]["dev_history"]) == 1
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "average_tail, key, value",
     [
-        ("state", {"epoch": -3, "lr_factor": 1.0, "best_dev": -1.0, "dev_history": [-1.0]}),
-        ("adam_t", "x"),
-        ("avg_n", -1),
-        ("rng_state", {"bit_generator": "PCG64"}),
-        ("config", 5),
-        ("model.zeta", None),  # an array the file then lacks
+        (0, "state", {"dev_history": "x"}),
+        (0, "adam_t", "x"),
+        (0, "avg_n", -1),
+        (0, "rng_state", {"bit_generator": "PCG64"}),
+        (0, "config", 5),
+        (0, "model.zeta", None),  # an array the file then lacks
+        (0, "model.lam", np.nan),
+        # a 2-epoch run averages steps 1-6; the 4-epoch run resuming it averages steps 4-12
+        (9, "avg_n", None),
     ],
-    ids=["epoch-negative", "adam-t-a-string", "avg-n-negative", "rng-state-without-its-state",
-         "config-an-int", "an-array-missing"],
+    ids=["history-a-string", "adam-t-a-string", "avg-n-negative",
+         "rng-state-without-its-state", "config-an-int", "an-array-missing", "an-array-nan",
+         "averaging-window-moved"],
 )
-def test_refused_resume_leaves_model_noise_and_rng_as_they_were(tmp_path, key, value):
-    data, cfg, fresh = _resume_setup(0)
-    cfg.max_epochs = 1
+def test_refused_resume_leaves_model_noise_and_rng_as_they_were(
+    tmp_path, average_tail, key, value
+):
+    data, cfg, fresh = _resume_setup(average_tail)  # 4 epochs of 3 steps
+    half = copy.deepcopy(cfg)
+    half.max_epochs = 2
     ckpt = tmp_path / "ckpt"
-    trainer.train(copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt)
+    trainer.train(half, data, data[:10], *fresh(), checkpoint_path=ckpt)
     manifest, arrays = read_container(ckpt)
-    if key in arrays:
+    if key in arrays and value is None:
         del arrays[key]
-    else:
+    elif key in arrays:
+        arrays[key].flat[0] = value
+    elif value is not None:
         manifest[key] = value
     write_container(ckpt, manifest, arrays)
     model, noise = fresh()
     rng = np.random.default_rng(5)
     before = [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()]
     rng_before = rng.bit_generator.state
-    with pytest.raises(model_mod.ModelError, match=re.escape(str(ckpt)) + ".*" + key):
-        trainer._restore(ckpt, cfg, model, noise, trainer.AdamState(), rng)
+    with pytest.raises(
+        (model_mod.ModelError, trainer.TrainerError), match=re.escape(str(ckpt)) + ".*" + key
+    ):  # this run averages the steps after 12 - average_tail
+        trainer._restore(ckpt, cfg, model, noise, trainer.AdamState(), rng, 3, 12 - average_tail)
     assert [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()] == before
     assert rng.bit_generator.state == rng_before
 
@@ -605,6 +645,20 @@ def test_train_stops_when_lr_floor_reached():
     _, state = trainer.train(cfg, data, data[:5], model, noise)
     # factor halves each epoch: 1, .5, .25, .125, .0625 -> stops entering epoch 5
     assert state.epoch == 4
+
+
+@pytest.mark.parametrize(
+    "schedule, history, factors",
+    [
+        # halved every halve_every = 2 epochs, whatever the dev values
+        ("per-epoch-halving", [-9.0] * 5, [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]),
+        # halved after -8.995 (0.056% above the best, -9) and -9.5 (below it), not after -8
+        ("dev-halving", [-10.0, -9.0, -8.995, -9.5, -8.0], [1.0, 1.0, 1.0, 0.5, 0.25, 0.25]),
+    ],
+)
+def test_lr_factor_replays_the_schedule_over_the_dev_history(schedule, history, factors):
+    cfg = trainer.DnceConfig(schedule=schedule, halve_every=2, halving_threshold=0.001)
+    assert [trainer.lr_factor(cfg, history[:e]) for e in range(len(history) + 1)] == factors
 
 
 def test_average_tail_ends_at_the_lr_floor(monkeypatch):
