@@ -44,7 +44,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -104,10 +103,9 @@ def dnce_digests(name, steps, resumed_steps=0):
         out["checkpoint"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         if resumed_steps:
             resumed, resumed_noise = bench.dnce_models(c, spec.shape, SEED)
-            done = state.epoch * math.ceil(len(c.train) / config.batch_size)
             trainer.train(
                 config, c.train, c.dev, resumed, resumed_noise, log_sink=io.StringIO(),
-                checkpoint_path=path, resume=True, max_steps=done + resumed_steps,
+                checkpoint_path=path, resume=True, max_steps=steps + resumed_steps,
             )
             out["resumed.trf_params"] = digest(resumed.params())
             out["resumed.noise_params"] = digest(resumed_noise.params)

@@ -63,7 +63,8 @@ MANIFEST_KEYS = {
     "noise-model": {"vocab": [str], "unk_token": str},
     "dnce-checkpoint": {
         "config": (None, dict),  # trainer._restore compares it with the run's own
-        "state": {"dev_history": [float]},  # each finished epoch's dev log-likelihood
+        # trainer.TrainState; a file without the steps was written at an epoch's end
+        "state": {"steps": (None, int), "dev_history": [float], "epoch_rng_state": (None, dict)},
         "adam_t": int,
         "avg_n": int,
         "rng_state": dict,
@@ -366,11 +367,6 @@ class TrfModel:
     @classmethod
     def load(cls, path) -> "TrfModel":
         manifest, arrays = read_checked(path, "trf-model")
-        if "feature_keys" in manifest:
-            raise ModelError(
-                "%s stores its feature keys as a JSON list, which this version no longer "
-                "reads; retrain the model, or re-save it with keys.<template id> arrays" % path
-            )
         vocab = _vocabulary(path, manifest)
         L = arrays["pi"].size
         shapes = {"pi": (L,), "zeta": (L,)}
@@ -383,8 +379,6 @@ class TrfModel:
                     % (path, vocab.size)
                 )
             class_map = ClassMap(np.array(classes, dtype=np.int64), n_classes)
-        feature_index = None
-        lam = None
         if manifest["has_discrete"]:
             try:
                 templates = [
@@ -394,15 +388,22 @@ class TrfModel:
                 raise ModelError("%s: manifest key 'templates': %s" % (path, exc)) from None
             if class_map is None and any(t.source == "class" for t in templates):
                 raise ModelError("%s: class templates need a stored class_map" % path)
+            # one (n, order) key array per template, and one weight per key
             names = [_KEYS + str(t) for t in range(len(templates))]
             for name, t in zip(names, templates):
-                limit = vocab.size if t.source == "word" else class_map.n_classes
                 shapes[name] = arrays[name].shape[:1] + (t.order,)
-                if arrays[name].shape != shapes[name]:
-                    raise ModelError(
-                        "%s: bad feature keys: %s has shape %s; need one (n, order) key array "
-                        "per template" % (path, name, arrays[name].shape)
-                    )
+            shapes["lam"] = (sum(shapes[name][0] for name in names),)
+        phi_params = None
+        if manifest["has_neural"]:
+            phi_params = {k[len(_PHI) :]: v for k, v in arrays.items() if k.startswith(_PHI)}
+            d, n_layers = _width(arrays[_PHI + "emb"]), neural.n_layers_of(phi_params)
+            for k, s in neural.phi_shapes(vocab.size, d, n_layers).items():
+                shapes[_PHI + k] = s
+        check_arrays(path, arrays, shapes)
+        feature_index = lam = None
+        if manifest["has_discrete"]:
+            for name, t in zip(names, templates):
+                limit = vocab.size if t.source == "word" else class_map.n_classes
                 if (arrays[name] >= limit).any():
                     raise ModelError(
                         "%s: bad feature keys: %s holds a %s value >= %d"
@@ -415,14 +416,6 @@ class TrfModel:
             except feats.FeatureError as exc:
                 raise ModelError("%s: bad feature keys: %s" % (path, exc)) from None
             lam = arrays["lam"]
-            shapes["lam"] = (feature_index.n_features,)
-        phi_params = None
-        if manifest["has_neural"]:
-            phi_params = {k[len(_PHI) :]: v for k, v in arrays.items() if k.startswith(_PHI)}
-            d, n_layers = _width(arrays[_PHI + "emb"]), neural.n_layers_of(phi_params)
-            for k, s in neural.phi_shapes(vocab.size, d, n_layers).items():
-                shapes[_PHI + k] = s
-        check_arrays(path, arrays, shapes)
         model = cls(
             vocab,
             _length_prior(path, arrays["pi"]),

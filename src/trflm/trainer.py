@@ -218,13 +218,15 @@ def dnce_step(model, noise, D, config, rng, adam, lrs) -> StepRecord:
 
 @dataclass
 class TrainState:
-    """A run's progress: the dev log-likelihood of each epoch done, in order."""
+    """A run's progress: the steps done; the dev log-likelihood of each epoch
+    begun, in order, where an epoch that a max_steps stop cut short holds
+    the value at that stop until a resume completes the epoch and replaces
+    it; and the generator's state from before the current epoch's
+    permutation, from which a resume inside the epoch redraws it."""
 
+    steps: int = 0
     dev_history: list = field(default_factory=list)
-
-    @property
-    def epoch(self) -> int:
-        return len(self.dev_history)
+    epoch_rng_state: dict | None = None
 
 
 def lr_factor(config, dev_history) -> float:
@@ -267,11 +269,13 @@ def _checkpoint(path, config, model, noise, adam, avg_sums, avg_n, state, rng):
     write_container(path, manifest, _checkpoint_arrays(model, noise, adam, avg_sums))
 
 
-def _restore(path, config, model, noise, adam, rng, steps_per_epoch, avg_start):
-    """Load a checkpoint into the run's own arrays, in place, once the file
-    is seen to hold this run's config (max_epochs may differ) and every
-    value is checked, its averaging sums against this run's window, which
-    averages the steps after avg_start."""
+def _restore(path, config, model, noise, adam, rng, n, avg_start):
+    """Load a checkpoint into the run's own arrays and generator, in place,
+    once the file is seen to hold this run's config (max_epochs may differ)
+    and every value is checked, its averaging sums against this run's window,
+    which averages the steps after avg_start. Returns the TrainState, the
+    averaging sums and count, and the current epoch's permutation of the n
+    training sentences if the checkpoint lies inside the epoch, else None."""
     manifest, arrays = model_mod.read_checked(path, "dnce-checkpoint")
     stored = manifest["config"]
     if stored is None:
@@ -287,23 +291,39 @@ def _restore(path, config, model, noise, adam, rng, steps_per_epoch, avg_start):
             "checkpoint %s was written under another trainer config: %s"
             % (path, "; ".join(changed))
         )
-    state = TrainState(manifest["state"]["dev_history"])
+    steps_per_epoch = math.ceil(n / config.batch_size)
+    saved = manifest["state"]
+    history, steps = saved["dev_history"], saved["steps"]
+    if steps is None:  # a file from before the steps were stored, written at an epoch's end
+        steps = len(history) * steps_per_epoch
+    if steps < 0 or math.ceil(steps / steps_per_epoch) != len(history):
+        raise model_mod.ModelError(
+            "%s: manifest key 'state.steps' holds %d, not the steps of the %d epochs begun in "
+            "state.dev_history at %d steps an epoch" % (path, steps, len(history), steps_per_epoch)
+        )
     if manifest["adam_t"] < 0:
         raise model_mod.ModelError("%s: manifest key 'adam_t' is below 0" % path)
-    steps = state.epoch * steps_per_epoch
     averaged = max(0, steps - max(avg_start, 0)) if config.average_tail > 0 else 0
     if manifest["avg_n"] != averaged:
         raise TrainerError(
             "%s: manifest key 'avg_n' holds the average of %d steps; this run's averaging "
             "window covers %d of the %d steps done" % (path, manifest["avg_n"], averaged, steps)
         )
-    probe = type(rng.bit_generator)()
-    try:
-        probe.state = manifest["rng_state"]
-    except (LookupError, TypeError, ValueError, OverflowError):
-        raise model_mod.ModelError(
-            "%s: manifest key 'rng_state' is not a %s state" % (path, type(probe).__name__)
-        ) from None
+
+    def generator(key, value):
+        probe = type(rng.bit_generator)()
+        try:
+            probe.state = value
+        except (LookupError, TypeError, ValueError, OverflowError):
+            raise model_mod.ModelError(
+                "%s: manifest key %r is not a %s state" % (path, key, type(probe).__name__)
+            ) from None
+        return np.random.Generator(probe)
+
+    generator("rng_state", manifest["rng_state"])
+    order = None
+    if steps % steps_per_epoch:
+        order = generator("state.epoch_rng_state", saved["epoch_rng_state"]).permutation(n)
     params = model.params()
     adam.m = {k: np.empty_like(v) for k, v in params.items()}
     adam.v = {k: np.empty_like(v) for k, v in params.items()}
@@ -314,7 +334,7 @@ def _restore(path, config, model, noise, adam, rng, steps_per_epoch, avg_start):
         value[...] = arrays[name]
     adam.t = manifest["adam_t"]
     rng.bit_generator.state = manifest["rng_state"]
-    return state, avg_sums, manifest["avg_n"]
+    return TrainState(steps, history, saved["epoch_rng_state"]), avg_sums, manifest["avg_n"], order
 
 
 def train(
@@ -329,14 +349,17 @@ def train(
     max_steps=None,
     on_step=None,
 ):
-    """Run DNCE until the schedule stops it; returns (model, TrainState).
+    """Run DNCE until the schedule, max_epochs or max_steps stops it; returns
+    (model, TrainState).
 
     Per step: draw D by shuffled epoch traversal, then dnce_step; on_step,
     if given, is called with the step's number (counted across a resume)
-    and its StepRecord. Per epoch: evaluate the dev surrogate, apply the
-    halving schedule, and checkpoint if a path is given. A parameter that
-    is not finite, or a dev sentence that TrfModel.log_prob_batch refuses,
-    raises TrainerError before that epoch's checkpoint.
+    and its StepRecord. At each epoch's end, and at the last step: evaluate
+    the dev surrogate, apply the halving schedule, and checkpoint if a path
+    is given; a resume from a checkpoint inside an epoch continues that
+    epoch at its next step. A parameter that is not finite, or a dev
+    sentence that TrfModel.log_prob_batch refuses, raises TrainerError
+    before that checkpoint.
     """
     if not train_sentences or not dev_sentences:
         raise TrainerError("training and dev corpora must be nonempty")
@@ -362,32 +385,34 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
-    state, avg_sums, avg_n = TrainState(), {}, 0
+    state, avg_sums, avg_n, order = TrainState(), {}, 0, None
     if resume:
-        state, avg_sums, avg_n = _restore(
-            checkpoint_path, config, model, noise, adam, rng, steps_per_epoch, avg_start
+        state, avg_sums, avg_n, order = _restore(
+            checkpoint_path, config, model, noise, adam, rng, n, avg_start
         )
     params = model.params()
-    step_count = state.epoch * steps_per_epoch
 
-    factor = lr_factor(config, state.dev_history)
-    while state.epoch < config.max_epochs and factor >= config.stop_ratio:
-        t0 = time.time()
+    factor = lr_factor(config, state.dev_history[: state.steps // steps_per_epoch])
+    t0 = time.time()
+    while state.steps < budget and factor >= config.stop_ratio:
+        b = state.steps % steps_per_epoch
+        if b == 0:
+            state.epoch_rng_state = rng.bit_generator.state
+            order = rng.permutation(n)
         lrs = model.named(config.lr_zeta, config.lr_lambda * factor, config.lr_theta * factor)
-        order = rng.permutation(n)
-        for b in range(steps_per_epoch):
-            D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
-            record = dnce_step(model, noise, D, config, rng, adam, lrs)
-            step_count += 1
-            if config.average_tail > 0 and step_count > avg_start:
-                for key, value in params.items():
-                    avg_sums[key] = avg_sums[key] + value if avg_n else value.copy()
-                avg_n += 1
-            if on_step is not None:
-                on_step(step_count, record)
-            if max_steps is not None and step_count >= max_steps:
-                break
-        diverged = "training diverged in epoch %d: " % (state.epoch + 1)
+        D = [train_sentences[i] for i in order[b * config.batch_size : (b + 1) * config.batch_size]]
+        record = dnce_step(model, noise, D, config, rng, adam, lrs)
+        state.steps += 1
+        if config.average_tail > 0 and state.steps > avg_start:
+            for key, value in params.items():
+                avg_sums[key] = avg_sums[key] + value if avg_n else value.copy()
+            avg_n += 1
+        if on_step is not None:
+            on_step(state.steps, record)
+        if state.steps % steps_per_epoch and state.steps < budget:
+            continue
+        epoch = math.ceil(state.steps / steps_per_epoch)
+        diverged = "training diverged in epoch %d: " % epoch
         broken = [k for k, v in params.items() if not np.isfinite(v).all()]
         if broken:
             raise TrainerError(diverged + "not finite: " + ", ".join(broken))
@@ -395,13 +420,13 @@ def train(
             dev_ll = dev_log_likelihood(model, dev_sentences)
         except model_mod.ModelError as exc:
             raise TrainerError(diverged + "dev log-likelihood refused: %s" % exc) from None
-        state.dev_history.append(dev_ll)
-        factor = lr_factor(config, state.dev_history)
+        state.dev_history[epoch - 1 :] = [dev_ll]
+        factor = lr_factor(config, state.dev_history[: state.steps // steps_per_epoch])
         if log_sink is not None:
             log_sink.write(
                 "%d\t%.6f\t%.6g\t%.6g\t%.6g\t%.3f\n"
                 % (
-                    state.epoch,
+                    epoch,
                     dev_ll,
                     config.lr_lambda * factor,
                     config.lr_theta * factor,
@@ -412,8 +437,7 @@ def train(
             log_sink.flush()
         if checkpoint_path is not None:
             _checkpoint(checkpoint_path, config, model, noise, adam, avg_sums, avg_n, state, rng)
-        if max_steps is not None and step_count >= max_steps:
-            break
+        t0 = time.time()
     if avg_n > 0:
         for key, value in params.items():
             value[:] = avg_sums[key] / avg_n

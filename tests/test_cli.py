@@ -697,11 +697,13 @@ def test_ppl_refuses_model_with_json_feature_keys_exit_1(tmp_path, tiny_corpus, 
     argv, model_out = _train_args(tmp_path, train, dev, "discrete")
     assert _run(argv) == 0
     manifest, arrays = read_container(model_out)
+    # the layout of earlier versions: keys as a JSON list, no keys.<tid> arrays
     manifest["feature_keys"] = []
+    arrays = {k: v for k, v in arrays.items() if not k.startswith("keys.")}
     write_container(model_out, manifest, arrays)
     capsys.readouterr()
     assert _run(["ppl", model_out, dev]) == 1
-    assert "%s stores its feature keys as a JSON list" % model_out in capsys.readouterr().err
+    assert "%s lacks the array 'keys.0'" % model_out in capsys.readouterr().err
 
 
 def test_ppl_model_without_a_manifest_key_exit_1_names_file_and_key(

@@ -476,12 +476,9 @@ def test_train_resume_reproduces_uninterrupted(tmp_path, average_tail):
         assert (n_half.params[k] == n_full.params[k]).all()
 
 
-@pytest.mark.parametrize("average_tail", [0, 9])
-def test_checkpoint_stores_the_dev_history_alone_and_resumes_files_that_hold_more(
-    tmp_path, average_tail
-):
-    # checkpoints written before the epoch and the learning-rate factor were derived from
-    # the dev history also hold state.epoch, state.lr_factor and state.best_dev
+def _resume_an_epoch_end_checkpoint_edited(tmp_path, average_tail, edits):
+    """Interrupt a run in epoch 3, check what its epoch-2 checkpoint holds, apply the manifest
+    edits, and check that the resume matches the uninterrupted run bit for bit."""
     data, cfg, fresh = _resume_setup(average_tail)
     m_full, n_full = fresh()
     trainer.train(copy.deepcopy(cfg), data, data[:10], m_full, n_full)
@@ -493,15 +490,99 @@ def test_checkpoint_stores_the_dev_history_alone_and_resumes_files_that_hold_mor
             log_sink=_InterruptAtEpoch(3), checkpoint_path=ckpt,
         )
     state = read_container(ckpt)[0]["state"]
-    assert list(state) == ["dev_history"] and len(state["dev_history"]) == 2
-    helpers.edit_manifest(ckpt, {
-        "state.epoch": 2, "state.lr_factor": 0.5, "state.best_dev": max(state["dev_history"]),
-    })
+    assert sorted(state) == ["dev_history", "epoch_rng_state", "steps"]
+    assert state["steps"] == 6 and len(state["dev_history"]) == 2
+    helpers.edit_manifest(ckpt, edits)
     trainer.train(
         copy.deepcopy(cfg), data, data[:10], m_half, n_half, checkpoint_path=ckpt, resume=True
     )
     for k, v in {**m_full.params(), **n_full.params}.items():
         assert {**m_half.params(), **n_half.params}[k].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("average_tail", [0, 9])
+def test_checkpoint_stores_the_dev_history_alone_and_resumes_files_that_hold_more(
+    tmp_path, average_tail
+):
+    # of the run's progress per epoch a checkpoint stores the dev history alone, not the
+    # epoch, the learning-rate factor or the best dev value derived from it; checkpoints
+    # written before they were derived also hold state.epoch, state.lr_factor and
+    # state.best_dev, and predate state.steps and state.epoch_rng_state
+    _resume_an_epoch_end_checkpoint_edited(tmp_path, average_tail, {
+        "state.steps": helpers.DELETE, "state.epoch_rng_state": helpers.DELETE,
+        "state.epoch": 2, "state.lr_factor": 0.5, "state.best_dev": -1.0,
+    })
+
+
+@pytest.mark.parametrize("average_tail", [0, 9])
+def test_checkpoint_stores_the_steps_and_resumes_epoch_end_files_without_them(
+    tmp_path, average_tail
+):
+    # checkpoints written before a run could stop inside an epoch lack state.steps and
+    # state.epoch_rng_state; they were all written at an epoch's end
+    _resume_an_epoch_end_checkpoint_edited(tmp_path, average_tail, {
+        "state.steps": helpers.DELETE, "state.epoch_rng_state": helpers.DELETE,
+    })
+
+
+def _same_checkpoints(path_a, path_b):
+    """Whether two checkpoints hold the same manifest and bit-identical arrays: the
+    parameters, the noise LM, Adam's moments and step count, the averaging sums, the
+    generator states and the run's state."""
+    (manifest_a, arrays_a), (manifest_b, arrays_b) = read_container(path_a), read_container(path_b)
+    return manifest_a == manifest_b and [(k, v.tobytes()) for k, v in arrays_a.items()] == [
+        (k, v.tobytes()) for k, v in arrays_b.items()
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_a_run_stopped_at_any_step_resumes_bit_identically(tmp_path, k):
+    # 12 steps in 4 epochs of 3; a max_steps stop inside an epoch checkpoints there, and
+    # the resume continues that epoch at its next step
+    data, cfg, fresh = _resume_setup(0)
+    full, ckpt = tmp_path / "full", tmp_path / "ckpt"
+    _, state_full = trainer.train(
+        copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=full
+    )
+    _, state = trainer.train(
+        copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt, max_steps=k
+    )
+    assert state.steps == k and len(state.dev_history) == -(-k // 3)
+    _, state = trainer.train(
+        copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt, resume=True
+    )
+    assert state == state_full and state.steps == 12 and len(state.dev_history) == 4
+    assert _same_checkpoints(ckpt, full)
+
+
+def test_a_run_stopped_at_every_step_in_turn_resumes_bit_identically(tmp_path):
+    data, cfg, fresh = _resume_setup(0)
+    full, ckpt = tmp_path / "full", tmp_path / "ckpt"
+    m_full, n_full = fresh()
+    trainer.train(copy.deepcopy(cfg), data, data[:10], m_full, n_full, checkpoint_path=full)
+    model, noise = fresh()
+    for k in range(1, 13):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], model, noise, checkpoint_path=ckpt,
+            resume=k > 1, max_steps=k,
+        )
+    assert _same_checkpoints(ckpt, full)
+    for k, v in {**m_full.params(), **n_full.params}.items():
+        assert {**model.params(), **noise.params}[k].tobytes() == v.tobytes()
+
+
+def test_train_resume_refuses_a_max_steps_stop_under_averaging(tmp_path):
+    # the 4-step run averages its own last 9 steps (1-4); the 12-step run resumed from it
+    # averages steps 4-12, so it would need the average of step 4 alone
+    data, cfg, fresh = _resume_setup(9)
+    ckpt = tmp_path / "ckpt"
+    trainer.train(copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt, max_steps=4)
+    with pytest.raises(
+        trainer.TrainerError, match="'avg_n' holds the average of 4 steps; .* covers 1 of the 4"
+    ):
+        trainer.train(
+            copy.deepcopy(cfg), data, data[:10], *fresh(), checkpoint_path=ckpt, resume=True
+        )
 
 
 def test_train_resume_refuses_changed_averaging_window(tmp_path):
@@ -569,24 +650,29 @@ def test_train_stops_at_the_dev_pass_of_a_diverged_epoch_keeping_the_last_checkp
 
 
 @pytest.mark.parametrize(
-    "average_tail, key, value",
+    "average_tail, edits, named",
     [
-        (0, "state", {"dev_history": "x"}),
-        (0, "adam_t", "x"),
-        (0, "avg_n", -1),
-        (0, "rng_state", {"bit_generator": "PCG64"}),
-        (0, "config", 5),
-        (0, "model.zeta", None),  # an array the file then lacks
-        (0, "model.lam", np.nan),
+        (0, {"state.dev_history": "x"}, "state.dev_history"),
+        (0, {"adam_t": "x"}, "adam_t"),
+        (0, {"avg_n": -1}, "avg_n"),
+        (0, {"rng_state": {"bit_generator": "PCG64"}}, "rng_state"),
+        (0, {"config": 5}, "config"),
+        (0, {"model.zeta": None}, "model.zeta"),  # an array the file then lacks
+        (0, {"model.lam": np.nan}, "model.lam"),
         # a 2-epoch run averages steps 1-6; the 4-epoch run resuming it averages steps 4-12
-        (9, "avg_n", None),
+        (9, {}, "avg_n"),
+        # 9 steps begin 3 epochs, and the file holds the dev values of 2
+        (0, {"state.steps": 9}, "state.steps"),
+        # step 5 lies inside epoch 2, whose permutation the file then cannot redraw
+        (0, {"state.steps": 5, "state.epoch_rng_state": None}, "state.epoch_rng_state"),
     ],
     ids=["history-a-string", "adam-t-a-string", "avg-n-negative",
          "rng-state-without-its-state", "config-an-int", "an-array-missing", "an-array-nan",
-         "averaging-window-moved"],
+         "averaging-window-moved", "steps-disagree-with-the-dev-history",
+         "mid-epoch-without-the-epoch-rng-state"],
 )
 def test_refused_resume_leaves_model_noise_and_rng_as_they_were(
-    tmp_path, average_tail, key, value
+    tmp_path, average_tail, edits, named
 ):
     data, cfg, fresh = _resume_setup(average_tail)  # 4 epochs of 3 steps
     half = copy.deepcopy(cfg)
@@ -594,21 +680,24 @@ def test_refused_resume_leaves_model_noise_and_rng_as_they_were(
     ckpt = tmp_path / "ckpt"
     trainer.train(half, data, data[:10], *fresh(), checkpoint_path=ckpt)
     manifest, arrays = read_container(ckpt)
-    if key in arrays and value is None:
-        del arrays[key]
-    elif key in arrays:
-        arrays[key].flat[0] = value
-    elif value is not None:
-        manifest[key] = value
+    in_manifest = {k: v for k, v in edits.items() if k not in arrays}
+    for name in edits.keys() - in_manifest.keys():
+        if edits[name] is None:
+            del arrays[name]
+        else:
+            arrays[name].flat[0] = edits[name]
     write_container(ckpt, manifest, arrays)
+    helpers.edit_manifest(ckpt, in_manifest)
     model, noise = fresh()
     rng = np.random.default_rng(5)
     before = [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()]
     rng_before = rng.bit_generator.state
     with pytest.raises(
-        (model_mod.ModelError, trainer.TrainerError), match=re.escape(str(ckpt)) + ".*" + key
+        (model_mod.ModelError, trainer.TrainerError), match=re.escape(str(ckpt)) + ".*" + named
     ):  # this run averages the steps after 12 - average_tail
-        trainer._restore(ckpt, cfg, model, noise, trainer.AdamState(), rng, 3, 12 - average_tail)
+        trainer._restore(
+            ckpt, cfg, model, noise, trainer.AdamState(), rng, len(data), 12 - average_tail
+        )
     assert [(k, v.tobytes()) for k, v in {**model.params(), **noise.params}.items()] == before
     assert rng.bit_generator.state == rng_before
 
@@ -644,7 +733,7 @@ def test_train_stops_when_lr_floor_reached():
     )
     _, state = trainer.train(cfg, data, data[:5], model, noise)
     # factor halves each epoch: 1, .5, .25, .125, .0625 -> stops entering epoch 5
-    assert state.epoch == 4
+    assert state.steps == 8 and len(state.dev_history) == 4
 
 
 @pytest.mark.parametrize(
@@ -686,7 +775,7 @@ def test_average_tail_ends_at_the_lr_floor(monkeypatch):
         )
         noise = noise_mod.init_noise_model(V, 3, prior, seed=2)
         _, state = trainer.train(cfg, data, data[:5], model, noise)
-        assert state.epoch == 4 and len(iterates) == 8
+        assert len(state.dev_history) == 4 and len(iterates) == 8
         lams[tail] = model.lam
     assert (lams[0] == iterates[-1]).all()
     assert (lams[3] == (iterates[-3] + iterates[-2] + iterates[-1]) / 3).all()
@@ -1031,6 +1120,21 @@ def test_on_step_numbers_the_steps_across_epochs_and_a_resume(tmp_path):
         on_step=on_step,
     )
     assert steps == list(range(7, 13))
+    # a max_steps stop inside epoch 2, without averaging: the resume starts at step 5
+    data, cfg, fresh = _resume_setup(0)
+    m, n = fresh()
+    steps.clear()
+    trainer.train(
+        copy.deepcopy(cfg), data, data[:10], m, n, checkpoint_path=ckpt, max_steps=4,
+        on_step=on_step,
+    )
+    assert steps == list(range(1, 5))
+    steps.clear()
+    trainer.train(
+        copy.deepcopy(cfg), data, data[:10], m, n, checkpoint_path=ckpt, resume=True,
+        on_step=on_step,
+    )
+    assert steps == list(range(5, 13))
 
 
 def test_on_step_leaves_training_bit_identical():
